@@ -18,7 +18,7 @@ from .fixtures import FIXTURE_NAMES, generate_fixture
 from .hodge import hodge_star, validate_hodge
 from .meshfile import load_complex, write_mesh
 from .poisson import FIGURE1_COLUMNS, figure1_experiment, sigma_vectors
-from .signed_dual import signed_dual_volume
+from .signed_dual import dual_table
 
 SCHEMA_VERSION = 1
 
@@ -93,17 +93,17 @@ def _cmd_duals(args):
                 "unsigned_volume", "num_pieces", "num_negative_pieces",
             ]
         )
-        for i in range(mesh.num_simplices(args.dim)):
-            cell = signed_dual_volume(mesh, args.dim, i)
+        table = dual_table(mesh, args.dim)
+        for i, vertices in enumerate(mesh.simplices[args.dim].tolist()):
             writer.writerow(
                 [
                     args.dim,
                     i,
-                    " ".join(str(v) for v in mesh.simplex_vertices(args.dim, i)),
-                    _fmt(cell.signed_volume),
-                    _fmt(cell.unsigned_volume),
-                    len(cell.pieces),
-                    cell.num_negative_pieces,
+                    " ".join(str(v) for v in vertices),
+                    _fmt(table.signed_volume[i]),
+                    _fmt(table.unsigned_volume[i]),
+                    table.num_pieces[i],
+                    table.num_negative_pieces[i],
                 ]
             )
     return 0

@@ -20,7 +20,6 @@ from .geometry import (
     batched_circumcenters,
     batched_volumes,
     circumcenter,
-    simplex_volume,
 )
 
 __all__ = ["SimplicialComplex", "build_complex", "boundary_operator"]
@@ -50,6 +49,8 @@ class SimplicialComplex:
         self._volumes = [None] * (self.n + 1)
         self._centers = [None] * (self.n + 1)
         self._radii = [None] * (self.n + 1)
+        # signed_dual's DualTable memo, keyed by (dim, resolved tolerance)
+        self._dual_volume_cache = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -68,6 +69,28 @@ class SimplicialComplex:
             return self._index[dim][key]
         except KeyError:
             raise ComplexError(f"no {dim}-simplex with vertices {key}") from None
+
+    def simplex_indices(self, dim, rows):
+        """Indices of the dim-simplices with the given vertex rows.
+
+        Batched twin of :meth:`simplex_index`: ``rows`` is an integer array
+        of shape (..., dim + 1) and the result has shape rows.shape[:-1].
+        Sorted rows are coded as mixed-radix integers and found by binary
+        search in the simplex table, whose lexicographic order keeps the
+        codes ascending.
+        """
+        rows = np.sort(np.asarray(rows, dtype=np.intp), axis=-1)
+        radices = (len(self.points),) * (dim + 1)
+        try:
+            keys = np.ravel_multi_index(tuple(self.simplices[dim].T), radices)
+            query = np.ravel_multi_index(tuple(np.moveaxis(rows, -1, 0)), radices)
+        except ValueError:  # codes would overflow int64, or a vertex is out of range
+            flat = [self.simplex_index(dim, row) for row in rows.reshape(-1, dim + 1)]
+            return np.array(flat, dtype=np.intp).reshape(rows.shape[:-1])
+        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        if (keys[found] != query).any():
+            raise ComplexError(f"some queried {dim}-simplices are not in the complex")
+        return found
 
     def orientation(self, dim, index):
         return int(self.orientations[dim][index])
@@ -109,9 +132,13 @@ class SimplicialComplex:
         self._radii[dim] = radii
 
     def volume_of(self, dim, index):
+        return float(self.volumes(dim)[index])
+
+    def volumes(self, dim):
+        """Read-only array of all volumes at one dimension."""
         if self._volumes[dim] is None:
             self._fill_geometry(dim)
-        return float(self._volumes[dim][index])
+        return self._volumes[dim]
 
     def circumcenter_of(self, dim, index):
         if self._centers[dim] is None:
@@ -246,19 +273,15 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
 
     # Reject (near-)zero-volume top cells: threshold far below predicate
     # tolerance, scaled by the longest edge to stay unit-free.
-    for i, cell in enumerate(keys[n]):
-        cell_pts = pts[list(cell)]
-        longest = max(
-            float(np.linalg.norm(cell_pts[a] - cell_pts[b]))
-            for a, b in itertools.combinations(range(n + 1), 2)
+    cell_pts = pts[simplices[n]]
+    longest = np.linalg.norm(cell_pts[:, :, None] - cell_pts[:, None], axis=-1).max(axis=(1, 2))
+    vols = batched_volumes(cell_pts)
+    for i in np.nonzero((longest == 0.0) | (vols < DEGENERACY_FACTOR * longest**n))[0][:1]:
+        if longest[i] == 0.0:
+            raise DegeneracyError(f"top simplex {keys[n][i]} has coincident vertices")
+        raise DegeneracyError(
+            f"top simplex {keys[n][i]} is degenerate (volume {vols[i]:.3e})"
         )
-        if longest == 0.0:
-            raise DegeneracyError(f"top simplex {cell} has coincident vertices")
-        vol = simplex_volume(cell_pts)
-        if vol < DEGENERACY_FACTOR * longest**n:
-            raise DegeneracyError(
-                f"top simplex {cell} is degenerate (volume {vol:.3e})"
-            )
 
     return complex_
 
@@ -272,16 +295,10 @@ def boundary_operator(complex_, dim):
     """
     if not 1 <= dim <= complex_.n:
         raise ValueError(f"boundary operator needs 1 <= dim <= {complex_.n}, got {dim}")
-    rows, cols, vals = [], [], []
-    for j in range(complex_.num_simplices(dim)):
-        cell = complex_.simplex_vertices(dim, j)
-        orient = complex_.orientation(dim, j)
-        for pos in range(dim + 1):
-            face = cell[:pos] + cell[pos + 1 :]
-            rows.append(complex_.simplex_index(dim - 1, face))
-            cols.append(j)
-            vals.append(orient * (1 if pos % 2 == 0 else -1))
-    shape = (complex_.num_simplices(dim - 1), complex_.num_simplices(dim))
-    return sparse.csr_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)), shape=shape
-    )
+    cells = complex_.simplices[dim]
+    faces = np.stack([np.delete(cells, pos, axis=1) for pos in range(dim + 1)], axis=1)
+    rows = complex_.simplex_indices(dim - 1, faces).ravel()
+    cols = np.repeat(np.arange(len(cells)), dim + 1)
+    vals = np.outer(complex_.orientations[dim], (-1.0) ** np.arange(dim + 1)).ravel()
+    shape = (complex_.num_simplices(dim - 1), len(cells))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)

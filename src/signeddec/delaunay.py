@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AffineHullError, DegeneracyError
 from .config import tolerance
 from .geometry import circumcenter, flatten_pair, halfspace_sign
-from .signed_dual import dual_volumes, step_sign
+from .signed_dual import dual_volumes, step_sign, step_signs
 
 __all__ = [
     "PAIR_STRICT",
@@ -43,6 +43,7 @@ PAIR_VIOLATED = "violated"
 SIDE_YES = "yes"
 SIDE_MARGINAL = "marginal"
 SIDE_NO = "no"
+_SIDE_STATUS = {1: SIDE_YES, 0: SIDE_MARGINAL, -1: SIDE_NO}
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,7 @@ def one_sided_status_points(facet_points, apex, tol=None):
     """
     full = np.vstack([np.asarray(facet_points, dtype=float), np.asarray(apex, dtype=float)])
     center = circumcenter(full, tol=tol).center
-    side = halfspace_sign(facet_points, apex, center, tol=tol)
-    return {1: SIDE_YES, 0: SIDE_MARGINAL, -1: SIDE_NO}[side]
+    return _SIDE_STATUS[halfspace_sign(facet_points, apex, center, tol=tol)]
 
 
 def circumcenter_order_points(
@@ -201,8 +201,7 @@ def is_one_sided(complex_, top_index, facet_index, tol=None):
     Identical to the chain step sign of facet -> coface, so the dual length
     of the facet is positive exactly for SIDE_YES.
     """
-    side = step_sign(complex_, complex_.n - 1, facet_index, top_index, tol=tol)
-    return {1: SIDE_YES, 0: SIDE_MARGINAL, -1: SIDE_NO}[side]
+    return _SIDE_STATUS[step_sign(complex_, complex_.n - 1, facet_index, top_index, tol=tol)]
 
 
 @dataclass
@@ -273,12 +272,16 @@ def classify_complex(complex_, tol=None, check_duals=True):
         except (DegeneracyError, AffineHullError):
             status = PAIR_DEGENERATE
         report.pair_statuses.append((facet_index, (left, right), status))
-    for facet_index, top in complex_.boundary_faces():
-        try:
-            status = is_one_sided(complex_, top, facet_index, tol=tol)
-        except (DegeneracyError, AffineHullError):
-            status = SIDE_MARGINAL
-        report.boundary_statuses.append((facet_index, top, status))
+    boundary = complex_.boundary_faces()
+    try:
+        sides = step_signs(
+            complex_, complex_.n - 1, [f for f, _ in boundary], [t for _, t in boundary],
+            tol=tol,
+        ).tolist()
+    except DegeneracyError:
+        sides = [0] * len(boundary)
+    for (facet_index, top), side in zip(boundary, sides):
+        report.boundary_statuses.append((facet_index, top, _SIDE_STATUS[side]))
     if check_duals:
         for dim in range(complex_.n + 1):
             signed, _ = dual_volumes(complex_, dim, tol=tol)

@@ -61,49 +61,22 @@ def _as_points(points):
 def simplex_volume(points):
     """Unsigned k-volume of the simplex spanned by the given k+1 points.
 
-    Valid in any ambient dimension N >= k. The low dimensions use direct
-    determinant/cross-product formulas and the general case the R diagonal
-    of a QR factorization of the edge matrix; both keep absolute accuracy
-    ~eps * scale^k on nearly degenerate simplices, where a Gram-determinant
-    route would bottom out at sqrt(eps). A single point has 0-volume 1 by
-    convention; degenerate input yields (near) zero rather than an error.
+    Valid in any ambient dimension N >= k; a one-row call of
+    :func:`batched_volumes`. A single point has 0-volume 1 by convention;
+    degenerate input yields (near) zero rather than an error.
     """
     pts = _as_points(points)
-    k = len(pts) - 1
-    if k == 0:
-        return 1.0
-    ambient = pts.shape[1]
-    if k > ambient:
-        return 0.0
-    edges = pts[1:] - pts[0]
-    if k == 1:
-        return float(np.linalg.norm(edges[0]))
-    if k == 2 and ambient == 2:
-        (ax, ay), (bx, by) = edges
-        return abs(ax * by - ay * bx) / 2.0
-    if k == 2 and ambient == 3:
-        (ax, ay, az), (bx, by, bz) = edges
-        cx = ay * bz - az * by
-        cy = az * bx - ax * bz
-        cz = ax * by - ay * bx
-        return math.sqrt(cx * cx + cy * cy + cz * cz) / 2.0
-    if k == 3 and ambient == 3:
-        a, b, c = edges
-        triple = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-        return abs(triple) / 6.0
-    r = np.linalg.qr(edges.T, mode="r")
-    return float(abs(np.prod(np.diag(r))) / math.factorial(k))
+    return float(batched_volumes(pts[np.newaxis])[0])
 
 
 def batched_volumes(pts):
     """Unsigned volumes of a (M, k+1, N) stack of simplices.
 
-    Vectorized twin of :func:`simplex_volume`, used to fill per-complex
-    geometry caches in one pass.
+    The low dimensions use direct determinant/cross-product formulas and
+    the general case the R diagonal of a QR factorization of the edge
+    matrix; both keep absolute accuracy ~eps * scale^k on nearly degenerate
+    simplices, where a Gram-determinant route would bottom out at
+    sqrt(eps).
     """
     m, kp1, ambient = pts.shape
     k = kp1 - 1
@@ -136,7 +109,8 @@ def batched_volumes(pts):
             + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
         )
         return np.abs(triple) / 6.0
-    return np.array([simplex_volume(p) for p in pts])
+    r = np.linalg.qr(edges.transpose(0, 2, 1), mode="r")
+    return np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)) / math.factorial(k)
 
 
 def batched_circumcenters(pts, tol=None):

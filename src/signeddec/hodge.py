@@ -48,10 +48,7 @@ def hodge_star(complex_, dim, mode="signed", tol=None):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     signed, unsigned = dual_volumes(complex_, dim, tol=tol)
     dual = signed if mode == "signed" else unsigned
-    primal = np.array(
-        [complex_.volume_of(dim, i) for i in range(complex_.num_simplices(dim))]
-    )
-    entries = dual / primal
+    entries = dual / complex_.volumes(dim)
     entries.setflags(write=False)
     return HodgeStar(dim=dim, mode=mode, entries=entries)
 

@@ -22,7 +22,7 @@ from .complexes import boundary_operator
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
 from .hodge import hodge_star, validate_hodge
-from .signed_dual import step_sign
+from .signed_dual import step_signs
 
 __all__ = [
     "MixedPoissonProblem",
@@ -161,16 +161,13 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     # weighted by the chain sign of facet -> coface. One-sided facets give
     # the midpoint-exact +|e|/2 split; a facet that is not one-sided
     # carries a nonpositive trace and the load degrades accordingly.
+    facets = np.array([f for f, _ in boundary], dtype=np.intp)
+    lengths = mesh.volumes(mesh.n - 1)[facets]
+    sides = step_signs(mesh, mesh.n - 1, facets, [t for _, t in boundary])
+    outflux = float(flux @ lengths)
+    gross_flux = float(np.abs(flux) @ lengths)
     b = np.zeros(num_vertices)
-    outflux = 0.0
-    gross_flux = 0.0
-    for (facet, top), g in zip(boundary, flux):
-        length = mesh.volume_of(mesh.n - 1, facet)
-        side = step_sign(mesh, mesh.n - 1, facet, top)
-        outflux += g * length
-        gross_flux += abs(g) * length
-        for v in mesh.simplex_vertices(mesh.n - 1, facet):
-            b[v] += g * side * length / 2.0
+    np.add.at(b, mesh.simplices[mesh.n - 1][facets], (flux * sides * lengths / 2.0)[:, None])
 
     source = _source_values(mesh, problem.source)
     weighted_source = star0.entries * source
@@ -288,17 +285,13 @@ def sigma_vectors(mesh, sigma):
     """Per-triangle constant vector field reproducing the edge cochain:
     least-squares fit of s with s . (head - tail) = sigma_e over the three
     edges of each triangle."""
-    out = np.empty((mesh.num_simplices(2), 2))
-    for t in range(mesh.num_simplices(2)):
-        cell = mesh.simplex_vertices(2, t)
-        rows = []
-        vals = []
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            tail, head = cell[a], cell[b]
-            rows.append(mesh.points[head] - mesh.points[tail])
-            vals.append(sigma[mesh.simplex_index(1, (tail, head))])
-        out[t] = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)[0]
-    return out
+    cells = mesh.simplices[2]
+    tails, heads = cells[:, [0, 0, 1]], cells[:, [1, 2, 2]]
+    rows = mesh.points[heads] - mesh.points[tails]
+    vals = np.asarray(sigma)[mesh.simplex_indices(1, np.stack([tails, heads], axis=-1))]
+    # all triangles' 3x2 least-squares problems at once, by Householder QR
+    q, r = np.linalg.qr(rows)
+    return np.linalg.solve(r, np.einsum("tij,ti->tj", q, vals)[..., None])[..., 0]
 
 
 @dataclass

@@ -8,27 +8,48 @@ within the affine hull of the larger simplex, the side of the larger
 simplex's circumcenter against the side of the vertex that extends the
 smaller simplex: +1 same side, -1 opposite, 0 on the dividing hyperplane
 (such a piece is marginal and contributes zero).
+
+Every chain ends in exactly one top simplex. In a top with sorted vertices
+0..n, a chain from a p-face is fixed by its base face and the order in
+which the other n - p vertices are added, so each top holds
+C(n+1, p+1) (n-p)! chains. These local patterns are enumerated once per
+(n, p). The chain table of dimension p applies them to all tops in one
+numpy pass: faces along each chain are found in the simplex tables, every
+link sign and piece volume is computed at once, and ``np.bincount`` sums
+the pieces per base simplex. Tops go through in fixed-size blocks so the
+arrays stay small. Totals are memoized on the complex per (p, tolerance);
+the per-piece arrays, which only the per-simplex views need, are kept in
+a second memo filled on first use.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import tolerance
-from .errors import DegeneracyError
-from .geometry import circumcenter, halfspace_sign, simplex_volume
+from .errors import ComplexError, DegeneracyError
+from .geometry import batched_volumes, circumcenter, halfspace_sign
 
 __all__ = [
     "ElementaryDual",
     "DualCell",
+    "DualTable",
     "step_sign",
+    "step_signs",
     "elementary_duals",
     "signed_dual_volume",
+    "dual_table",
     "dual_volumes",
     "orientation_sign_via_determinant",
     "regular_simplex",
 ]
+
+# Top simplices per block of the chain table. A block of tetrahedra at
+# p = 0 (24 chains of 4 circumcenters each) then holds a few MiB of arrays.
+_TOP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,63 @@ class DualCell:
         )
 
 
+@dataclass(frozen=True)
+class DualTable:
+    """The chain table of one dimension p, as read-only arrays.
+
+    Per p-simplex: ``signed_volume``, ``unsigned_volume``, ``num_pieces``
+    and ``num_negative_pieces``. Per piece, sorted by base simplex and then
+    chain: ``chain`` (simplex indices at dimensions p+1 .. n),
+    ``step_signs`` (one per link) and ``piece_volume`` (unsigned). The
+    pieces of p-simplex i are rows offsets[i]:offsets[i+1].
+    """
+
+    signed_volume: np.ndarray
+    unsigned_volume: np.ndarray
+    num_pieces: np.ndarray
+    num_negative_pieces: np.ndarray
+    offsets: np.ndarray
+    chain: np.ndarray
+    step_signs: np.ndarray
+    piece_volume: np.ndarray
+
+
+def _link_signs(face_centers, coface_centers, apexes, eps):
+    """Step signs of a stack of links, one per row of the (..., N) inputs.
+
+    The sign of (c_coface - c_face) . (apex - c_face); 0 when either factor
+    vanishes or the dot product is within eps of their norms' product.
+    """
+    across = coface_centers - face_centers
+    toward = apexes - face_centers
+    value = (across * toward).sum(axis=-1)
+    scale = np.linalg.norm(across, axis=-1) * np.linalg.norm(toward, axis=-1)
+    marginal = (scale == 0.0) | (np.abs(value) <= eps * scale)
+    return np.where(marginal, 0, np.sign(value)).astype(np.int8)
+
+
+def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
+    """Step signs of many chain links at once: link i goes from the
+    dim-simplex face_indices[i] to its coface coface_indices[i].
+
+    Returns an int8 array of +1/0/-1 as :func:`step_sign` would give for
+    each link. Raises ComplexError if a coface does not extend its face.
+    """
+    faces = np.asarray(face_indices, dtype=np.intp)
+    cofaces = np.asarray(coface_indices, dtype=np.intp)
+    face_rows = complex_.simplices[dim][faces]
+    coface_rows = complex_.simplices[dim + 1][cofaces]
+    extra = (coface_rows[:, :, None] != face_rows[:, None, :]).all(axis=2)
+    if (extra.sum(axis=1) != 1).any():
+        raise ComplexError("coface does not extend face")
+    return _link_signs(
+        complex_.circumcenters(dim)[faces],
+        complex_.circumcenters(dim + 1)[cofaces],
+        complex_.points[coface_rows[extra]],
+        max(tolerance(tol), 1e-14),
+    )
+
+
 def step_sign(complex_, dim, face_index, coface_index, tol=None):
     """Sign of one chain link: side of the coface's circumcenter relative
     to the face's affine hull, measured against the extending vertex.
@@ -104,87 +182,130 @@ def step_sign(complex_, dim, face_index, coface_index, tol=None):
     Both circumcenters project onto the face's hull at the same point, so
     the half-space test reduces to one dot product against cached centers.
     """
-    eps = tolerance(tol)
-    apex = complex_.points[complex_.apex_vertex(dim, face_index, coface_index)]
-    face_center = complex_.circumcenter_of(dim, face_index).center
-    coface_center = complex_.circumcenter_of(dim + 1, coface_index).center
-    across = coface_center - face_center
-    toward = apex - face_center
-    value = float(np.dot(across, toward))
-    scale = float(np.linalg.norm(across) * np.linalg.norm(toward))
-    if abs(value) <= max(eps, 1e-14) * scale or scale == 0.0:
-        return 0
-    return 1 if value > 0.0 else -1
+    return int(step_signs(complex_, dim, [face_index], [coface_index], tol=tol)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_patterns(n, p):
+    """Chains of a top with sorted local vertices 0..n, from a p-face.
+
+    Returns (faces, levels, apexes): faces[k] lists the top's local
+    (p+k)-faces in lexicographic order, levels[c, k] is the position in
+    faces[k] of chain c's (p+k)-face, and apexes[c, k] the local vertex
+    that link k adds.
+    """
+    faces = [list(itertools.combinations(range(n + 1), d + 1)) for d in range(p, n + 1)]
+    chains = [
+        (base, order)
+        for base in faces[0]
+        for order in itertools.permutations(sorted(set(range(n + 1)) - set(base)))
+    ]
+    levels = [
+        [faces[k].index(tuple(sorted(base + order[:k]))) for k in range(n - p + 1)]
+        for base, order in chains
+    ]
+    faces = [np.array(f, dtype=np.intp) for f in faces]
+    levels = np.array(levels)
+    apexes = np.array([order for _, order in chains], dtype=np.intp).reshape(len(chains), n - p)
+    for arr in (*faces, levels, apexes):  # shared by every caller of the cache
+        arr.setflags(write=False)
+    return faces, levels, apexes
+
+
+def _chain_table(complex_, dim, eps):
+    """Build the DualTable of one dimension, one block of tops at a time."""
+    n = complex_.n
+    faces, levels, apexes = _chain_patterns(n, dim)
+    centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
+    parts = []
+    tops = complex_.simplices[n]
+    for start in range(0, len(tops), _TOP_BLOCK):
+        block = tops[start : start + _TOP_BLOCK]
+        # simplex index of every level of every chain: (tops, chains, levels)
+        chain = np.stack(
+            [
+                complex_.simplex_indices(dim + k, block[:, local])[:, levels[:, k]]
+                for k, local in enumerate(faces)
+            ],
+            axis=-1,
+        )
+        path = np.stack([c[chain[..., k]] for k, c in enumerate(centers)], axis=2)
+        steps = _link_signs(
+            path[:, :, :-1], path[:, :, 1:], complex_.points[block[:, apexes]], eps
+        )
+        volume = batched_volumes(path.reshape(-1, *path.shape[2:]))
+        parts.append(
+            (chain.reshape(len(volume), -1), steps.reshape(len(volume), -1), volume)
+        )
+    chain, steps, volume = (np.concatenate(columns) for columns in zip(*parts))
+    del parts  # the blocks are copied; free them before sorting copies again
+    # base simplex first, then the chain: the depth-first order of cofaces
+    order = np.lexsort(chain.T[::-1])
+    chain, steps, volume = chain[order], steps[order], volume[order]
+    base, sign = chain[:, 0], steps.prod(axis=1)
+    count = complex_.num_simplices(dim)
+    num_pieces = np.bincount(base, minlength=count)
+    table = DualTable(
+        signed_volume=np.bincount(base, weights=sign * volume, minlength=count),
+        unsigned_volume=np.bincount(base, weights=volume, minlength=count),
+        num_pieces=num_pieces,
+        num_negative_pieces=np.bincount(base[sign < 0], minlength=count),
+        offsets=np.concatenate([[0], np.cumsum(num_pieces)]),
+        chain=chain[:, 1:],
+        step_signs=steps,
+        piece_volume=volume,
+    )
+    for column in vars(table).values():
+        column.setflags(write=False)
+    return table
+
+
+def dual_table(complex_, dim, tol=None):
+    """The :class:`DualTable` of signed duals at one dimension.
+
+    For p = n every simplex has one piece of volume 1 (point measure).
+    Memoized on the complex per (dim, resolved tolerance); the geometry is
+    immutable so the memo never goes stale.
+    """
+    key = (dim, tolerance(tol))
+    cache = complex_._dual_volume_cache
+    if key not in cache:
+        cache[key] = _chain_table(complex_, dim, max(key[1], 1e-14))
+    return cache[key]
+
+
+def dual_volumes(complex_, dim, tol=None):
+    """Signed and unsigned dual volumes for every p-simplex.
+
+    Returns a pair of read-only arrays (signed, unsigned), indexed like the
+    p-simplices; two columns of the memoized :func:`dual_table`.
+    """
+    table = dual_table(complex_, dim, tol=tol)
+    return table.signed_volume, table.unsigned_volume
 
 
 def elementary_duals(complex_, dim, index, tol=None):
-    """All elementary dual pieces of the given p-simplex.
-
-    Enumerates ascending coface chains depth-first in index order, so the
-    result is deterministic. For a top simplex the single piece is its
-    circumcenter with 0-volume 1 and empty chain.
+    """All elementary dual pieces of the given p-simplex, read from the
+    chain table in lexicographic order of their chains. For a top simplex
+    the single piece is its circumcenter with 0-volume 1 and empty chain.
     """
-    n = complex_.n
-    base_center = complex_.circumcenters(dim)[index]
-    if dim == n:
-        vertices = base_center[np.newaxis].copy()
-        return [
-            ElementaryDual(
-                base_dim=dim, base_index=index, chain=(), vertices=vertices,
-                step_signs=(), sign=1, unsigned_volume=1.0,
-            )
-        ]
-
-    # hot path: work on the raw cached arrays, tolerance resolved once
-    eps = max(tolerance(tol), 1e-14)
-    points = complex_.points
-    simplices = complex_.simplices
-    cofaces = complex_.cofaces
-    centers = [
-        complex_.circumcenters(d) if d >= dim else None for d in range(n + 1)
-    ]
-
+    if not 0 <= index < complex_.num_simplices(dim):
+        raise IndexError(f"no {dim}-simplex with index {index}")
+    table = dual_table(complex_, dim, tol=tol)
+    rows = slice(table.offsets[index], table.offsets[index + 1])
+    centers = [complex_.circumcenters(d) for d in range(dim, complex_.n + 1)]
     pieces = []
-
-    def extend(cur_dim, cur_index, chain, signs):
-        face = set(simplices[cur_dim][cur_index])
-        c_face = centers[cur_dim][cur_index]
-        for coface_index, _ in cofaces[cur_dim][cur_index]:
-            apex = next(
-                int(v)
-                for v in simplices[cur_dim + 1][coface_index]
-                if int(v) not in face
+    for chain, steps, volume in zip(
+        table.chain[rows].tolist(), table.step_signs[rows].tolist(),
+        table.piece_volume[rows].tolist(),
+    ):
+        pieces.append(
+            ElementaryDual(
+                base_dim=dim, base_index=index, chain=tuple(chain),
+                vertices=np.vstack([c[i] for c, i in zip(centers, [index, *chain])]),
+                step_signs=tuple(steps), sign=math.prod(steps), unsigned_volume=volume,
             )
-            across = centers[cur_dim + 1][coface_index] - c_face
-            toward = points[apex] - c_face
-            value = float(across @ toward)
-            scale = math.sqrt(float(across @ across)) * math.sqrt(
-                float(toward @ toward)
-            )
-            if scale == 0.0 or abs(value) <= eps * scale:
-                sign = 0
-            else:
-                sign = 1 if value > 0.0 else -1
-            next_chain = chain + (coface_index,)
-            next_signs = signs + (sign,)
-            if cur_dim + 1 == n:
-                rows = [base_center]
-                rows.extend(
-                    centers[dim + 1 + k][ci] for k, ci in enumerate(next_chain)
-                )
-                vertices = np.vstack(rows)
-                total = 0 if 0 in next_signs else math.prod(next_signs)
-                pieces.append(
-                    ElementaryDual(
-                        base_dim=dim, base_index=index, chain=next_chain,
-                        vertices=vertices, step_signs=next_signs, sign=total,
-                        unsigned_volume=simplex_volume(vertices),
-                    )
-                )
-            else:
-                extend(cur_dim + 1, coface_index, next_chain, next_signs)
-
-    extend(dim, index, (), ())
+        )
     return pieces
 
 
@@ -194,33 +315,6 @@ def signed_dual_volume(complex_, dim, index, tol=None):
         base_dim=dim, base_index=index,
         pieces=elementary_duals(complex_, dim, index, tol=tol),
     )
-
-
-def dual_volumes(complex_, dim, tol=None):
-    """Signed and unsigned dual volumes for every p-simplex.
-
-    Returns a pair of arrays (signed, unsigned), indexed like the
-    p-simplices. For p = n both are all ones (point measure). Results are
-    memoized on the complex per (dim, resolved tolerance); the geometry
-    is immutable so the cache never goes stale.
-    """
-    cache = getattr(complex_, "_dual_volume_cache", None)
-    if cache is None:
-        cache = {}
-        complex_._dual_volume_cache = cache
-    key = (dim, tolerance(tol))
-    if key not in cache:
-        count = complex_.num_simplices(dim)
-        signed = np.empty(count)
-        unsigned = np.empty(count)
-        for i in range(count):
-            cell = signed_dual_volume(complex_, dim, i, tol=tol)
-            signed[i] = cell.signed_volume
-            unsigned[i] = cell.unsigned_volume
-        signed.setflags(write=False)
-        unsigned.setflags(write=False)
-        cache[key] = (signed, unsigned)
-    return cache[key]
 
 
 def regular_simplex(n):
@@ -250,6 +344,31 @@ def _sign_of_det(matrix):
     return 1 if det > 0 else -1
 
 
+def _reference_sign(reference, cells, tol):
+    """Determinant sign of the reference frame of a chain given as local
+    vertex tuples (base first); raises ValueError unless the reference is
+    well-centered along the chain (all step signs +1)."""
+    centers = [circumcenter(reference[list(cell)]).center for cell in cells]
+    for face, coface, center in zip(cells, cells[1:], centers[1:]):
+        apex = next(v for v in coface if v not in face)
+        if halfspace_sign(reference[list(face)], reference[apex], center, tol=tol) <= 0:
+            raise ValueError("reference simplex is not well-centered")
+    base = reference[list(cells[0])]
+    rows = [base[k] - base[0] for k in range(1, len(base))]
+    rows.extend(np.diff(np.vstack(centers), axis=0))
+    return _sign_of_det(np.vstack(rows))
+
+
+@functools.lru_cache(maxsize=None)
+def _regular_reference_sign(n, det_top, cells, tol):
+    """:func:`_reference_sign` for the default regular reference, which
+    depends only on n, the top's orientation and the chain's local pattern."""
+    reference = regular_simplex(n)
+    if _sign_of_det(_edge_frame(reference)) != det_top:
+        reference = reference[list(range(n - 1)) + [n, n - 1]]
+    return _reference_sign(reference, cells, tol)
+
+
 def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol=None):
     """Recompute an elementary dual's sign by determinant comparison.
 
@@ -260,7 +379,7 @@ def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol
     full-dimensional complex (N == n). With the default reference (a
     regular simplex, reflected if needed so the bijection preserves
     orientation) this equals the piece's step-sign product whenever no step
-    is marginal.
+    is marginal; its half of the product is memoized per local pattern.
     """
     n = complex_.n
     if complex_.N != n:
@@ -274,10 +393,16 @@ def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol
     if det_top == 0:
         raise DegeneracyError("top simplex of the piece is degenerate")
 
+    position = {v: k for k, v in enumerate(top_cell)}
+    cells = [complex_.simplex_vertices(piece.base_dim, piece.base_index)]
+    cells.extend(
+        complex_.simplex_vertices(piece.base_dim + 1 + k, ci)
+        for k, ci in enumerate(piece.chain)
+    )
+    local = tuple(tuple(position[v] for v in cell) for cell in cells)
+
     if reference_points is None:
-        reference = regular_simplex(n)
-        if _sign_of_det(_edge_frame(reference)) != det_top:
-            reference = reference[list(range(n - 1)) + [n, n - 1]]
+        ref_sign = _regular_reference_sign(n, det_top, local, tolerance(tol))
     else:
         reference = np.asarray(reference_points, dtype=float)
         if reference.shape != (n + 1, n):
@@ -288,41 +413,9 @@ def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol
             raise ValueError(
                 "vertex bijection to the reference does not preserve orientation"
             )
+        ref_sign = _reference_sign(reference, local, tol)
 
-    position = {v: k for k, v in enumerate(top_cell)}
-
-    def mapped(dim_, simplex_index):
-        cell = complex_.simplex_vertices(dim_, simplex_index)
-        return reference[[position[v] for v in cell]]
-
-    # Circumcenters of the mapped base and chain simplices; verify the
-    # reference is well-centered along this chain (all step signs +1).
-    ref_cells = [(piece.base_dim, piece.base_index)]
-    ref_cells.extend(
-        (piece.base_dim + 1 + k, ci) for k, ci in enumerate(piece.chain)
-    )
-    ref_centers = []
-    for dim_, ci in ref_cells:
-        ref_centers.append(circumcenter(mapped(dim_, ci)).center)
-    for (dim_, ci), (next_dim, next_ci), center in zip(
-        ref_cells, ref_cells[1:], ref_centers[1:]
-    ):
-        face_pts = mapped(dim_, ci)
-        face_set = set(complex_.simplex_vertices(dim_, ci))
-        apex = next(
-            v for v in complex_.simplex_vertices(next_dim, next_ci)
-            if v not in face_set
-        )
-        if halfspace_sign(face_pts, reference[position[apex]], center, tol=tol) <= 0:
-            raise ValueError("reference simplex is not well-centered")
-
-    base_cell = complex_.simplex_vertices(piece.base_dim, piece.base_index)
-    base_points = complex_.points[list(base_cell)]
-    ref_base = reference[[position[v] for v in base_cell]]
-
-    test_rows = [base_points[k] - base_points[0] for k in range(1, len(base_cell))]
+    base_points = complex_.points[list(cells[0])]
+    test_rows = [base_points[k] - base_points[0] for k in range(1, len(cells[0]))]
     test_rows.extend(np.diff(piece.vertices, axis=0))
-    ref_rows = [ref_base[k] - ref_base[0] for k in range(1, len(base_cell))]
-    ref_rows.extend(np.diff(np.vstack(ref_centers), axis=0))
-
-    return _sign_of_det(np.vstack(test_rows)) * _sign_of_det(np.vstack(ref_rows))
+    return _sign_of_det(np.vstack(test_rows)) * ref_sign

@@ -6,6 +6,7 @@ import pytest
 from conftest import brute_face_count
 from signeddec.complexes import boundary_operator, build_complex
 from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError
+from signeddec.fixtures import generate_fixture
 
 
 def _two_tets():
@@ -49,6 +50,25 @@ def test_simplex_index_roundtrip_and_miss():
     assert complex_.simplex_vertices(1, idx) == (0, 2)
     with pytest.raises(ComplexError):
         complex_.simplex_index(1, (1, 3))
+
+
+def test_simplex_indices_match_simplex_index():
+    mesh = generate_fixture("delaunay_tet_cube", divisions=2)
+    rng = np.random.default_rng(5)
+    for dim in range(mesh.n + 1):
+        wanted = rng.permutation(mesh.num_simplices(dim))[:12].reshape(3, 4)
+        rows = rng.permuted(mesh.simplices[dim][wanted], axis=-1)
+        found = mesh.simplex_indices(dim, rows)
+        assert found.shape == (3, 4)
+        assert found.tolist() == [
+            [mesh.simplex_index(dim, row) for row in block] for block in rows.tolist()
+        ]
+        np.testing.assert_array_equal(found, wanted)
+    complex_ = _square()
+    with pytest.raises(ComplexError):
+        complex_.simplex_indices(1, [(0, 2), (1, 3)])
+    with pytest.raises(ComplexError):
+        complex_.simplex_indices(1, [(0, 7)])
 
 
 def test_apex_vertex():

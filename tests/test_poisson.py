@@ -205,6 +205,33 @@ def test_sigma_vectors_reconstruct_linear_field(good_mesh):
     assert np.max(np.abs(vectors - np.array([-2.0, -3.0]))) < 1e-10
 
 
+def _lstsq_sigma_vectors(mesh, sigma):
+    """Reference fit: one np.linalg.lstsq per triangle."""
+    out = np.empty((mesh.num_simplices(2), 2))
+    for t in range(mesh.num_simplices(2)):
+        cell = mesh.simplex_vertices(2, t)
+        rows = [mesh.points[cell[b]] - mesh.points[cell[a]] for a, b in ((0, 1), (0, 2), (1, 2))]
+        vals = [sigma[mesh.simplex_index(1, (cell[a], cell[b]))] for a, b in ((0, 1), (0, 2), (1, 2))]
+        out[t] = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)[0]
+    return out
+
+
+@pytest.mark.parametrize("family", ["good", "bad_boundary", "non_delaunay"])
+def test_sigma_vectors_match_per_triangle_lstsq(family):
+    # Both fits are backward stable; on non-Delaunay meshes triangle
+    # condition numbers reach ~2e3, where the per-triangle lstsq itself is
+    # up to ~5e-14 off the exact least-squares solution, so the bound is
+    # 1e-13 of the largest vector rather than a few ulps.
+    for seed in range(6):
+        result = figure1_experiment(family=family, divisions=8, seed=seed)
+        mesh = result.mesh
+        random = np.random.default_rng(seed).standard_normal(mesh.num_simplices(1))
+        for sigma in (result.solution.sigma, random):
+            want = _lstsq_sigma_vectors(mesh, sigma)
+            got = sigma_vectors(mesh, sigma)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_experiment_good_column(good_mesh):
     result = figure1_experiment(family="good", mesh=good_mesh)
     assert result.u_error < 1e-10

@@ -1,16 +1,25 @@
 """Elementary dual chains, step signs, signed dual volumes."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from signeddec import signed_dual
 from signeddec.complexes import build_complex
+from signeddec.errors import ComplexError
+from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
+from signeddec.geometry import circumcenter, simplex_volume
 from signeddec.signed_dual import (
+    dual_table,
     dual_volumes,
     elementary_duals,
     orientation_sign_via_determinant,
     regular_simplex,
     signed_dual_volume,
     step_sign,
+    step_signs,
 )
 
 SQRT17 = np.sqrt(17.0)
@@ -208,3 +217,130 @@ def test_determinant_orientation_needs_full_dimension():
     piece = elementary_duals(mesh, 0, 0)[0]
     with pytest.raises(ValueError):
         orientation_sign_via_determinant(mesh, piece)
+
+
+# small members of every fixture family, for the brute-force comparisons
+_SMALL_FIXTURES = {
+    "bad_boundary_square": dict(divisions=6),
+    "delaunay_tet_cube": dict(divisions=2),
+    "fan_around_edge": dict(),
+    "non_delaunay_square": dict(divisions=6),
+    "obtuse_delaunay_square": dict(divisions=5),
+    "perturbed_delaunay_square": dict(divisions=5),
+    "structured_square": dict(divisions=4),
+    "surface_pairwise_delaunay": dict(divisions=4),
+}
+
+
+def _permutation_oracle(mesh, p, eps=1e-10):
+    """Signed and unsigned duals, piece counts and negative-piece counts
+    of every p-simplex, by walking all vertex orders of every top.
+
+    The prefixes of one vertex order form a flag; its tail from the p-face
+    is one elementary piece, counted once by keeping only the orders whose
+    first p+1 vertices ascend. Circumcenters and volumes come from the
+    scalar geometry routines, one simplex at a time.
+    """
+    count = mesh.num_simplices(p)
+    signed, unsigned = np.zeros(count), np.zeros(count)
+    pieces, negative = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    for top in mesh.simplices[mesh.n].tolist():
+        for order in itertools.permutations(top):
+            if list(order[: p + 1]) != sorted(order[: p + 1]):
+                continue
+            cells = [sorted(order[: k + 1]) for k in range(p, mesh.n + 1)]
+            centers = [circumcenter(mesh.points[cell]).center for cell in cells]
+            sign = 1
+            for k in range(len(cells) - 1):
+                across = centers[k + 1] - centers[k]
+                toward = mesh.points[order[p + k + 1]] - centers[k]
+                value = float(across @ toward)
+                scale = float(np.linalg.norm(across) * np.linalg.norm(toward))
+                if scale == 0.0 or abs(value) <= max(eps, 1e-14) * scale:
+                    sign = 0
+                elif value < 0.0:
+                    sign = -sign
+            volume = simplex_volume(np.array(centers))
+            base = mesh.simplex_index(p, cells[0])
+            signed[base] += sign * volume
+            unsigned[base] += volume
+            pieces[base] += 1
+            negative[base] += sign < 0
+    return signed, unsigned, pieces, negative
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_chain_table_matches_permutation_oracle(name):
+    mesh = generate_fixture(name, **_SMALL_FIXTURES[name])
+    for p in range(mesh.n + 1):
+        table = dual_table(mesh, p)
+        signed, unsigned, pieces, negative = _permutation_oracle(mesh, p)
+        for got, want in ((table.signed_volume, signed), (table.unsigned_volume, unsigned)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        np.testing.assert_array_equal(table.num_pieces, pieces)
+        np.testing.assert_array_equal(table.num_negative_pieces, negative)
+
+
+@pytest.mark.parametrize("name", ["delaunay_tet_cube", "surface_pairwise_delaunay"])
+def test_piece_counts_follow_chain_formula(name):
+    # each top holding a p-simplex adds one chain per order of the other
+    # n - p vertices
+    mesh = generate_fixture(name, **_SMALL_FIXTURES[name])
+    for p in range(mesh.n + 1):
+        holders = {}
+        for top in mesh.simplices[mesh.n].tolist():
+            for face in itertools.combinations(top, p + 1):
+                index = mesh.simplex_index(p, face)
+                holders[index] = holders.get(index, 0) + 1
+        expected = [holders[i] * math.factorial(mesh.n - p) for i in range(mesh.num_simplices(p))]
+        np.testing.assert_array_equal(dual_table(mesh, p).num_pieces, expected)
+
+
+def test_elementary_duals_in_depth_first_chain_order():
+    mesh = generate_fixture("delaunay_tet_cube", divisions=2)
+
+    def depth_first(dim, index):
+        if dim == mesh.n:
+            return [()]
+        return [
+            (coface,) + rest
+            for coface, _ in mesh.cofaces[dim][index]
+            for rest in depth_first(dim + 1, coface)
+        ]
+
+    for p in range(mesh.n + 1):
+        for i in range(mesh.num_simplices(p)):
+            chains = [piece.chain for piece in elementary_duals(mesh, p, i)]
+            assert chains == sorted(chains)
+            assert chains == depth_first(p, i)
+
+
+def test_top_blocks_do_not_change_the_table(monkeypatch):
+    whole = generate_fixture("delaunay_tet_cube", divisions=3)
+    points, tops = whole.points, whole.simplices[3]
+    assert len(tops) > 5 * 7
+    monkeypatch.setattr(signed_dual, "_TOP_BLOCK", 7)
+    blocked = build_complex(points, tops)
+    for p in range(4):
+        a, b = dual_table(whole, p), dual_table(blocked, p)
+        for name, column in vars(a).items():
+            np.testing.assert_array_equal(column, getattr(b, name), err_msg=name)
+
+
+def test_step_signs_batch_matches_single_links():
+    mesh = generate_fixture("non_delaunay_square", divisions=6)
+    seen = set()
+    for dim in range(mesh.n):
+        links = [
+            (face, coface)
+            for face in range(mesh.num_simplices(dim))
+            for coface, _ in mesh.cofaces[dim][face]
+        ]
+        faces, cofaces = zip(*links)
+        batch = step_signs(mesh, dim, faces, cofaces).tolist()
+        assert batch == [step_sign(mesh, dim, f, c) for f, c in links]
+        seen.update(batch)
+    assert {-1, 1} <= seen
+    far_edge = next(e for e in range(mesh.num_simplices(1)) if 0 not in mesh.simplex_vertices(1, e))
+    with pytest.raises(ComplexError):
+        step_signs(mesh, 0, [0], [far_edge])
