@@ -1,10 +1,14 @@
 """Simplicial complexes embedded in R^N, built from top-dimensional cells.
 
-A complex stores, per dimension p, the p-simplices as sorted vertex tuples
-in lexicographic order, an orientation flag (+-1, only meaningful for top
-simplices where it records the parity of the user's vertex ordering), the
-coface incidences, and cached volumes/circumcenters. Instances are
-immutable after build; all queries are read-only.
+A complex holds its topology in index arrays. Per dimension p,
+``simplices[p]`` lists the p-simplices as sorted vertex rows in
+lexicographic order; ``orientations[p]`` holds +-1 per simplex, for top
+simplices the parity of the user's vertex ordering; ``face_of_top[p]``
+holds, per top and local p-face (in ``itertools.combinations`` order),
+that face's index in ``simplices[p]``. ``facet_cofaces`` lists the tops of
+each codim-1 simplex; the signed incidences ``cofaces`` are read from the
+boundary operators on first use. Volumes and circumcenters are cached per
+dimension. Instances are immutable after build; all queries are read-only.
 """
 
 import itertools
@@ -25,30 +29,22 @@ from .geometry import (
 __all__ = ["SimplicialComplex", "build_complex", "boundary_operator"]
 
 
-def _permutation_parity(seq):
-    """+1 if seq is an even permutation of sorted(seq), else -1."""
-    inversions = sum(
-        1
-        for a, b in itertools.combinations(range(len(seq)), 2)
-        if seq[a] > seq[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
 class SimplicialComplex:
     """Embedded simplicial complex; construct via :func:`build_complex`."""
 
-    def __init__(self, points, simplices, orientations, cofaces, index):
+    def __init__(self, points, simplices, orientations, face_of_top, facet_cofaces, codes):
         self.points = points
         self.simplices = simplices
         self.orientations = orientations
-        self.cofaces = cofaces
-        self._index = index
+        self.face_of_top = face_of_top
+        # (tops, apexes), read-only (F, 2): row f holds the tops of facet f
+        # in ascending order and the vertex each adds; -1 pads boundary rows
+        self.facet_cofaces = facet_cofaces
+        self._codes = codes
         self.n = len(simplices) - 1
         self.N = points.shape[1]
-        self._volumes = [None] * (self.n + 1)
-        self._centers = [None] * (self.n + 1)
-        self._radii = [None] * (self.n + 1)
+        self._geometry = [None] * (self.n + 1)  # (volumes, centers, radii)
+        self._cofaces = None
         # signed_dual's DualTable memo, keyed by (dim, resolved tolerance)
         self._dual_volume_cache = {}
 
@@ -66,8 +62,8 @@ class SimplicialComplex:
     def simplex_index(self, dim, vertices):
         key = tuple(sorted(int(v) for v in vertices))
         try:
-            return self._index[dim][key]
-        except KeyError:
+            return int(self.simplex_indices(dim, [key])[0])
+        except ComplexError:
             raise ComplexError(f"no {dim}-simplex with vertices {key}") from None
 
     def simplex_indices(self, dim, rows):
@@ -75,20 +71,22 @@ class SimplicialComplex:
 
         Batched twin of :meth:`simplex_index`: ``rows`` is an integer array
         of shape (..., dim + 1) and the result has shape rows.shape[:-1].
-        Sorted rows are coded as mixed-radix integers and found by binary
-        search in the simplex table, whose lexicographic order keeps the
-        codes ascending.
+        Sorted rows are found by binary search on the codes of their leading
+        faces, one dimension at a time; no code exceeds num_simplices(d - 1)
+        times the number of points, so none overflows.
         """
         rows = np.sort(np.asarray(rows, dtype=np.intp), axis=-1)
-        radices = (len(self.points),) * (dim + 1)
-        try:
-            keys = np.ravel_multi_index(tuple(self.simplices[dim].T), radices)
-            query = np.ravel_multi_index(tuple(np.moveaxis(rows, -1, 0)), radices)
-        except ValueError:  # codes would overflow int64, or a vertex is out of range
-            flat = [self.simplex_index(dim, row) for row in rows.reshape(-1, dim + 1)]
-            return np.array(flat, dtype=np.intp).reshape(rows.shape[:-1])
-        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        if (keys[found] != query).any():
+        if rows.shape[-1] != dim + 1:
+            raise ComplexError(f"{dim}-simplices have {dim + 1} vertices, got {rows.shape[-1]}")
+        num_points = len(self.points)
+        found = np.zeros(rows.shape[:-1], dtype=np.intp)
+        valid = ((rows >= 0) & (rows < num_points)).all(axis=-1)
+        for d in range(dim + 1):
+            codes = self._codes[d]
+            query = found * num_points + rows[..., d]
+            found = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+            valid &= codes[found] == query
+        if not valid.all():
             raise ComplexError(f"some queried {dim}-simplices are not in the complex")
         return found
 
@@ -105,84 +103,123 @@ class SimplicialComplex:
 
     # -- cached geometry -----------------------------------------------
 
-    def _fill_geometry(self, dim):
-        sims = self.simplices[dim]
-        stacked = self.points[sims]
-        vols = batched_volumes(stacked)
-        batched = batched_circumcenters(stacked)
-        if batched is not None:
-            centers, radii = batched
-        else:
-            # scalar route recovers which simplex is degenerate
-            centers = np.empty((len(sims), self.N))
-            radii = np.empty(len(sims))
-            for i, row in enumerate(sims):
-                try:
-                    data = circumcenter(self.points[row])
-                except DegeneracyError as exc:
-                    raise DegeneracyError(
-                        f"{dim}-simplex {tuple(int(v) for v in row)} is degenerate"
-                    ) from exc
-                centers[i] = data.center
-                radii[i] = data.radius
-        for arr in (vols, centers, radii):
-            arr.setflags(write=False)
-        self._volumes[dim] = vols
-        self._centers[dim] = centers
-        self._radii[dim] = radii
+    def _cached_geometry(self, dim):
+        if self._geometry[dim] is None:
+            sims = self.simplices[dim]
+            stacked = self.points[sims]
+            vols = batched_volumes(stacked)
+            batched = batched_circumcenters(stacked)
+            if batched is not None:
+                centers, radii = batched
+            else:
+                # scalar route recovers which simplex is degenerate
+                centers = np.empty((len(sims), self.N))
+                radii = np.empty(len(sims))
+                for i, row in enumerate(sims):
+                    try:
+                        data = circumcenter(self.points[row])
+                    except DegeneracyError as exc:
+                        raise DegeneracyError(
+                            f"{dim}-simplex {tuple(int(v) for v in row)} is degenerate"
+                        ) from exc
+                    centers[i] = data.center
+                    radii[i] = data.radius
+            for arr in (vols, centers, radii):
+                arr.setflags(write=False)
+            self._geometry[dim] = vols, centers, radii
+        return self._geometry[dim]
 
     def volume_of(self, dim, index):
         return float(self.volumes(dim)[index])
 
     def volumes(self, dim):
         """Read-only array of all volumes at one dimension."""
-        if self._volumes[dim] is None:
-            self._fill_geometry(dim)
-        return self._volumes[dim]
+        return self._cached_geometry(dim)[0]
 
     def circumcenter_of(self, dim, index):
-        if self._centers[dim] is None:
-            self._fill_geometry(dim)
-        return Circumdata(self._centers[dim][index], float(self._radii[dim][index]))
+        return Circumdata(self.circumcenters(dim)[index], float(self.circumradii(dim)[index]))
 
     def circumcenters(self, dim):
         """Read-only (count, N) array of all circumcenters at one dimension."""
-        if self._centers[dim] is None:
-            self._fill_geometry(dim)
-        return self._centers[dim]
+        return self._cached_geometry(dim)[1]
+
+    def circumradii(self, dim):
+        """Read-only array of all circumradii at one dimension."""
+        return self._cached_geometry(dim)[2]
 
     @property
     def total_volume(self):
-        if self._volumes[self.n] is None:
-            self._fill_geometry(self.n)
-        return float(self._volumes[self.n].sum())
+        return float(self.volumes(self.n).sum())
 
-    # -- facet adjacency -----------------------------------------------
+    # -- incidence -----------------------------------------------------
+
+    @property
+    def cofaces(self):
+        """Per dimension p < n and p-simplex i, its (coface, sign) pairs in
+        ascending coface order: row i of ``boundary_operator(self, p + 1)``."""
+        if self._cofaces is None:
+            self._cofaces = []
+            for dim in range(1, self.n + 1):
+                op = boundary_operator(self, dim)
+                op.sort_indices()
+                pairs = list(zip(op.indices.tolist(), op.data.astype(int).tolist()))
+                rows = itertools.pairwise(op.indptr.tolist())
+                self._cofaces.append([pairs[a:b] for a, b in rows])
+        return self._cofaces
 
     def boundary_faces(self):
         """Codim-1 simplices with exactly one coface, paired with it."""
-        out = []
-        for i, cofs in enumerate(self.cofaces[self.n - 1]):
-            if len(cofs) == 1:
-                out.append((i, cofs[0][0]))
-        return out
+        tops, _ = self.facet_cofaces
+        facets = np.flatnonzero(tops[:, 1] < 0)
+        return list(zip(facets.tolist(), tops[facets, 0].tolist()))
 
     def internal_faces(self):
         """Codim-1 simplices with two cofaces, paired with both."""
-        out = []
-        for i, cofs in enumerate(self.cofaces[self.n - 1]):
-            if len(cofs) == 2:
-                out.append((i, (cofs[0][0], cofs[1][0])))
-        return out
+        tops, _ = self.facet_cofaces
+        facets = np.flatnonzero(tops[:, 1] >= 0)
+        return list(zip(facets.tolist(), map(tuple, tops[facets].tolist())))
+
+
+def _top_array(top_simplices, n, num_points):
+    """The validated top cells as a (T, n + 1) int array in input order, and
+    the permutation sorting them by their sorted rows. The first invalid cell
+    raises ComplexError naming its first fault: vertex count, repeated
+    vertex, vertex out of range, or duplicate of an earlier cell."""
+    try:
+        cells = np.asarray(top_simplices, dtype=np.intp).reshape(len(top_simplices), n + 1)
+    except ValueError:  # ragged cells, or entries that are not integers
+        for cell_num, cell in enumerate(top_simplices):
+            if len(cell) != n + 1:
+                _top_array(top_simplices[:cell_num], n, num_points)  # earlier faults first
+                raise ComplexError(
+                    f"top simplex {cell_num} has {len(cell)} vertices, expected {n + 1}"
+                ) from None
+        raise
+    ordered = np.sort(cells, axis=1)
+    repeats = (np.diff(ordered, axis=1) == 0).any(axis=1)
+    outside = (cells < 0) | (cells >= num_points)
+    # lexsort is stable: equal cells keep their input order
+    order = np.lexsort(ordered.T[::-1])
+    faulty = repeats | outside.any(axis=1)
+    faulty[order[1:][(ordered[order[1:]] == ordered[order[:-1]]).all(axis=1)]] = True
+    for i in np.flatnonzero(faulty)[:1]:
+        cell = tuple(cells[i].tolist())
+        if repeats[i]:
+            raise ComplexError(f"top simplex {i} repeats a vertex: {cell}")
+        if outside[i].any():
+            vertex = cell[outside[i].argmax()]
+            raise ComplexError(f"vertex {vertex} out of range in top simplex {i}")
+        raise ComplexError(f"duplicate top simplex {tuple(ordered[i].tolist())}")
+    return cells, order
 
 
 def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     """Build a simplicial complex from points and top-dimensional cells.
 
     Closes the top cells under taking faces, deduplicates per dimension
-    (lexicographic order of sorted vertex tuples), records coface
-    incidences, and validates: vertex indices in range and distinct per
-    cell, uniform top dimension n with 1 <= n <= N, every codim-1 simplex
+    (lexicographic order of sorted vertex rows), records which simplex each
+    face of each top is, and validates: vertex indices in range and distinct
+    per cell, uniform top dimension n with 1 <= n <= N, every codim-1 simplex
     has one or two cofaces (else NonManifoldError), no duplicate top cells,
     and no (near-)zero-volume top cell (else DegeneracyError).
     """
@@ -193,95 +230,70 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
         raise ComplexError("points must be finite")
     num_points, ambient = pts.shape
 
-    tops = [tuple(int(v) for v in cell) for cell in top_simplices]
-    if not tops:
+    if len(top_simplices) == 0:
         raise ComplexError("at least one top simplex is required")
-    n = len(tops[0]) - 1
+    n = len(top_simplices[0]) - 1
     if n < 1:
         raise ComplexError("top simplices need at least 2 vertices")
     if n > ambient:
         raise ComplexError(f"{n}-simplices cannot embed in R^{ambient}")
+    cells, order = _top_array(top_simplices, n, num_points)
+    column_pairs = itertools.combinations(range(n + 1), 2)
+    inversions = sum(cells[:, a] > cells[:, b] for a, b in column_pairs)
+    tops = np.sort(cells[order], axis=1)
 
-    seen_tops = {}
-    top_orient = []
-    for cell_num, cell in enumerate(tops):
-        if len(cell) != n + 1:
-            raise ComplexError(
-                f"top simplex {cell_num} has {len(cell)} vertices, expected {n + 1}"
-            )
-        if len(set(cell)) != n + 1:
-            raise ComplexError(f"top simplex {cell_num} repeats a vertex: {cell}")
-        for v in cell:
-            if not 0 <= v < num_points:
-                raise ComplexError(f"vertex {v} out of range in top simplex {cell_num}")
-        key = tuple(sorted(cell))
-        if key in seen_tops:
-            raise ComplexError(f"duplicate top simplex {key}")
-        seen_tops[key] = cell_num
-        top_orient.append(_permutation_parity(cell))
-
-    # Collect faces per dimension; tops keep input order of first mention
-    # only transiently, final storage is lexicographic.
-    keys = [None] * (n + 1)
-    keys[n] = sorted(seen_tops)
-    for p in range(n - 1, -1, -1):
-        face_set = set()
-        for cell in keys[p + 1]:
-            face_set.update(itertools.combinations(cell, p + 1))
-        keys[p] = sorted(face_set)
-
-    simplices = []
-    index = []
-    orientations = []
+    # A p-face's code, its leading (p-1)-face's index times the number of
+    # points plus its last vertex, ascends in lexicographic order: unique
+    # codes list the p-simplices, and their inverse is face_of_top[p]. The
+    # empty face, index 0, leads every vertex.
+    simplices, codes = [np.empty((1, 0), dtype=np.intp)], []
+    face_of_top = [np.zeros((len(tops), 1), dtype=np.intp)]
     for p in range(n + 1):
-        arr = np.asarray(keys[p], dtype=np.intp).reshape(len(keys[p]), p + 1)
+        local = list(itertools.combinations(range(n + 1), p + 1))
+        leading = {c: k for k, c in enumerate(itertools.combinations(range(n + 1), p))}
+        lead = face_of_top[-1][:, [leading[c[:-1]] for c in local]]
+        face_code = lead * num_points + tops[:, [c[-1] for c in local]]
+        code, inverse = np.unique(face_code, return_inverse=True)
+        lead, last = np.divmod(code, num_points)
+        simplices.append(np.hstack([simplices[-1][lead], last[:, None]]))
+        face_of_top.append(inverse.reshape(face_code.shape))
+        codes.append(code)
+    simplices, face_of_top = simplices[1:], face_of_top[1:]
+    orientations = [np.ones(len(rows), dtype=np.int8) for rows in simplices[:-1]]
+    orientations.append(np.where(inversions[order] % 2, -1, 1).astype(np.int8))
+
+    # Each codim-1 simplex's tops, from its slots top * (n + 1) + local facet
+    # in ascending order; local facet k of a top omits its vertex n - k.
+    slots = face_of_top[n - 1].ravel()
+    counts = np.bincount(slots)
+    for i in np.flatnonzero(counts > 2)[:1]:
+        raise NonManifoldError(
+            f"codim-1 simplex {tuple(simplices[n - 1][i].tolist())} has {counts[i]} cofaces"
+        )
+    first = np.cumsum(counts) - counts
+    by_facet = np.argsort(slots, kind="stable")[np.stack([first, first + counts - 1], axis=1)]
+    facet_tops, local = np.divmod(by_facet, n + 1)
+    facet_apexes = tops[facet_tops, n - local]
+    facet_tops[counts == 1, 1] = facet_apexes[counts == 1, 1] = -1
+    for arr in (*simplices, *face_of_top, *codes, *orientations, facet_tops, facet_apexes):
         arr.setflags(write=False)
-        simplices.append(arr)
-        index.append({cell: i for i, cell in enumerate(keys[p])})
-    for p in range(n):
-        orient = np.ones(len(keys[p]), dtype=np.int8)
-        orient.setflags(write=False)
-        orientations.append(orient)
-    top_orient_arr = np.empty(len(keys[n]), dtype=np.int8)
-    for key, cell_num in seen_tops.items():
-        top_orient_arr[index[n][key]] = top_orient[cell_num]
-    top_orient_arr.setflags(write=False)
-    orientations.append(top_orient_arr)
-
-    cofaces = []
-    for p in range(n):
-        cofaces.append([[] for _ in range(len(keys[p]))])
-    for p in range(1, n + 1):
-        for j, cell in enumerate(keys[p]):
-            orient = int(orientations[p][j])
-            for pos in range(p + 1):
-                face = cell[:pos] + cell[pos + 1 :]
-                sign = orient * (1 if pos % 2 == 0 else -1)
-                cofaces[p - 1][index[p - 1][face]].append((j, sign))
-
-    for i, cofs in enumerate(cofaces[n - 1]):
-        if len(cofs) > 2:
-            raise NonManifoldError(
-                f"codim-1 simplex {keys[n - 1][i]} has {len(cofs)} cofaces"
-            )
 
     complex_ = SimplicialComplex(
         points=pts.copy(), simplices=simplices, orientations=orientations,
-        cofaces=cofaces, index=index,
+        face_of_top=face_of_top, facet_cofaces=(facet_tops, facet_apexes), codes=codes,
     )
     complex_.points.setflags(write=False)
 
     # Reject (near-)zero-volume top cells: threshold far below predicate
     # tolerance, scaled by the longest edge to stay unit-free.
-    cell_pts = pts[simplices[n]]
+    cell_pts = pts[tops]
     longest = np.linalg.norm(cell_pts[:, :, None] - cell_pts[:, None], axis=-1).max(axis=(1, 2))
     vols = batched_volumes(cell_pts)
-    for i in np.nonzero((longest == 0.0) | (vols < DEGENERACY_FACTOR * longest**n))[0][:1]:
+    for i in np.flatnonzero((longest == 0.0) | (vols < DEGENERACY_FACTOR * longest**n))[:1]:
+        top = tuple(tops[i].tolist())
         if longest[i] == 0.0:
-            raise DegeneracyError(f"top simplex {keys[n][i]} has coincident vertices")
-        raise DegeneracyError(
-            f"top simplex {keys[n][i]} is degenerate (volume {vols[i]:.3e})"
-        )
+            raise DegeneracyError(f"top simplex {top} has coincident vertices")
+        raise DegeneracyError(f"top simplex {top} is degenerate (volume {vols[i]:.3e})")
 
     return complex_
 

@@ -144,50 +144,42 @@ def circumcenter_order_points(
 
 
 def _pair_apexes(complex_, left_top, right_top, facet_index):
-    facet = set(complex_.simplex_vertices(complex_.n - 1, facet_index))
-    cofaces = [c for c, _ in complex_.cofaces[complex_.n - 1][facet_index]]
-    if left_top not in cofaces or right_top not in cofaces or left_top == right_top:
-        raise ValueError(
-            f"simplices {left_top}, {right_top} do not share facet {facet_index}"
-        )
-    apex_left = complex_.apex_vertex(complex_.n - 1, facet_index, left_top)
-    apex_right = complex_.apex_vertex(complex_.n - 1, facet_index, right_top)
-    return (
-        complex_.simplex_points(complex_.n - 1, facet_index),
-        complex_.points[apex_left],
-        complex_.points[apex_right],
-    )
+    tops, apexes = complex_.facet_cofaces
+    row = tops[facet_index].tolist()
+    if sorted((left_top, right_top)) != row:
+        raise ValueError(f"simplices {left_top}, {right_top} do not share facet {facet_index}")
+    pair = apexes[facet_index][[row.index(left_top), row.index(right_top)]]
+    return complex_.simplex_points(complex_.n - 1, facet_index), complex_.points[pair]
+
+
+def _full_dimensional_statuses(complex_, tops, apex_points, tol=None):
+    """Statuses of full-dimensional (N == n) pairs, rows of two tops and the
+    points they add to their shared facet: each apex meets the other top's
+    cached circumsphere, since flattening is rigid."""
+    eps = tolerance(tol)
+    centers = complex_.circumcenters(complex_.n)[tops]
+    radii = complex_.circumradii(complex_.n)[tops]
+    worst = ((np.linalg.norm(apex_points[:, ::-1] - centers, axis=-1) - radii) / radii).min(1)
+    return np.where(
+        worst > eps, PAIR_STRICT, np.where(worst < -eps, PAIR_VIOLATED, PAIR_DEGENERATE)
+    ).tolist()
 
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     """Delaunay status of the pair of top simplices sharing a facet."""
-    facet_pts, left_apex, right_apex = _pair_apexes(
-        complex_, left_top, right_top, facet_index
-    )
+    facet_pts, apex_pts = _pair_apexes(complex_, left_top, right_top, facet_index)
     if complex_.N == complex_.n:
-        # Full-dimensional pair: flattening is rigid, so the empty-sphere
-        # test can use the cached ambient circumspheres directly.
-        eps = tolerance(tol)
-        margins = []
-        for top, apex in ((left_top, right_apex), (right_top, left_apex)):
-            data = complex_.circumcenter_of(complex_.n, top)
-            margins.append(
-                (np.linalg.norm(apex - data.center) - data.radius) / data.radius
-            )
-        worst = min(margins)
-        if worst > eps:
-            return PAIR_STRICT
-        if worst < -eps:
-            return PAIR_VIOLATED
-        return PAIR_DEGENERATE
-    return pair_status_points(facet_pts, left_apex, right_apex, tol=tol)
+        return _full_dimensional_statuses(
+            complex_, [[left_top, right_top]], apex_pts[None], tol=tol
+        )[0]
+    return pair_status_points(facet_pts, *apex_pts, tol=tol)
 
 
 def circumcenter_order(
     complex_, left_top, right_top, facet_index, positive_toward="right", tol=None
 ):
     """CircumcenterOrder data for an internal facet of the complex."""
-    facet_pts, left_apex, right_apex = _pair_apexes(
+    facet_pts, (left_apex, right_apex) = _pair_apexes(
         complex_, left_top, right_top, facet_index
     )
     return circumcenter_order_points(
@@ -266,22 +258,32 @@ def classify_complex(complex_, tol=None, check_duals=True):
     reported for diagnosis.
     """
     report = MeshReport()
-    for facet_index, (left, right) in complex_.internal_faces():
+    tops, apexes = complex_.facet_cofaces
+    internal = complex_.internal_faces()
+    if complex_.N == complex_.n:
+        rows = np.flatnonzero(tops[:, 1] >= 0)
         try:
-            status = is_delaunay_pair(complex_, left, right, facet_index, tol=tol)
-        except (DegeneracyError, AffineHullError):
-            status = PAIR_DEGENERATE
-        report.pair_statuses.append((facet_index, (left, right), status))
-    boundary = complex_.boundary_faces()
+            statuses = _full_dimensional_statuses(
+                complex_, tops[rows], complex_.points[apexes[rows]], tol=tol
+            )
+        except DegeneracyError:
+            statuses = [PAIR_DEGENERATE] * len(internal)
+    else:
+        statuses = []
+        for facet_index, (left, right) in internal:
+            try:
+                statuses.append(is_delaunay_pair(complex_, left, right, facet_index, tol=tol))
+            except (DegeneracyError, AffineHullError):
+                statuses.append(PAIR_DEGENERATE)
+    report.pair_statuses = [(f, pair, s) for (f, pair), s in zip(internal, statuses)]
+    boundary = np.flatnonzero(tops[:, 1] < 0)
     try:
-        sides = step_signs(
-            complex_, complex_.n - 1, [f for f, _ in boundary], [t for _, t in boundary],
-            tol=tol,
-        ).tolist()
+        sides = step_signs(complex_, complex_.n - 1, boundary, tops[boundary, 0], tol=tol).tolist()
     except DegeneracyError:
         sides = [0] * len(boundary)
-    for (facet_index, top), side in zip(boundary, sides):
-        report.boundary_statuses.append((facet_index, top, _SIDE_STATUS[side]))
+    report.boundary_statuses = [
+        (f, top, _SIDE_STATUS[side]) for (f, top), side in zip(complex_.boundary_faces(), sides)
+    ]
     if check_duals:
         for dim in range(complex_.n + 1):
             signed, _ = dual_volumes(complex_, dim, tol=tol)

@@ -89,15 +89,11 @@ def _statuses_ok(report, allow_boundary_no=0):
 
 
 def _has_obtuse_triangle(complex_, margin=1e-9):
-    for t in range(complex_.num_simplices(complex_.n)):
-        pts = complex_.simplex_points(complex_.n, t)
-        for k in range(3):
-            u = pts[(k + 1) % 3] - pts[k]
-            v = pts[(k + 2) % 3] - pts[k]
-            cosine = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-            if cosine < -margin:
-                return True
-    return False
+    pts = complex_.points[complex_.simplices[complex_.n]]
+    u = np.roll(pts, -1, axis=1) - pts
+    v = np.roll(pts, -2, axis=1) - pts
+    cosine = (u * v).sum(axis=-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
+    return bool((cosine < -margin).any())
 
 
 def structured_square(divisions=4, width=1.0, height=1.0):
@@ -403,10 +399,7 @@ def fan_around_edge(
             continue
         if not _statuses_ok(classify_complex(complex_, check_duals=False)):
             continue
-        centers = np.vstack(
-            [complex_.circumcenter_of(3, complex_.simplex_index(3, cell)).center
-             for cell in cells]
-        )
+        centers = complex_.circumcenters(3)[complex_.simplex_indices(3, cells)]
         if np.abs(centers[:, 2]).max() > 1e-9:
             continue
         inside = _point_in_polygon((offset, 0.0), centers[:, :2])

@@ -94,19 +94,15 @@ def _source_values(mesh, source):
     return values
 
 
-def _flux_values(mesh, flux, boundary):
-    count = len(boundary)
+def _flux_values(mesh, flux, facets):
+    count = len(facets)
     if callable(flux):
-        values = np.array(
-            [
-                float(flux(mesh.simplex_points(mesh.n - 1, facet).mean(axis=0)))
-                for facet, _ in boundary
-            ]
-        )
+        midpoints = mesh.points[mesh.simplices[mesh.n - 1][facets]].mean(axis=1)
+        values = np.array([float(flux(midpoint)) for midpoint in midpoints])
     elif np.isscalar(flux):
         values = np.full(count, float(flux))
     elif isinstance(flux, dict):
-        values = np.array([float(flux.get(facet, 0.0)) for facet, _ in boundary])
+        values = np.array([float(flux.get(facet, 0.0)) for facet in facets.tolist()])
     else:
         values = np.asarray(flux, dtype=float)
     if values.shape != (count,):
@@ -152,8 +148,9 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     star1 = hodge_star(mesh, 1, mode=hodge_mode)
     flux_op = boundary_operator(mesh, 1).T.tocsr()  # d0: edges x vertices
 
-    boundary = mesh.boundary_faces()
-    flux = _flux_values(mesh, problem.boundary_flux, boundary)
+    tops, _ = mesh.facet_cofaces
+    facets = np.flatnonzero(tops[:, 1] < 0)  # in boundary_faces() order
+    flux = _flux_values(mesh, problem.boundary_flux, facets)
     num_vertices = mesh.num_simplices(0)
     num_edges = mesh.num_simplices(1)
     # Prescribed flux integrated over the boundary portions of the dual
@@ -161,9 +158,8 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     # weighted by the chain sign of facet -> coface. One-sided facets give
     # the midpoint-exact +|e|/2 split; a facet that is not one-sided
     # carries a nonpositive trace and the load degrades accordingly.
-    facets = np.array([f for f, _ in boundary], dtype=np.intp)
     lengths = mesh.volumes(mesh.n - 1)[facets]
-    sides = step_signs(mesh, mesh.n - 1, facets, [t for _, t in boundary])
+    sides = step_signs(mesh, mesh.n - 1, facets, tops[facets, 0])
     outflux = float(flux @ lengths)
     gross_flux = float(np.abs(flux) @ lengths)
     b = np.zeros(num_vertices)
@@ -268,17 +264,15 @@ def solve_mixed_poisson(system):
 def boundary_outward_normals(mesh):
     """Outward unit normal per boundary facet (2D), in boundary_faces()
     order: perpendicular to the edge, pointing away from its triangle."""
-    normals = []
-    for facet, top in mesh.boundary_faces():
-        a, b = mesh.simplex_points(mesh.n - 1, facet)
-        apex = mesh.points[mesh.apex_vertex(mesh.n - 1, facet, top)]
-        direction = b - a
-        normal = np.array([direction[1], -direction[0]])
-        normal /= np.linalg.norm(normal)
-        if normal @ (apex - a) > 0:
-            normal = -normal
-        normals.append(normal)
-    return np.array(normals)
+    tops, apexes = mesh.facet_cofaces
+    facets = np.flatnonzero(tops[:, 1] < 0)
+    a, b = mesh.points[mesh.simplices[mesh.n - 1][facets]].transpose(1, 0, 2)
+    normals = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)[:, None]
+    # row-wise dot products by matmul round like the one-row norm and dot
+    normals /= np.sqrt(normals @ normals.transpose(0, 2, 1))
+    inward = (normals @ (mesh.points[apexes[facets, 0]] - a)[:, :, None])[:, 0, 0] > 0
+    normals[inward] = -normals[inward]
+    return normals[:, 0]
 
 
 def sigma_vectors(mesh, sigma):

@@ -14,12 +14,11 @@ Every chain ends in exactly one top simplex. In a top with sorted vertices
 which the other n - p vertices are added, so each top holds
 C(n+1, p+1) (n-p)! chains. These local patterns are enumerated once per
 (n, p). The chain table of dimension p applies them to all tops in one
-numpy pass: faces along each chain are found in the simplex tables, every
-link sign and piece volume is computed at once, and ``np.bincount`` sums
-the pieces per base simplex. Tops go through in fixed-size blocks so the
-arrays stay small. Totals are memoized on the complex per (p, tolerance);
-the per-piece arrays, which only the per-simplex views need, are kept in
-a second memo filled on first use.
+numpy pass: faces along each chain are read from the complex's
+``face_of_top`` tables, every link sign and piece volume is computed at
+once, and ``np.bincount`` sums the pieces per base simplex. Tops go through
+in fixed-size blocks so the arrays stay small. Each table, totals and
+pieces, is memoized on the complex per (p, tolerance).
 """
 
 import functools
@@ -189,10 +188,10 @@ def step_sign(complex_, dim, face_index, coface_index, tol=None):
 def _chain_patterns(n, p):
     """Chains of a top with sorted local vertices 0..n, from a p-face.
 
-    Returns (faces, levels, apexes): faces[k] lists the top's local
-    (p+k)-faces in lexicographic order, levels[c, k] is the position in
-    faces[k] of chain c's (p+k)-face, and apexes[c, k] the local vertex
-    that link k adds.
+    Returns (levels, apexes): levels[c, k] is the position of chain c's
+    (p+k)-face among the top's local (p+k)-faces in lexicographic order,
+    which is the column order of ``face_of_top[p+k]``, and apexes[c, k]
+    the local vertex that link k adds.
     """
     faces = [list(itertools.combinations(range(n + 1), d + 1)) for d in range(p, n + 1)]
     chains = [
@@ -204,34 +203,33 @@ def _chain_patterns(n, p):
         [faces[k].index(tuple(sorted(base + order[:k]))) for k in range(n - p + 1)]
         for base, order in chains
     ]
-    faces = [np.array(f, dtype=np.intp) for f in faces]
     levels = np.array(levels)
     apexes = np.array([order for _, order in chains], dtype=np.intp).reshape(len(chains), n - p)
-    for arr in (*faces, levels, apexes):  # shared by every caller of the cache
+    for arr in (levels, apexes):  # shared by every caller of the cache
         arr.setflags(write=False)
-    return faces, levels, apexes
+    return levels, apexes
 
 
 def _chain_table(complex_, dim, eps):
     """Build the DualTable of one dimension, one block of tops at a time."""
     n = complex_.n
-    faces, levels, apexes = _chain_patterns(n, dim)
+    levels, apexes = _chain_patterns(n, dim)
     centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
     parts = []
     tops = complex_.simplices[n]
     for start in range(0, len(tops), _TOP_BLOCK):
-        block = tops[start : start + _TOP_BLOCK]
+        block = slice(start, start + _TOP_BLOCK)
         # simplex index of every level of every chain: (tops, chains, levels)
         chain = np.stack(
             [
-                complex_.simplex_indices(dim + k, block[:, local])[:, levels[:, k]]
-                for k, local in enumerate(faces)
+                complex_.face_of_top[dim + k][block][:, levels[:, k]]
+                for k in range(n - dim + 1)
             ],
             axis=-1,
         )
         path = np.stack([c[chain[..., k]] for k, c in enumerate(centers)], axis=2)
         steps = _link_signs(
-            path[:, :, :-1], path[:, :, 1:], complex_.points[block[:, apexes]], eps
+            path[:, :, :-1], path[:, :, 1:], complex_.points[tops[block][:, apexes]], eps
         )
         volume = batched_volumes(path.reshape(-1, *path.shape[2:]))
         parts.append(

@@ -83,6 +83,39 @@ def brute_face_count(tops, dim):
     return len(faces)
 
 
+def brute_incidence(top_cells):
+    """Topology of the complex spanned by ``top_cells`` (user vertex order),
+    rebuilt with itertools, sets and dicts only.
+
+    Returns (simplices, top_orientations, cofaces, internal, boundary) in
+    the package's conventions: per dimension the sorted vertex tuples in
+    lexicographic order; per sorted top the parity of its user ordering;
+    per face of dimension p < n its (coface, sign) pairs in ascending
+    coface order, sign (-1)^pos times the coface's orientation; and the
+    codim-1 faces with two cofaces or one.
+    """
+    n = len(top_cells[0]) - 1
+    parity = {}
+    for cell in top_cells:
+        inversions = sum(cell[a] > cell[b] for a, b in itertools.combinations(range(n + 1), 2))
+        parity[tuple(sorted(cell))] = -1 if inversions % 2 else 1
+    simplices = [
+        sorted({face for top in parity for face in itertools.combinations(top, p + 1)})
+        for p in range(n + 1)
+    ]
+    index = [{cell: i for i, cell in enumerate(level)} for level in simplices]
+    cofaces = [[[] for _ in level] for level in simplices[:-1]]
+    for p in range(1, n + 1):
+        for j, cell in enumerate(simplices[p]):
+            orient = parity[cell] if p == n else 1
+            for pos in range(p + 1):
+                face = cell[:pos] + cell[pos + 1:]
+                cofaces[p - 1][index[p - 1][face]].append((j, orient * (-1) ** pos))
+    internal = [(f, (c[0][0], c[1][0])) for f, c in enumerate(cofaces[n - 1]) if len(c) == 2]
+    boundary = [(f, c[0][0]) for f, c in enumerate(cofaces[n - 1]) if len(c) == 1]
+    return simplices, [parity[top] for top in simplices[n]], cofaces, internal, boundary
+
+
 def random_rotation(rng, n):
     """Haar-ish random rotation via QR with positive diagonal."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from conftest import brute_face_count
+from conftest import brute_face_count, brute_incidence
 from signeddec.complexes import boundary_operator, build_complex
 from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError
-from signeddec.fixtures import generate_fixture
+from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
+from signeddec.signed_dual import dual_volumes
 
 
 def _two_tets():
@@ -69,6 +71,59 @@ def test_simplex_indices_match_simplex_index():
         complex_.simplex_indices(1, [(0, 2), (1, 3)])
     with pytest.raises(ComplexError):
         complex_.simplex_indices(1, [(0, 7)])
+
+
+def test_lookup_past_int64_codes():
+    # With P = 60000 points, P**4 > 2**63: mixed-radix codes of tet rows
+    # over the vertex indices would overflow int64.
+    tet = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]])
+    points = np.zeros((60000, 3))
+    points[-4:] = tet
+    offset = len(points) - 4
+    far = build_complex(points, [(offset + 3, offset + 1, offset, offset + 2)])
+    near = build_complex(tet, [(3, 1, 0, 2)])
+    for dim in range(4):
+        rows = near.simplices[dim]
+        np.testing.assert_array_equal(far.simplices[dim], rows + offset)
+        np.testing.assert_array_equal(
+            far.simplex_indices(dim, rows[:, ::-1] + offset), near.simplex_indices(dim, rows)
+        )
+        for i, row in enumerate(rows.tolist()):
+            assert far.simplex_index(dim, [v + offset for v in row]) == i
+            assert near.simplex_index(dim, row) == i
+        if dim:
+            assert (boundary_operator(far, dim) != boundary_operator(near, dim)).nnz == 0
+        for far_vols, near_vols in zip(dual_volumes(far, dim), dual_volumes(near, dim)):
+            np.testing.assert_array_equal(far_vols, near_vols)
+    with pytest.raises(ComplexError):
+        far.simplex_index(3, (0, offset, offset + 1, offset + 2))
+    with pytest.raises(ComplexError):
+        far.simplex_indices(1, [(offset, offset + 1), (0, offset + 3)])
+
+
+def _shuffled_tops(mesh, seed):
+    """The mesh's tops in shuffled order, each with shuffled vertices."""
+    rng = np.random.default_rng(seed)
+    tops = mesh.simplices[mesh.n][rng.permutation(mesh.num_simplices(mesh.n))]
+    return rng.permuted(tops, axis=1)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "qhull_tets"])
+def test_incidence_matches_brute_force(name):
+    if name == "qhull_tets":
+        points = np.random.default_rng(11).random((60, 3))
+        cells = _shuffled_tops(build_complex(points, Delaunay(points).simplices), 12)
+    else:
+        fixture = generate_fixture(name)
+        points, cells = fixture.points, _shuffled_tops(fixture, 13)
+    mesh = build_complex(points, cells)
+    simplices, top_orientations, cofaces, internal, boundary = brute_incidence(cells.tolist())
+    assert [list(map(tuple, level.tolist())) for level in mesh.simplices] == simplices
+    assert mesh.orientations[mesh.n].tolist() == top_orientations
+    assert all((level == 1).all() for level in mesh.orientations[:-1])
+    assert mesh.cofaces == cofaces
+    assert mesh.internal_faces() == internal
+    assert mesh.boundary_faces() == boundary
 
 
 def test_apex_vertex():

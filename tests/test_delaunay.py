@@ -225,6 +225,38 @@ def test_pair_predicates_on_complex_match_point_route():
         )
 
 
+def test_near_tie_grids_match_point_route_and_stay_positive():
+    # Jittered structured grids, with their grid diagonals or Qhull's, put
+    # every diagonal pair within 1e-13 to 1e-9 (relative) of cocircular,
+    # across the tolerance band: the batched full-dimensional statuses must
+    # match the flattening route, and no qualifying mesh may have a
+    # nonpositive signed dual.
+    from scipy.spatial import Delaunay
+    from signeddec.fixtures import generate_fixture
+
+    rng = np.random.default_rng(7)
+    seen, qualifying = set(), 0
+    for k, jitter in enumerate(np.logspace(-13, -9, 60)):
+        divisions = (2, 3, 4)[k % 3]
+        grid = generate_fixture("structured_square", divisions=divisions)
+        inner = ((grid.points > 0.0) & (grid.points < 1.0)).all(axis=1)[:, None]
+        shift = inner * (jitter / divisions) * rng.uniform(-1.0, 1.0, grid.points.shape)
+        points = grid.points + shift
+        for cells in (grid.simplices[2], Delaunay(points).simplices):
+            mesh = build_complex(points, cells)
+            report = classify_complex(mesh)
+            for facet, (left, right), status in report.pair_statuses:
+                apexes = [mesh.apex_vertex(1, facet, top) for top in (left, right)]
+                flat = pair_status_points(mesh.simplex_points(1, facet), *mesh.points[apexes])
+                assert status == flat
+                seen.add(status)
+            if report.is_qualifying:
+                qualifying += 1
+                assert report.nonpositive_duals == []
+    assert seen == {PAIR_STRICT, PAIR_DEGENERATE, PAIR_VIOLATED}
+    assert qualifying > 0
+
+
 def test_pair_rejects_non_neighbors():
     mesh = _equilateral_strip()
     facet = mesh.simplex_index(1, (0, 1))
