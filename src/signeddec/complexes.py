@@ -19,12 +19,7 @@ from scipy import sparse
 
 from .config import DEGENERACY_FACTOR
 from .errors import ComplexError, DegeneracyError, NonManifoldError
-from .geometry import (
-    Circumdata,
-    batched_circumcenters,
-    batched_volumes,
-    circumcenter,
-)
+from .geometry import Circumdata, batched_circumcenters, batched_volumes
 
 __all__ = ["SimplicialComplex", "build_complex", "boundary_operator"]
 
@@ -95,38 +90,26 @@ class SimplicialComplex:
 
     def apex_vertex(self, dim, face_index, coface_index):
         """The vertex of the coface not in the face (face dim = dim)."""
-        face = set(self.simplices[dim][face_index])
-        for v in self.simplices[dim + 1][coface_index]:
-            if int(v) not in face:
-                return int(v)
-        raise ComplexError("coface does not extend face")
+        face, coface = self.simplices[dim][face_index], self.simplices[dim + 1][coface_index]
+        extra = np.setdiff1d(coface, face)
+        if len(extra) != 1:
+            raise ComplexError(f"{dim + 1}-simplex {tuple(coface.tolist())} does not extend "
+                               f"{dim}-simplex {tuple(face.tolist())}")
+        return int(extra[0])
 
     # -- cached geometry -----------------------------------------------
 
     def _cached_geometry(self, dim):
         if self._geometry[dim] is None:
-            sims = self.simplices[dim]
-            stacked = self.points[sims]
-            vols = batched_volumes(stacked)
-            batched = batched_circumcenters(stacked)
-            if batched is not None:
-                centers, radii = batched
-            else:
-                # scalar route recovers which simplex is degenerate
-                centers = np.empty((len(sims), self.N))
-                radii = np.empty(len(sims))
-                for i, row in enumerate(sims):
-                    try:
-                        data = circumcenter(self.points[row])
-                    except DegeneracyError as exc:
-                        raise DegeneracyError(
-                            f"{dim}-simplex {tuple(int(v) for v in row)} is degenerate"
-                        ) from exc
-                    centers[i] = data.center
-                    radii[i] = data.radius
-            for arr in (vols, centers, radii):
+            stacked = self.points[self.simplices[dim]]
+            centers, radii, degenerate = batched_circumcenters(stacked)
+            for i in np.flatnonzero(degenerate)[:1]:
+                vertices = self.simplex_vertices(dim, i)
+                raise DegeneracyError(f"{dim}-simplex {vertices} is degenerate")
+            geometry = batched_volumes(stacked), centers, radii
+            for arr in geometry:
                 arr.setflags(write=False)
-            self._geometry[dim] = vols, centers, radii
+            self._geometry[dim] = geometry
         return self._geometry[dim]
 
     def volume_of(self, dim, index):

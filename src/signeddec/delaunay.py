@@ -1,8 +1,12 @@
 """Pairwise-Delaunay and one-sided-boundary predicates, mesh classification.
 
-A pair of top simplices sharing a facet is tested after flattening the two
+A pair of top simplices sharing a facet is tested after unfolding the two
 simplices isometrically into R^n: the pair is Delaunay when each apex lies
-strictly outside the other simplex's circumsphere. A boundary facet is
+strictly outside the other simplex's circumsphere. ``classify_complex``
+tests every internal pair, in any ambient dimension N >= n, with one power
+test on the complex's cached circumcenters, circumradii and volumes (see
+``_pair_statuses``); ``pair_status_points`` flattens one pair explicitly
+and is the reference route. A boundary facet is
 one-sided when its coface's circumcenter lies strictly on the apex side of
 the facet's hyperplane. A mesh whose internal pairs are all strict and
 whose boundary facets are all one-sided is "qualifying": its signed dual
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AffineHullError, DegeneracyError
+from .errors import DegeneracyError
 from .config import tolerance
 from .geometry import circumcenter, flatten_pair, halfspace_sign
 from .signed_dual import dual_volumes, step_sign, step_signs
@@ -144,46 +148,63 @@ def circumcenter_order_points(
 
 
 def _pair_apexes(complex_, left_top, right_top, facet_index):
+    """The vertices that the two tops add to their shared facet."""
     tops, apexes = complex_.facet_cofaces
     row = tops[facet_index].tolist()
     if sorted((left_top, right_top)) != row:
         raise ValueError(f"simplices {left_top}, {right_top} do not share facet {facet_index}")
-    pair = apexes[facet_index][[row.index(left_top), row.index(right_top)]]
-    return complex_.simplex_points(complex_.n - 1, facet_index), complex_.points[pair]
+    return apexes[facet_index][[row.index(left_top), row.index(right_top)]]
 
 
-def _full_dimensional_statuses(complex_, tops, apex_points, tol=None):
-    """Statuses of full-dimensional (N == n) pairs, rows of two tops and the
-    points they add to their shared facet: each apex meets the other top's
-    cached circumsphere, since flattening is rigid."""
+def _pair_statuses(complex_, facets, tops, apexes, tol=None):
+    """Statuses of internal pairs in any ambient dimension N >= n, from the
+    cached facet and top geometry; row i holds a facet, its two tops and
+    the vertex each adds.
+
+    The pair is unfolded about facet F into R^n. Top T, with apex a, has
+    its center at offset s_T = (c_T - c_F) . (a - c_F) / h_a from c_F
+    toward a, where h_a = n vol(T) / vol(F) is a's height over F. The
+    other apex b, at height h_b on the far side, has power
+    |b - c_F|^2 - r_F^2 + 2 h_b s_T with respect to T's circumsphere, and
+    relative margin (sqrt(r_T^2 + power) - r_T) / r_T. Column k of each
+    array below belongs to top k; the far apex is the other column's.
+    Thresholds are those of :func:`pair_status_points`.
+    """
     eps = tolerance(tol)
-    centers = complex_.circumcenters(complex_.n)[tops]
-    radii = complex_.circumradii(complex_.n)[tops]
-    worst = ((np.linalg.norm(apex_points[:, ::-1] - centers, axis=-1) - radii) / radii).min(1)
+    n = complex_.n
+    facet_centers = complex_.circumcenters(n - 1)[facets][:, None]
+    facet_radii = complex_.circumradii(n - 1)[facets][:, None]
+    radii = complex_.circumradii(n)[tops]
+    heights = n * complex_.volumes(n)[tops] / complex_.volumes(n - 1)[facets][:, None]
+    apex_vecs = complex_.points[apexes] - facet_centers
+    center_vecs = complex_.circumcenters(n)[tops] - facet_centers
+    offsets = np.einsum("pkx,pkx->pk", center_vecs, apex_vecs) / heights
+    far = np.einsum("pkx,pkx->pk", apex_vecs, apex_vecs)[:, ::-1]
+    power = far - facet_radii**2 + 2.0 * heights[:, ::-1] * offsets
+    margins = np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
     return np.where(
-        worst > eps, PAIR_STRICT, np.where(worst < -eps, PAIR_VIOLATED, PAIR_DEGENERATE)
+        margins.min(1) > eps,
+        PAIR_STRICT,
+        np.where(margins.max(1) < -eps, PAIR_VIOLATED, PAIR_DEGENERATE),
     ).tolist()
 
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     """Delaunay status of the pair of top simplices sharing a facet."""
-    facet_pts, apex_pts = _pair_apexes(complex_, left_top, right_top, facet_index)
-    if complex_.N == complex_.n:
-        return _full_dimensional_statuses(
-            complex_, [[left_top, right_top]], apex_pts[None], tol=tol
-        )[0]
-    return pair_status_points(facet_pts, *apex_pts, tol=tol)
+    apexes = _pair_apexes(complex_, left_top, right_top, facet_index)
+    return _pair_statuses(
+        complex_, [facet_index], [[left_top, right_top]], apexes[None], tol=tol
+    )[0]
 
 
 def circumcenter_order(
     complex_, left_top, right_top, facet_index, positive_toward="right", tol=None
 ):
     """CircumcenterOrder data for an internal facet of the complex."""
-    facet_pts, (left_apex, right_apex) = _pair_apexes(
-        complex_, left_top, right_top, facet_index
-    )
+    apexes = _pair_apexes(complex_, left_top, right_top, facet_index)
     return circumcenter_order_points(
-        facet_pts, left_apex, right_apex, positive_toward=positive_toward, tol=tol
+        complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes],
+        positive_toward=positive_toward, tol=tol,
     )
 
 
@@ -260,21 +281,11 @@ def classify_complex(complex_, tol=None, check_duals=True):
     report = MeshReport()
     tops, apexes = complex_.facet_cofaces
     internal = complex_.internal_faces()
-    if complex_.N == complex_.n:
-        rows = np.flatnonzero(tops[:, 1] >= 0)
-        try:
-            statuses = _full_dimensional_statuses(
-                complex_, tops[rows], complex_.points[apexes[rows]], tol=tol
-            )
-        except DegeneracyError:
-            statuses = [PAIR_DEGENERATE] * len(internal)
-    else:
-        statuses = []
-        for facet_index, (left, right) in internal:
-            try:
-                statuses.append(is_delaunay_pair(complex_, left, right, facet_index, tol=tol))
-            except (DegeneracyError, AffineHullError):
-                statuses.append(PAIR_DEGENERATE)
+    rows = np.flatnonzero(tops[:, 1] >= 0)
+    try:
+        statuses = _pair_statuses(complex_, rows, tops[rows], apexes[rows], tol=tol)
+    except DegeneracyError:
+        statuses = [PAIR_DEGENERATE] * len(rows)
     report.pair_statuses = [(f, pair, s) for (f, pair), s in zip(internal, statuses)]
     boundary = np.flatnonzero(tops[:, 1] < 0)
     try:

@@ -116,62 +116,49 @@ def batched_volumes(pts):
 def batched_circumcenters(pts, tol=None):
     """Circumcenters and radii of a (M, k+1, N) stack of simplices.
 
-    Vectorized twin of :func:`circumcenter`. Returns (centers, radii), or
-    None when any member is degenerate or ill-conditioned; callers then
-    take the scalar route for its per-simplex diagnostics.
+    Solves each Gram system 2 (p_i - p_0) . (c - p_0) = |p_i - p_0|^2,
+    which keeps the center inside the affine hull of the vertices. Returns
+    (centers, radii, degenerate): ``degenerate`` flags the rows whose
+    vertices are (nearly) affinely dependent, i.e. whose Gram matrix is
+    singular or whose center is not equidistant to relative tolerance;
+    their centers and radii are meaningless.
     """
     eps = tolerance(tol)
     m, kp1, ambient = pts.shape
     k = kp1 - 1
     if k == 0:
-        return pts[:, 0, :].copy(), np.zeros(m)
+        return pts[:, 0, :].copy(), np.zeros(m), np.zeros(m, dtype=bool)
     edges = pts[:, 1:, :] - pts[:, :1, :]
     gram = edges @ edges.transpose(0, 2, 1)
     rhs = 0.5 * np.einsum("mii->mi", gram)
+    singular = np.zeros(m, dtype=bool)
     try:
         coeff = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return None
+        # an exactly singular Gram matrix stops the stacked solve: give
+        # those rows the identity and report them degenerate
+        singular = np.linalg.slogdet(gram)[0] == 0.0
+        gram[singular] = np.eye(k)
+        coeff = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     centers = pts[:, 0, :] + np.einsum("mk,mkn->mn", coeff, edges)
     dists = np.linalg.norm(pts - centers[:, None, :], axis=2)
     radii = dists.mean(axis=1)
     spread = dists.max(axis=1) - dists.min(axis=1)
-    if np.any(radii == 0.0) or np.any(spread > max(eps, 1e-9) * radii):
-        return None
-    return centers, radii
+    degenerate = singular | (radii == 0.0) | ~(spread <= max(eps, 1e-9) * radii)
+    return centers, radii, degenerate
 
 
 def circumcenter(points, tol=None):
     """Circumcenter and circumradius of a k-simplex in R^N.
 
-    Solves the Gram system 2 (p_i - p_0) . (c - p_0) = |p_i - p_0|^2, which
-    keeps the center inside the affine hull of the vertices. Raises
-    DegeneracyError when the vertices are (nearly) affinely dependent; the
-    returned center is verified equidistant to relative tolerance.
+    A one-row call of :func:`batched_circumcenters`. Raises
+    DegeneracyError when the vertices are (nearly) affinely dependent.
     """
-    eps = tolerance(tol)
     pts = _as_points(points)
-    k = len(pts) - 1
-    if k == 0:
-        return Circumdata(pts[0].copy(), 0.0)
-    edges = pts[1:] - pts[0]
-    gram = edges @ edges.T
-    rhs = 0.5 * np.diag(gram)
-    try:
-        coeff = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(
-            f"affinely dependent vertices, no circumcenter: {pts.tolist()}"
-        ) from exc
-    center = pts[0] + coeff @ edges
-    dists = np.linalg.norm(pts - center, axis=1)
-    radius = float(dists.mean())
-    if radius == 0.0 or (dists.max() - dists.min()) > max(eps, 1e-9) * radius:
-        raise DegeneracyError(
-            "circumcenter ill-conditioned: equidistance violated "
-            f"(spread {dists.max() - dists.min():.3e}, radius {radius:.3e})"
-        )
-    return Circumdata(center, radius)
+    centers, radii, degenerate = batched_circumcenters(pts[np.newaxis], tol=tol)
+    if degenerate[0]:
+        raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {pts.tolist()}")
+    return Circumdata(centers[0], float(radii[0]))
 
 
 def _orthonormal_basis(directions, eps):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import incircle_sign
+from conftest import incircle_sign, random_rotation
 from signeddec.complexes import build_complex
 from signeddec.delaunay import (
     PAIR_DEGENERATE,
@@ -22,6 +22,7 @@ from signeddec.delaunay import (
     one_sided_status_points,
     pair_status_points,
 )
+from signeddec.errors import DegeneracyError
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -205,36 +206,64 @@ def test_order_identity_and_equivalence(pair):
 
 
 def test_pair_predicates_on_complex_match_point_route():
-    # the complex-level entry point takes the ambient-circumsphere
-    # shortcut for full-dimensional meshes; it must agree with the
-    # flattening route on every internal facet
+    # the complex-level entry point runs the power test on the cached
+    # facet and top geometry, for planar meshes and embedded surfaces
+    # alike; it must agree with the flattening route on every internal facet
     from signeddec.fixtures import generate_fixture
 
-    mesh = generate_fixture("non_delaunay_square", divisions=6)
-    for facet, (left, right) in mesh.internal_faces():
-        facet_pts = mesh.simplex_points(1, facet)
-        apexes = {
-            top: mesh.points[mesh.apex_vertex(1, facet, top)] for top in (left, right)
-        }
-        assert is_delaunay_pair(mesh, left, right, facet) == pair_status_points(
-            facet_pts, apexes[left], apexes[right]
-        )
-        # symmetric in the order of the two tops
-        assert is_delaunay_pair(mesh, left, right, facet) == is_delaunay_pair(
-            mesh, right, left, facet
-        )
+    for mesh in (
+        generate_fixture("non_delaunay_square", divisions=6),
+        generate_fixture("surface_pairwise_delaunay"),
+    ):
+        for facet, (left, right) in mesh.internal_faces():
+            facet_pts = mesh.simplex_points(1, facet)
+            apexes = {
+                top: mesh.points[mesh.apex_vertex(1, facet, top)] for top in (left, right)
+            }
+            assert is_delaunay_pair(mesh, left, right, facet) == pair_status_points(
+                facet_pts, apexes[left], apexes[right]
+            )
+            # symmetric in the order of the two tops
+            assert is_delaunay_pair(mesh, left, right, facet) == is_delaunay_pair(
+                mesh, right, left, facet
+            )
+
+
+def test_folded_over_pair_same_status_in_plane_and_lifted():
+    # both apexes on one side of the shared edge: the pair is judged
+    # unfolded, whatever the ambient dimension
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.3], [0.5, 2.0]])
+    expected = pair_status_points(points[:2], points[2], points[3])
+    assert expected == PAIR_STRICT
+    for embedded in (points, np.hstack([points, np.zeros((4, 1))])):
+        mesh = build_complex(embedded, [(0, 1, 2), (0, 1, 3)])
+        report = classify_complex(mesh)
+        assert [status for _, _, status in report.pair_statuses] == [expected]
+        assert is_delaunay_pair(mesh, 0, 1, mesh.simplex_index(1, (0, 1))) == expected
+
+
+def test_degenerate_circumsphere_makes_every_pair_degenerate():
+    # a sliver whose circumcenter fails the equidistance check: the cached
+    # geometry names it, and classification reports the pair degenerate
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.6234567, 1e-9], [0.5, -1.0]])
+    for embedded in (points, np.hstack([points, np.zeros((4, 1))])):
+        mesh = build_complex(embedded, [(0, 1, 2), (0, 1, 3)])
+        with pytest.raises(DegeneracyError, match=r"2-simplex \(0, 1, 2\)"):
+            mesh.circumcenters(2)
+        report = classify_complex(mesh, check_duals=False)
+        assert [status for _, _, status in report.pair_statuses] == [PAIR_DEGENERATE]
 
 
 def test_near_tie_grids_match_point_route_and_stay_positive():
     # Jittered structured grids, with their grid diagonals or Qhull's, put
     # every diagonal pair within 1e-13 to 1e-9 (relative) of cocircular,
-    # across the tolerance band: the batched full-dimensional statuses must
-    # match the flattening route, and no qualifying mesh may have a
-    # nonpositive signed dual.
+    # across the tolerance band: the batched statuses must match the
+    # flattening route, also after a random rotation into R^3,
+    # and no qualifying mesh may have a nonpositive signed dual.
     from scipy.spatial import Delaunay
     from signeddec.fixtures import generate_fixture
 
-    rng = np.random.default_rng(7)
+    rng, turns = np.random.default_rng(7), np.random.default_rng(8)
     seen, qualifying = set(), 0
     for k, jitter in enumerate(np.logspace(-13, -9, 60)):
         divisions = (2, 3, 4)[k % 3]
@@ -250,6 +279,9 @@ def test_near_tie_grids_match_point_route_and_stay_positive():
                 flat = pair_status_points(mesh.simplex_points(1, facet), *mesh.points[apexes])
                 assert status == flat
                 seen.add(status)
+            lifted = np.hstack([points, np.zeros((len(points), 1))]) @ random_rotation(turns, 3).T
+            lifted_report = classify_complex(build_complex(lifted, cells), check_duals=False)
+            assert lifted_report.pair_statuses == report.pair_statuses
             if report.is_qualifying:
                 qualifying += 1
                 assert report.nonpositive_duals == []

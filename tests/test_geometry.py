@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import cayley_menger_volume, random_rotation
 from signeddec.errors import AffineHullError, DegeneracyError
 from signeddec.geometry import (
+    batched_circumcenters,
     circumcenter,
     flatten_pair,
     halfspace_sign,
@@ -51,6 +52,12 @@ def test_circumcenter_colinear_raises():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DegeneracyError):
         circumcenter(pts)
+    # in a stack, only the collinear row is flagged; the others still solve
+    good = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
+    centers, radii, degenerate = batched_circumcenters(np.stack([good, pts, good]))
+    assert degenerate.tolist() == [False, True, False]
+    assert np.allclose(centers[[0, 2]], [2.0, -3.75])
+    assert np.allclose(radii[[0, 2]], 4.25)
 
 
 @settings(max_examples=100, deadline=None)
