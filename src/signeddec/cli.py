@@ -6,31 +6,35 @@ Exit codes: 0 success (and "qualifying" for check), 1 not qualifying
 """
 
 import argparse
-import csv
+import functools
 import json
 import sys
-from contextlib import nullcontext
+from collections import Counter
 from pathlib import Path
 
 from .delaunay import classify_complex
 from .errors import SignedDecError
 from .fixtures import FIXTURE_NAMES, generate_fixture
 from .hodge import hodge_star, validate_hodge
-from .meshfile import load_complex, write_mesh
+from .meshfile import format_rows, load_complex, write_mesh
 from .poisson import FIGURE1_COLUMNS, figure1_experiment, sigma_vectors
 from .signed_dual import dual_table
 
 SCHEMA_VERSION = 1
 
 
-def _fmt(value):
-    return f"{value:.17g}"
-
-
-def _open_out(path):
+def _write_out(path, text):
+    """Write text to the file at path, untranslated, or to stdout if None."""
     if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w", newline="")
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, newline="")
+
+
+def _csv(header, fmt, *columns):
+    """CSV text as the csv module writes it (\\r\\n line ends, no field
+    needs quoting): the header, then ``fmt`` over the rows of columns."""
+    return header + "\r\n" + format_rows(fmt + "\r\n", *columns)
 
 
 def _report_dict(mesh, report):
@@ -47,12 +51,8 @@ def _report_dict(mesh, report):
 def _cmd_check(args):
     mesh = load_complex(args.mesh)
     report = classify_complex(mesh)
-    pair_counts = {}
-    for _, _, status in report.pair_statuses:
-        pair_counts[status] = pair_counts.get(status, 0) + 1
-    side_counts = {}
-    for _, _, status in report.boundary_statuses:
-        side_counts[status] = side_counts.get(status, 0) + 1
+    pair_counts = Counter(status for _, _, status in report.pair_statuses)
+    side_counts = Counter(status for _, _, status in report.boundary_statuses)
     sizes = ", ".join(
         f"{mesh.num_simplices(p)} of dim {p}" for p in range(mesh.n + 1)
     )
@@ -67,7 +67,7 @@ def _cmd_check(args):
     )
     print(f"nonpositive dual volumes: {len(report.nonpositive_duals)}")
     for dim, index, value in report.nonpositive_duals[:10]:
-        print(f"  dim {dim} simplex {index}: {_fmt(value)}")
+        print(f"  dim {dim} simplex {index}: {value:.17g}")
     print(f"verdict: {report.verdict}")
     return 0 if report.is_qualifying else 1
 
@@ -75,9 +75,7 @@ def _cmd_check(args):
 def _cmd_report(args):
     mesh = load_complex(args.mesh)
     report = classify_complex(mesh)
-    with _open_out(args.output) as handle:
-        json.dump(_report_dict(mesh, report), handle, indent=2)
-        handle.write("\n")
+    _write_out(args.output, json.dumps(_report_dict(mesh, report), indent=2) + "\n")
     return 0
 
 
@@ -85,27 +83,16 @@ def _cmd_duals(args):
     mesh = load_complex(args.mesh)
     if not 0 <= args.dim <= mesh.n:
         raise SignedDecError(f"--dim must be between 0 and {mesh.n}")
-    with _open_out(args.output) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "dim", "simplex_index", "vertices", "signed_volume",
-                "unsigned_volume", "num_pieces", "num_negative_pieces",
-            ]
-        )
-        table = dual_table(mesh, args.dim)
-        for i, vertices in enumerate(mesh.simplices[args.dim].tolist()):
-            writer.writerow(
-                [
-                    args.dim,
-                    i,
-                    " ".join(str(v) for v in vertices),
-                    _fmt(table.signed_volume[i]),
-                    _fmt(table.unsigned_volume[i]),
-                    table.num_pieces[i],
-                    table.num_negative_pieces[i],
-                ]
-            )
+    table = dual_table(mesh, args.dim)
+    vertices = " ".join(["%d"] * (args.dim + 1))
+    _write_out(args.output, _csv(
+        "dim,simplex_index,vertices,signed_volume,unsigned_volume,num_pieces,"
+        "num_negative_pieces",
+        f"{args.dim},%d,{vertices},%.17g,%.17g,%d,%d",
+        range(mesh.num_simplices(args.dim)), *mesh.simplices[args.dim].T.tolist(),
+        table.signed_volume.tolist(), table.unsigned_volume.tolist(),
+        table.num_pieces.tolist(), table.num_negative_pieces.tolist(),
+    ))
     return 0
 
 
@@ -119,11 +106,9 @@ def _cmd_hodge(args):
             raise SignedDecError("--unsigned conflicts with --mode signed")
         mode = "unsigned"
     star = hodge_star(mesh, args.dim, mode=mode)
-    with _open_out(args.output) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "entry"])
-        for i, entry in enumerate(star.entries):
-            writer.writerow([i, _fmt(entry)])
+    _write_out(args.output, _csv(
+        "index,entry", "%d,%.17g", range(len(star.entries)), star.entries.tolist()
+    ))
     flagged = validate_hodge(star)
     if flagged:
         print(
@@ -172,23 +157,19 @@ def _cmd_poisson(args):
         meshes[family] = result.mesh
         tag = f"{result.family}_{result.hodge_mode}"
         mesh = result.mesh
-        with open(out_dir / f"{tag}_u.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["vertex_index", "x", "y", "u"])
-            for i, (point, value) in enumerate(zip(mesh.points, result.solution.u)):
-                writer.writerow([i, _fmt(point[0]), _fmt(point[1]), _fmt(value)])
-        with open(out_dir / f"{tag}_sigma.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["edge_index", "tail", "head", "sigma"])
-            for i in range(mesh.num_simplices(1)):
-                tail, head = mesh.simplex_vertices(1, i)
-                writer.writerow([i, tail, head, _fmt(result.solution.sigma[i])])
+        _write_out(out_dir / f"{tag}_u.csv", _csv(
+            "vertex_index,x,y,u", "%d,%.17g,%.17g,%.17g", range(len(mesh.points)),
+            *mesh.points[:, :2].T.tolist(), result.solution.u.tolist(),
+        ))
+        _write_out(out_dir / f"{tag}_sigma.csv", _csv(
+            "edge_index,tail,head,sigma", "%d,%d,%d,%.17g", range(mesh.num_simplices(1)),
+            *mesh.simplices[1].T.tolist(), result.solution.sigma.tolist(),
+        ))
         vectors = sigma_vectors(mesh, result.solution.sigma)
-        with open(out_dir / f"{tag}_flux_vectors.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["triangle_index", "vec_x", "vec_y"])
-            for t, vec in enumerate(vectors):
-                writer.writerow([t, _fmt(vec[0]), _fmt(vec[1])])
+        _write_out(out_dir / f"{tag}_flux_vectors.csv", _csv(
+            "triangle_index,vec_x,vec_y", "%d,%.17g,%.17g", range(len(vectors)),
+            *vectors.T.tolist(),
+        ))
         summary["columns"].append(
             {
                 "family": result.family,
@@ -224,7 +205,9 @@ def _cmd_fixture(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="signeddec",
         description="Signed circumcentric dual volumes and diagonal Hodge stars",

@@ -38,7 +38,7 @@ class SimplicialComplex:
         self._codes = codes
         self.n = len(simplices) - 1
         self.N = points.shape[1]
-        self._geometry = [None] * (self.n + 1)  # (volumes, centers, radii)
+        self._geometry = [None] * (self.n + 1)  # see geometry()
         self._cofaces = None
         # signed_dual's DualTable memo, keyed by (dim, resolved tolerance)
         self._dual_volume_cache = {}
@@ -99,36 +99,42 @@ class SimplicialComplex:
 
     # -- cached geometry -----------------------------------------------
 
-    def _cached_geometry(self, dim):
+    def geometry(self, dim):
+        """Read-only (volumes, circumcenters, circumradii, degenerate) of all
+        dim-simplices; never raises. ``degenerate`` flags the simplices whose
+        circumcenter failed its check; their centers and radii are
+        placeholders, and the accessors below raise for the whole dimension."""
         if self._geometry[dim] is None:
             stacked = self.points[self.simplices[dim]]
-            centers, radii, degenerate = batched_circumcenters(stacked)
-            for i in np.flatnonzero(degenerate)[:1]:
-                vertices = self.simplex_vertices(dim, i)
-                raise DegeneracyError(f"{dim}-simplex {vertices} is degenerate")
-            geometry = batched_volumes(stacked), centers, radii
+            geometry = batched_volumes(stacked), *batched_circumcenters(stacked)
             for arr in geometry:
                 arr.setflags(write=False)
             self._geometry[dim] = geometry
         return self._geometry[dim]
+
+    def _checked_geometry(self, dim):
+        geometry = self.geometry(dim)
+        for i in np.flatnonzero(geometry[3])[:1]:
+            raise DegeneracyError(f"{dim}-simplex {self.simplex_vertices(dim, i)} is degenerate")
+        return geometry
 
     def volume_of(self, dim, index):
         return float(self.volumes(dim)[index])
 
     def volumes(self, dim):
         """Read-only array of all volumes at one dimension."""
-        return self._cached_geometry(dim)[0]
+        return self._checked_geometry(dim)[0]
 
     def circumcenter_of(self, dim, index):
         return Circumdata(self.circumcenters(dim)[index], float(self.circumradii(dim)[index]))
 
     def circumcenters(self, dim):
         """Read-only (count, N) array of all circumcenters at one dimension."""
-        return self._cached_geometry(dim)[1]
+        return self._checked_geometry(dim)[1]
 
     def circumradii(self, dim):
         """Read-only array of all circumradii at one dimension."""
-        return self._cached_geometry(dim)[2]
+        return self._checked_geometry(dim)[2]
 
     @property
     def total_volume(self):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError
 from .config import tolerance
 from .geometry import circumcenter, flatten_pair, halfspace_sign
 from .signed_dual import dual_volumes, step_sign, step_signs
@@ -172,16 +171,21 @@ def _pair_statuses(complex_, facets, tops, apexes, tol=None):
     """
     eps = tolerance(tol)
     n = complex_.n
-    facet_centers = complex_.circumcenters(n - 1)[facets][:, None]
-    facet_radii = complex_.circumradii(n - 1)[facets][:, None]
-    radii = complex_.circumradii(n)[tops]
-    heights = n * complex_.volumes(n)[tops] / complex_.volumes(n - 1)[facets][:, None]
+    facet_volumes, facet_centers, facet_radii, facet_flags = complex_.geometry(n - 1)
+    volumes, centers, radii, flags = complex_.geometry(n)
+    facet_centers = facet_centers[facets][:, None]
+    facet_radii = facet_radii[facets][:, None]
+    radii = radii[tops]
+    heights = n * volumes[tops] / facet_volumes[facets][:, None]
     apex_vecs = complex_.points[apexes] - facet_centers
-    center_vecs = complex_.circumcenters(n)[tops] - facet_centers
+    center_vecs = centers[tops] - facet_centers
     offsets = np.einsum("pkx,pkx->pk", center_vecs, apex_vecs) / heights
     far = np.einsum("pkx,pkx->pk", apex_vecs, apex_vecs)[:, ::-1]
     power = far - facet_radii**2 + 2.0 * heights[:, ::-1] * offsets
-    margins = np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # placeholder radii
+        margins = np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
+    # a pair touching a simplex with a degenerate circumcenter is degenerate
+    margins[facet_flags[facets] | flags[tops].any(axis=1)] = np.nan
     return np.where(
         margins.min(1) > eps,
         PAIR_STRICT,
@@ -282,16 +286,10 @@ def classify_complex(complex_, tol=None, check_duals=True):
     tops, apexes = complex_.facet_cofaces
     internal = complex_.internal_faces()
     rows = np.flatnonzero(tops[:, 1] >= 0)
-    try:
-        statuses = _pair_statuses(complex_, rows, tops[rows], apexes[rows], tol=tol)
-    except DegeneracyError:
-        statuses = [PAIR_DEGENERATE] * len(rows)
+    statuses = _pair_statuses(complex_, rows, tops[rows], apexes[rows], tol=tol)
     report.pair_statuses = [(f, pair, s) for (f, pair), s in zip(internal, statuses)]
     boundary = np.flatnonzero(tops[:, 1] < 0)
-    try:
-        sides = step_signs(complex_, complex_.n - 1, boundary, tops[boundary, 0], tol=tol).tolist()
-    except DegeneracyError:
-        sides = [0] * len(boundary)
+    sides = step_signs(complex_, complex_.n - 1, boundary, tops[boundary, 0], tol=tol).tolist()
     report.boundary_statuses = [
         (f, top, _SIDE_STATUS[side]) for (f, top), side in zip(complex_.boundary_faces(), sides)
     ]

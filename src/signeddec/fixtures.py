@@ -28,6 +28,15 @@ def _rng(seed, attempt):
     return np.random.default_rng(parts + (int(attempt), 0x5D))
 
 
+def _jittered(points, free, scale, rng):
+    """points plus scale * U(-1, 1) on each free coordinate, drawn in one
+    call in row-major order: per point, x before y before z."""
+    shift = np.zeros_like(points)
+    draws = rng.uniform(-1.0, 1.0, size=int(free.sum()))
+    shift[free] = np.broadcast_to(scale, points.shape)[free] * draws
+    return points + shift
+
+
 def _grid_2d(divisions, width, height, jitter, rng, locked_columns=()):
     """(divisions+1)^2 grid points; interior points jitter in both
     coordinates, side points only along their side, corners stay put, so
@@ -35,37 +44,21 @@ def _grid_2d(divisions, width, height, jitter, rng, locked_columns=()):
     keep their exact x (used to reserve a straight fold line)."""
     xs = np.linspace(0.0, width, divisions + 1)
     ys = np.linspace(0.0, height, divisions + 1)
-    step_x = width / divisions
-    step_y = height / divisions
-    points = np.empty(((divisions + 1) ** 2, 2))
-    k = 0
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            dx = dy = 0.0
-            if 0 < i < divisions and i not in locked_columns:
-                dx = jitter * step_x * rng.uniform(-1.0, 1.0)
-            if 0 < j < divisions:
-                dy = jitter * step_y * rng.uniform(-1.0, 1.0)
-            points[k] = (x + dx, y + dy)
-            k += 1
-    return points
+    lines = np.arange(divisions + 1)
+    inner = (lines > 0) & (lines < divisions)
+    free_x = inner & ~np.isin(lines, list(locked_columns))
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1)
+    free = np.stack(np.meshgrid(free_x, inner), axis=-1)
+    scale = jitter * np.array([width / divisions, height / divisions])
+    return _jittered(grid.reshape(-1, 2), free.reshape(-1, 2), scale, rng)
 
 
 def _grid_3d(divisions, rng, jitter):
+    """(divisions+1)^3 points of the unit cube, x fastest; every coordinate
+    strictly inside (0, 1) jitters."""
     axis = np.linspace(0.0, 1.0, divisions + 1)
-    step = 1.0 / divisions
-    points = np.empty(((divisions + 1) ** 3, 3))
-    k = 0
-    for c in axis:
-        for b in axis:
-            for a in axis:
-                shift = np.zeros(3)
-                for axis_index, value in enumerate((a, b, c)):
-                    if 0.0 < value < 1.0:
-                        shift[axis_index] = jitter * step * rng.uniform(-1.0, 1.0)
-                points[k] = (a, b, c) + shift
-                k += 1
-    return points
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
+    return _jittered(grid, (grid > 0.0) & (grid < 1.0), jitter * (1.0 / divisions), rng)
 
 
 def _triangulate(points):

@@ -5,7 +5,9 @@ tetrahedral meshes (3D nodes, 4 per cell); OFF carries triangle surfaces
 embedded in 3D. Vertex numbering in .node/.ele may start at 0 or 1; the
 base is detected from the first data row and normalized to 0 on read.
 Writes are 1-based with 17 significant digits, so coordinates round-trip
-exactly.
+exactly. Readers convert each column of all rows in one call and validate
+by masks over the rows, reporting the first faulty row in file order;
+writers format each row with one %-format string and write once.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,8 @@ __all__ = ["MeshFile", "read_mesh", "write_mesh", "load_complex"]
 
 FORMAT_NODE_ELE = "node_ele"
 FORMAT_OFF = "off"
+# integers beyond int64 fail every range check; they are clipped to this
+_INT_CLIP = 2**62
 
 
 @dataclass(frozen=True)
@@ -31,16 +35,20 @@ class MeshFile:
     cells: np.ndarray
 
 
-def _data_lines(path):
-    """Yield (line_number, tokens) for non-comment, non-blank lines."""
+def _data_rows(path, what):
+    """(line number, tokens) of every non-comment, non-blank line."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+    rows = [
+        (lineno, tokens)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if (tokens := line.split("#", 1)[0].split())
+    ]
+    if not rows:
+        raise MeshFormatError(f"{path}: empty {what} file")
+    return rows
 
 
 def _parse_ints(tokens, count, path, lineno, what):
@@ -52,58 +60,91 @@ def _parse_ints(tokens, count, path, lineno, what):
         raise MeshFormatError(f"{path}:{lineno}: bad integer in {what}") from exc
 
 
-def _read_node(path):
-    lines = _data_lines(path)
+def _number(kind, token):
+    """kind(token), ints clipped into int64, or None if kind rejects it."""
     try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise MeshFormatError(f"{path}: empty node file") from None
-    header = _parse_ints(tokens, 2, path, lineno, "node header")
-    count, dim = header
+        value = kind(token)
+    except ValueError:
+        return None
+    return min(max(value, -_INT_CLIP), _INT_CLIP) if kind is int else value
+
+
+def _table(rows, kind, stop, start=0):
+    """Tokens start..stop-1 of each row (short rows padded with "0") as an
+    array converted by one ``kind`` call (int or float), the rows' token
+    counts, and a mask of the rows holding a token that ``kind`` rejects."""
+    pad = ["0"] * stop
+    flat = [t for _, tokens in rows for t in (tokens + pad)[start:stop]]
+    dtype = np.intp if kind is int else np.float64
+    try:
+        values, bad = np.array(list(map(kind, flat)), dtype=dtype), np.zeros(len(flat), bool)
+    except (ValueError, OverflowError):  # find the rejected tokens one by one
+        numbers = [_number(kind, t) for t in flat]
+        bad = np.array([v is None for v in numbers], dtype=bool)
+        values = np.array([0 if v is None else v for v in numbers], dtype=dtype)
+    shape = (len(rows), stop - start)
+    widths = np.array([len(tokens) for _, tokens in rows], dtype=np.intp)
+    return values.reshape(shape), widths, bad.reshape(shape).any(axis=1)
+
+
+def _raise_first(path, rows, checks):
+    """Raise for the first row, in file order, that fails a check.
+
+    ``checks`` lists (mask over the rows, message) in the order one row is
+    checked; a message may be a callable of the row's position. Only the
+    first failing check of that row is formatted.
+    """
+    failed = np.array([mask for mask, _ in checks])
+    for row in np.flatnonzero(failed.any(axis=0))[:1]:
+        message = checks[failed[:, row].argmax()][1]
+        text = message(row) if callable(message) else message
+        raise MeshFormatError(f"{path}:{rows[row][0]}: {text}")
+
+
+def _check_count(path, rows, count, what):
+    """Raise unless there are exactly ``count`` data rows."""
+    if len(rows) > count:
+        raise MeshFormatError(f"{path}:{rows[count][0]}: more {what} rows than declared ({count})")
+    if len(rows) < count:
+        raise MeshFormatError(f"{path}: declared {count} {what}s, found {len(rows)}")
+
+
+def _read_node(path):
+    (lineno, tokens), *rows = _data_rows(path, "node")
+    count, dim = _parse_ints(tokens, 2, path, lineno, "node header")
     if dim not in (2, 3):
         raise MeshFormatError(f"{path}:{lineno}: node dimension must be 2 or 3, got {dim}")
     if count < 1:
         raise MeshFormatError(f"{path}:{lineno}: node count must be positive")
 
-    points = np.full((count, dim), np.nan)
-    base = None
-    filled = 0
-    for lineno, tokens in lines:
-        if filled == count:
-            raise MeshFormatError(f"{path}:{lineno}: more node rows than declared ({count})")
-        (idx,) = _parse_ints(tokens, 1, path, lineno, "node index")
-        if base is None:
-            if idx not in (0, 1):
-                raise MeshFormatError(
-                    f"{path}:{lineno}: first node index must be 0 or 1, got {idx}"
-                )
-            base = idx
-        row = idx - base
-        if not 0 <= row < count:
-            raise MeshFormatError(f"{path}:{lineno}: node index {idx} out of range")
-        if not np.isnan(points[row]).all():
-            raise MeshFormatError(f"{path}:{lineno}: duplicate node index {idx}")
-        if len(tokens) < 1 + dim:
-            raise MeshFormatError(f"{path}:{lineno}: expected {dim} coordinates")
-        try:
-            points[row] = [float(t) for t in tokens[1 : 1 + dim]]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}:{lineno}: bad coordinate") from exc
-        filled += 1
-    if filled != count:
-        raise MeshFormatError(f"{path}: declared {count} nodes, found {filled}")
+    data = rows[:count]
+    ids, _, bad_ids = _table(data, int, 1)
+    coords, widths, bad_coords = _table(data, float, 1 + dim, start=1)
+    base = int(ids[0, 0]) if data else 0
+    index = ids[:, 0] - base
+    first_seen = np.zeros(len(data), dtype=bool)
+    first_seen[np.unique(index, return_index=True)[1]] = True
+    _raise_first(path, data, [
+        (bad_ids, "bad integer in node index"),
+        ((np.arange(len(data)) == 0) & (base not in (0, 1)),
+         lambda row: f"first node index must be 0 or 1, got {int(data[row][1][0])}"),
+        ((index < 0) | (index >= count),
+         lambda row: f"node index {int(data[row][1][0])} out of range"),
+        (~first_seen, lambda row: f"duplicate node index {int(data[row][1][0])}"),
+        (widths < 1 + dim, f"expected {dim} coordinates"),
+        (bad_coords, "bad coordinate"),
+    ])
+    _check_count(path, rows, count, "node")
+    points = np.empty((count, dim))
+    points[index] = coords
     if not np.isfinite(points).all():
         raise MeshFormatError(f"{path}: non-finite coordinates")
     return points, base
 
 
 def _read_ele(path, num_points, node_base, dim):
-    lines = _data_lines(path)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise MeshFormatError(f"{path}: empty element file") from None
-    count, per_cell = _parse_ints(tokens, 2, path, lineno, "element header")[:2]
+    (lineno, tokens), *rows = _data_rows(path, "element")
+    count, per_cell = _parse_ints(tokens, 2, path, lineno, "element header")
     if per_cell != dim + 1:
         raise MeshFormatError(
             f"{path}:{lineno}: expected {dim + 1} vertices per cell for "
@@ -112,73 +153,54 @@ def _read_ele(path, num_points, node_base, dim):
     if count < 1:
         raise MeshFormatError(f"{path}:{lineno}: element count must be positive")
 
-    cells = np.empty((count, per_cell), dtype=np.intp)
-    filled = 0
-    for lineno, tokens in lines:
-        if filled == count:
-            raise MeshFormatError(f"{path}:{lineno}: more element rows than declared ({count})")
-        values = _parse_ints(tokens, 1 + per_cell, path, lineno, "element row")
-        refs = [v - node_base for v in values[1:]]
-        for ref in refs:
-            if not 0 <= ref < num_points:
-                raise MeshFormatError(
-                    f"{path}:{lineno}: vertex reference {ref + node_base} out of range"
-                )
-        cells[filled] = refs
-        filled += 1
-    if filled != count:
-        raise MeshFormatError(f"{path}: declared {count} elements, found {filled}")
+    data = rows[:count]
+    values, widths, bad = _table(data, int, 1 + per_cell)
+    cells = values[:, 1:] - node_base
+    outside = (cells < 0) | (cells >= num_points)
+    _raise_first(path, data, [
+        (widths < 1 + per_cell, f"expected {1 + per_cell} fields for element row"),
+        (bad, "bad integer in element row"),
+        (outside.any(axis=1), lambda row: "vertex reference "
+         f"{int(data[row][1][1 + outside[row].argmax()])} out of range"),
+    ])
+    _check_count(path, rows, count, "element")
     return cells
 
 
 def _read_off(path):
-    lines = _data_lines(path)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise MeshFormatError(f"{path}: empty OFF file") from None
+    (lineno, tokens), *rows = _data_rows(path, "OFF")
     if tokens[0].upper() == "OFF":
         tokens = tokens[1:]
         if not tokens:
-            try:
-                lineno, tokens = next(lines)
-            except StopIteration:
-                raise MeshFormatError(f"{path}: missing OFF counts") from None
-    num_vertices, num_faces = _parse_ints(tokens, 2, path, lineno, "OFF counts")[:2]
+            if not rows:
+                raise MeshFormatError(f"{path}: missing OFF counts")
+            (lineno, tokens), *rows = rows
+    num_vertices, num_faces = _parse_ints(tokens, 2, path, lineno, "OFF counts")
     if num_vertices < 1 or num_faces < 1:
         raise MeshFormatError(f"{path}:{lineno}: OFF needs positive vertex/face counts")
 
-    points = np.empty((num_vertices, 3))
-    for row in range(num_vertices):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"{path}: truncated vertex list") from None
-        if len(tokens) < 3:
-            raise MeshFormatError(f"{path}:{lineno}: expected 3 coordinates")
-        try:
-            points[row] = [float(t) for t in tokens[:3]]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}:{lineno}: bad coordinate") from exc
+    vertex_rows = rows[:num_vertices]
+    points, widths, bad = _table(vertex_rows, float, 3)
+    _raise_first(path, vertex_rows, [
+        (widths < 3, "expected 3 coordinates"), (bad, "bad coordinate"),
+    ])
+    if len(vertex_rows) < num_vertices:
+        raise MeshFormatError(f"{path}: truncated vertex list")
 
-    cells = np.empty((num_faces, 3), dtype=np.intp)
-    for row in range(num_faces):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"{path}: truncated face list") from None
-        values = _parse_ints(tokens, len(tokens), path, lineno, "face row")
-        if values[0] != 3:
-            raise MeshFormatError(
-                f"{path}:{lineno}: only triangle faces supported, got {values[0]} vertices"
-            )
-        if len(values) < 4:
-            raise MeshFormatError(f"{path}:{lineno}: truncated face row")
-        refs = values[1:4]
-        for ref in refs:
-            if not 0 <= ref < num_vertices:
-                raise MeshFormatError(f"{path}:{lineno}: vertex reference {ref} out of range")
-        cells[row] = refs
+    face_rows = rows[num_vertices:num_vertices + num_faces]
+    values, widths, bad = _table(face_rows, int, max([4, *(len(t) for _, t in face_rows)]))
+    cells = values[:, 1:4].copy()
+    outside = (cells < 0) | (cells >= num_vertices)
+    _raise_first(path, face_rows, [
+        (bad, "bad integer in face row"),
+        (values[:, 0] != 3, lambda row: "only triangle faces supported, got "
+         f"{int(face_rows[row][1][0])} vertices"),
+        (widths < 4, "truncated face row"),
+        (outside.any(axis=1), lambda row: "vertex reference "
+         f"{int(face_rows[row][1][1 + outside[row].argmax()])} out of range"),
+    ])
+    if len(face_rows) < num_faces:
+        raise MeshFormatError(f"{path}: truncated face list")
     if not np.isfinite(points).all():
         raise MeshFormatError(f"{path}: non-finite coordinates")
     return points, cells
@@ -211,6 +233,12 @@ def read_mesh(path, fmt=None):
     raise MeshFormatError(f"unknown format {fmt!r}")
 
 
+def format_rows(fmt, *columns):
+    """The text of one ``fmt % row`` per row of the columns (lists, e.g.
+    from ``ndarray.tolist()``, or ranges), joined with no separator."""
+    return "".join(map(fmt.__mod__, zip(*columns)))
+
+
 def write_mesh(path, points, cells, fmt=None):
     """Write a mesh; returns the list of paths written.
 
@@ -237,14 +265,16 @@ def write_mesh(path, points, cells, fmt=None):
     base = Path(path)
     if base.suffix.lower() in (".node", ".ele", ".off"):
         base = base.with_suffix("")
+    coordinates = " ".join(["%.17g"] * ambient) + "\n"
     if fmt == FORMAT_OFF:
         if ambient != 3 or per_cell != 3:
             raise MeshFormatError("OFF needs 3-d points and triangle cells")
         target = base.with_suffix(".off")
-        lines = ["OFF", f"{len(points)} {len(cells)} 0"]
-        lines.extend(" ".join(f"{x:.17g}" for x in row) for row in points)
-        lines.extend("3 " + " ".join(str(v) for v in row) for row in cells)
-        target.write_text("\n".join(lines) + "\n")
+        target.write_text(
+            f"OFF\n{len(points)} {len(cells)} 0\n"
+            + format_rows(coordinates, *points.T.tolist())
+            + format_rows("3 %d %d %d\n", *cells.T.tolist())
+        )
         return [target]
     if fmt == FORMAT_NODE_ELE:
         if per_cell != ambient + 1 or ambient not in (2, 3):
@@ -254,18 +284,15 @@ def write_mesh(path, points, cells, fmt=None):
             )
         node_path = base.with_suffix(".node")
         ele_path = base.with_suffix(".ele")
-        node_lines = [f"{len(points)} {ambient} 0 0"]
-        node_lines.extend(
-            f"{i + 1} " + " ".join(f"{x:.17g}" for x in row)
-            for i, row in enumerate(points)
+        node_path.write_text(
+            f"{len(points)} {ambient} 0 0\n"
+            + format_rows("%d " + coordinates, range(1, len(points) + 1), *points.T.tolist())
         )
-        node_path.write_text("\n".join(node_lines) + "\n")
-        ele_lines = [f"{len(cells)} {per_cell} 0"]
-        ele_lines.extend(
-            f"{i + 1} " + " ".join(str(v + 1) for v in row)
-            for i, row in enumerate(cells)
+        ele_path.write_text(
+            f"{len(cells)} {per_cell} 0\n"
+            + format_rows("%d" + " %d" * per_cell + "\n", range(1, len(cells) + 1),
+                          *(cells + 1).T.tolist())
         )
-        ele_path.write_text("\n".join(ele_lines) + "\n")
         return [node_path, ele_path]
     raise MeshFormatError(f"unknown format {fmt!r}")
 

@@ -154,7 +154,8 @@ def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     dim-simplex face_indices[i] to its coface coface_indices[i].
 
     Returns an int8 array of +1/0/-1 as :func:`step_sign` would give for
-    each link. Raises ComplexError if a coface does not extend its face.
+    each link; a link touching a simplex whose circumcenter is degenerate
+    gets 0. Raises ComplexError if a coface does not extend its face.
     """
     faces = np.asarray(face_indices, dtype=np.intp)
     cofaces = np.asarray(coface_indices, dtype=np.intp)
@@ -163,12 +164,14 @@ def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     extra = (coface_rows[:, :, None] != face_rows[:, None, :]).all(axis=2)
     if (extra.sum(axis=1) != 1).any():
         raise ComplexError("coface does not extend face")
-    return _link_signs(
-        complex_.circumcenters(dim)[faces],
-        complex_.circumcenters(dim + 1)[cofaces],
-        complex_.points[coface_rows[extra]],
+    _, face_centers, _, face_flags = complex_.geometry(dim)
+    _, coface_centers, _, coface_flags = complex_.geometry(dim + 1)
+    signs = _link_signs(
+        face_centers[faces], coface_centers[cofaces], complex_.points[coface_rows[extra]],
         max(tolerance(tol), 1e-14),
     )
+    signs[face_flags[faces] | coface_flags[cofaces]] = 0
+    return signs
 
 
 def step_sign(complex_, dim, face_index, coface_index, tol=None):

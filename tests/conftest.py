@@ -150,3 +150,35 @@ def single_tet():
         [0.0, 0.0, 1.0],
     ])
     return build_complex(points, [(0, 1, 2, 3)])
+
+
+def scalar_grid_2d(divisions, width, height, jitter, rng, locked_columns=()):
+    """The jittered planar grid drawn one scalar at a time, in the order the
+    fixture generators have always drawn it: row by row, x before y."""
+    xs = np.linspace(0.0, width, divisions + 1)
+    ys = np.linspace(0.0, height, divisions + 1)
+    points = []
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            dx = dy = 0.0
+            if 0 < i < divisions and i not in locked_columns:
+                dx = jitter * (width / divisions) * rng.uniform(-1.0, 1.0)
+            if 0 < j < divisions:
+                dy = jitter * (height / divisions) * rng.uniform(-1.0, 1.0)
+            points.append((x + dx, y + dy))
+    return np.array(points)
+
+
+def scalar_grid_3d(divisions, rng, jitter):
+    """The jittered cube grid drawn one scalar at a time, x fastest."""
+    axis = np.linspace(0.0, 1.0, divisions + 1)
+    points = []
+    for c in axis:
+        for b in axis:
+            for a in axis:
+                shift = np.zeros(3)
+                for k, value in enumerate((a, b, c)):
+                    if 0.0 < value < 1.0:
+                        shift[k] = jitter * (1.0 / divisions) * rng.uniform(-1.0, 1.0)
+                points.append((a, b, c) + shift)
+    return np.array(points)

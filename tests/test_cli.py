@@ -1,15 +1,19 @@
 """Command-line behavior: exit codes, CSV/JSON outputs, pipelines."""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from signeddec.cli import main
+from signeddec.cli import _build_parser, main
 from signeddec.complexes import build_complex
+from signeddec.fixtures import generate_fixture
 from signeddec.hodge import hodge_star
-from signeddec.meshfile import load_complex, write_mesh
+from signeddec.meshfile import load_complex, read_mesh, write_mesh
+from signeddec.poisson import figure1_experiment, sigma_vectors
+from signeddec.signed_dual import dual_table
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +197,108 @@ def test_fixture_failure_is_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _csv_module_text(header, rows):
+    """The reference format: what csv.writer writes, doubles as %.17g."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(
+        [f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows
+    )
+    return buffer.getvalue()
+
+
+def _file_and_stdout(argv, path, capsys):
+    """The CLI's output for argv, written with -o path and to stdout."""
+    assert main(argv + ["-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert path.read_bytes().decode() == out
+    return out
+
+
+@pytest.mark.parametrize("family", ["obtuse_delaunay_square", "delaunay_tet_cube"])
+def test_duals_and_hodge_csv_format_pinned(family, tmp_path, capsys):
+    # exact header, \r\n line ends and 17 significant digits, for every
+    # dimension, to a file and to stdout alike
+    mesh_path = tmp_path / "m.node"
+    assert main(["fixture", family, "--divisions", "2", "-o", str(mesh_path)]) == 0
+    mesh = load_complex(mesh_path)
+    for p in range(mesh.n + 1):
+        table = dual_table(mesh, p)
+        rows = [
+            [p, i, " ".join(str(v) for v in vertices), float(table.signed_volume[i]),
+             float(table.unsigned_volume[i]), int(table.num_pieces[i]),
+             int(table.num_negative_pieces[i])]
+            for i, vertices in enumerate(mesh.simplices[p].tolist())
+        ]
+        header = ["dim", "simplex_index", "vertices", "signed_volume",
+                  "unsigned_volume", "num_pieces", "num_negative_pieces"]
+        out = _file_and_stdout(["duals", str(mesh_path), "-p", str(p)], tmp_path / "d.csv", capsys)
+        assert out == _csv_module_text(header, rows)
+        assert out.count("\r\n") == len(rows) + 1 and "\n" not in out.replace("\r\n", "")
+        for mode in ("signed", "unsigned"):
+            flag = ["--unsigned"] if mode == "unsigned" else []
+            argv = ["hodge", str(mesh_path), "-p", str(p), *flag]
+            out = _file_and_stdout(argv, tmp_path / "h.csv", capsys)
+            entries = hodge_star(mesh, p, mode=mode).entries.tolist()
+            assert out == _csv_module_text(["index", "entry"], enumerate(entries))
+
+
+def test_poisson_csv_format_pinned(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "divisions": 6, "seed": 2, "output_dir": str(tmp_path / "out"),
+        "columns": [{"family": "good", "hodge_mode": "signed"}],
+    }))
+    assert main(["poisson", str(config_path)]) == 0
+    capsys.readouterr()
+    result = figure1_experiment(family="good", hodge_mode="signed", divisions=6, seed=2)
+    mesh, solution = result.mesh, result.solution
+    expected = {
+        "good_signed_u.csv": _csv_module_text(
+            ["vertex_index", "x", "y", "u"],
+            [[i, x, y, u] for i, ((x, y), u) in enumerate(
+                zip(mesh.points.tolist(), solution.u.tolist()))],
+        ),
+        "good_signed_sigma.csv": _csv_module_text(
+            ["edge_index", "tail", "head", "sigma"],
+            [[i, *edge, s] for i, (edge, s) in enumerate(
+                zip(mesh.simplices[1].tolist(), solution.sigma.tolist()))],
+        ),
+        "good_signed_flux_vectors.csv": _csv_module_text(
+            ["triangle_index", "vec_x", "vec_y"],
+            [[t, *vec] for t, vec in enumerate(sigma_vectors(mesh, solution.sigma).tolist())],
+        ),
+    }
+    for name, text in expected.items():
+        assert (tmp_path / "out" / name).read_bytes().decode() == text
+
+
+def test_cached_parser_keeps_no_options_between_calls(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    mesh_path = tmp_path / "skew.node"
+    assert main(["fixture", "non_delaunay_square", "-o", str(mesh_path)]) == 0
+    mesh = load_complex(mesh_path)
+    capsys.readouterr()
+    # the two modes differ on this mesh, so a leaked --unsigned would show
+    assert not np.array_equal(hodge_star(mesh, 1).entries, hodge_star(mesh, 1, "unsigned").entries)
+    runs = [(["--unsigned"], "unsigned"), ([], "signed"), (["--mode", "unsigned"], "unsigned"),
+            ([], "signed")]
+    for flags, mode in runs:
+        assert main(["hodge", str(mesh_path), "-p", "1", *flags]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        entries = [float(row["entry"]) for row in rows]
+        assert entries == hodge_star(mesh, 1, mode=mode).entries.tolist()
+    # a --seed given once does not stick: the next call gets the default mesh
+    default = generate_fixture("perturbed_delaunay_square")
+    for seed in (["--seed", "3"], []):
+        argv = ["fixture", "perturbed_delaunay_square", *seed, "-o", str(tmp_path / "p")]
+        assert main(argv) == 0
+    assert np.array_equal(read_mesh(tmp_path / "p.node").points, default.points)
+    assert not np.array_equal(
+        generate_fixture("perturbed_delaunay_square", seed=3).points, default.points
+    )

@@ -254,6 +254,39 @@ def test_degenerate_circumsphere_makes_every_pair_degenerate():
         assert [status for _, _, status in report.pair_statuses] == [PAIR_DEGENERATE]
 
 
+def test_degenerate_circumsphere_spoils_only_the_simplices_touching_it():
+    # 30 random points plus a disjoint copy of the sliver pair above: only
+    # the sliver's pair and boundary edges may lose their real status
+    from scipy.spatial import Delaunay
+
+    points = np.random.default_rng(11).uniform(size=(30, 2))
+    cells = Delaunay(points).simplices
+    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.6234567, 1e-9], [0.5, -1.0]]) + [5.0, 0.0]
+    joined = build_complex(
+        np.vstack([points, sliver]), np.vstack([cells, [(30, 31, 32), (30, 31, 33)]])
+    )
+    alone = build_complex(points, cells)
+
+    def statuses(mesh, rows):
+        facets = mesh.simplices[1]
+        return {tuple(facets[f].tolist()): status for f, _, status in rows}
+
+    report = classify_complex(joined, check_duals=False)
+    expected = classify_complex(alone, check_duals=False)
+    pairs = statuses(joined, report.pair_statuses)
+    sides = statuses(joined, report.boundary_statuses)
+    assert pairs.pop((30, 31)) == PAIR_DEGENERATE
+    assert pairs == statuses(alone, expected.pair_statuses)
+    assert set(pairs.values()) == {PAIR_STRICT}
+    assert [sides.pop(edge) for edge in ((30, 32), (31, 32))] == [SIDE_MARGINAL] * 2
+    assert [sides.pop(edge) for edge in ((30, 33), (31, 33))] == [SIDE_YES] * 2
+    assert sides == statuses(alone, expected.boundary_statuses)
+    assert {SIDE_YES, SIDE_NO} <= set(sides.values())
+    # the signed duals still refuse the degenerate dimension
+    with pytest.raises(DegeneracyError):
+        classify_complex(joined)
+
+
 def test_near_tie_grids_match_point_route_and_stay_positive():
     # Jittered structured grids, with their grid diagonals or Qhull's, put
     # every diagonal pair within 1e-13 to 1e-9 (relative) of cocircular,

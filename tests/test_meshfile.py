@@ -167,3 +167,71 @@ def test_write_shape_validation(tmp_path):
         write_mesh(tmp_path / "x", square, [(0, 1, 2)], fmt="off")
     with pytest.raises(MeshFormatError):
         write_mesh(tmp_path / "x", np.zeros((3, 4)), [(0, 1, 2)])
+
+
+GOOD_NODE = "4 2 0 0\n1 0 0\n2 1 0\n3 0 1\n4 1 1\n"
+GOOD_ELE = "2 3 0\n1 1 2 3\n2 2 4 3\n"
+
+
+@pytest.mark.parametrize(
+    "node, ele, where, message",
+    [
+        ("4 2 0 0\n1 0 0\n2 1 0\n2 0 1\n4 1 1\n", GOOD_ELE, "node:4",
+         "duplicate node index 2"),
+        (GOOD_NODE + "5 2 2\n", GOOD_ELE, "node:6", "more node rows than declared (4)"),
+        (GOOD_NODE, GOOD_ELE + "3 1 2 4\n", "ele:4", "more element rows than declared (2)"),
+        (GOOD_NODE, "2 3 0\n1 1 2 3\n2 2 four 3\n", "ele:3", "bad integer in element row"),
+        (GOOD_NODE, "2 3 0\n1 1 2 3\n2 2 4\n", "ele:3", "expected 4 fields for element row"),
+        ("4 2 0 0\n2 0 0\n3 1 0\n4 0 1\n5 1 1\n", GOOD_ELE, "node:2",
+         "first node index must be 0 or 1, got 2"),
+        ("4 2 0 0\n1 0 0\n2 1\n3 0 1\n4 1 1\n", GOOD_ELE, "node:3", "expected 2 coordinates"),
+        ("4 2 0 0\n1 0 0\n2 1 0\n7 0 1\n4 1 1\n", GOOD_ELE, "node:4", "node index 7 out of range"),
+        # the earliest faulty row wins, whatever its fault: a missing
+        # coordinate on line 3 beats a bad index on line 4 ...
+        ("4 2 0 0\n1 0 0\n2 1\nx 0 1\n4 1 1\n", GOOD_ELE, "node:3", "expected 2 coordinates"),
+        # ... and a bad index on line 3 beats a duplicate and a bad number
+        ("4 2 0 0\n1 0 0\n2.5 1 0\n1 0 1\n4 1 y\n", GOOD_ELE, "node:3",
+         "bad integer in node index"),
+        (GOOD_NODE, "2 3 0\n1 1 2 9\n2 2 x 3\n", "ele:2", "vertex reference 9 out of range"),
+        (GOOD_NODE, "2 3 0\n1 1 2\n2 2 4 9\n", "ele:2", "expected 4 fields for element row"),
+    ],
+)
+def test_malformed_rows_exact_message(tmp_path, node, ele, where, message):
+    (tmp_path / "m.node").write_text(node)
+    (tmp_path / "m.ele").write_text(ele)
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(tmp_path / "m.node")
+    assert str(info.value) == f"{tmp_path / 'm'}.{where}: {message}"
+
+
+def test_ragged_attributes_and_inline_comments_accepted(tmp_path):
+    # attribute and boundary-marker columns may differ from row to row
+    (tmp_path / "r.node").write_text(
+        "4 2 2 1  # two attributes, one marker\n"
+        "1 0 0 0.5 1.5 1\n"
+        "2 1 0   # no attributes on this row\n"
+        "3 0 1 7 # one\n"
+        "  4 1 1 1 2 3 4 5\n"
+    )
+    (tmp_path / "r.ele").write_text(
+        "2 3 1 # one region attribute\n1 1 2 3 10  # region 10\n\n2 2 4 3\n"
+    )
+    mesh = read_mesh(tmp_path / "r.node")
+    assert mesh.points.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    assert mesh.cells.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert mesh.points.dtype == np.float64 and mesh.cells.dtype == np.intp
+
+
+def test_counts_past_int64_are_format_errors(tmp_path):
+    # a declared count is never allocated up front, so any size just
+    # disagrees with the rows that are there
+    huge = 10**25
+    (tmp_path / "h.node").write_text(f"{huge} 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
+    (tmp_path / "h.ele").write_text("1 3 0\n1 1 2 3\n")
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(tmp_path / "h.node")
+    assert str(info.value) == f"{tmp_path / 'h.node'}: declared {huge} nodes, found 3"
+    (tmp_path / "h.off").write_text(f"OFF\n3 {huge} 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {huge}\n")
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(tmp_path / "h.off")
+    assert str(info.value) == f"{tmp_path / 'h.off'}:6: vertex reference {huge} out of range"
