@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success (and "qualifying" for check), 1 not qualifying
-(check only), 2 usage or input errors. Designed so scripts can gate on
+(check only), 2 usage, input or output errors. Designed so scripts can gate on
 `signeddec check mesh.node`.
 """
 
@@ -275,7 +275,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SignedDecError as exc:
+    except (SignedDecError, OSError) as exc:  # OSError: an output file cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

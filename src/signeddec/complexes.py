@@ -6,9 +6,12 @@ lexicographic order; ``orientations[p]`` holds +-1 per simplex, for top
 simplices the parity of the user's vertex ordering; ``face_of_top[p]``
 holds, per top and local p-face (in ``itertools.combinations`` order),
 that face's index in ``simplices[p]``. ``facet_cofaces`` lists the tops of
-each codim-1 simplex; the signed incidences ``cofaces`` are read from the
-boundary operators on first use. Volumes and circumcenters are cached per
-dimension. Instances are immutable after build; all queries are read-only.
+each codim-1 simplex. The face table of dimension d >= 1, built from
+``face_of_top`` on first use, holds in column j of row i the face of
+d-simplex i that omits its vertex j; the boundary operators read it, and
+the signed incidences ``cofaces`` are read from those. Volumes and
+circumcenters are cached per dimension. Instances are immutable after
+build; all queries are read-only.
 """
 
 import itertools
@@ -39,8 +42,10 @@ class SimplicialComplex:
         self.n = len(simplices) - 1
         self.N = points.shape[1]
         self._geometry = [None] * (self.n + 1)  # see geometry()
+        self._face_tables = [None] * (self.n + 1)  # see face_table()
         self._cofaces = None
-        # signed_dual's DualTable memo, keyed by (dim, resolved tolerance)
+        # signed_dual's link-table and DualTable memos, keyed by (dim, tolerance)
+        self._link_cache = {}
         self._dual_volume_cache = {}
 
     # -- basic queries -------------------------------------------------
@@ -85,17 +90,34 @@ class SimplicialComplex:
             raise ComplexError(f"some queried {dim}-simplices are not in the complex")
         return found
 
+    def face_table(self, dim):
+        """Read-only (num_simplices(dim), dim + 1) array: entry (i, j) is the
+        index of the (dim-1)-face of dim-simplex i that omits its vertex j.
+        Built on first use, for 1 <= dim <= n."""
+        if not 1 <= dim <= self.n:
+            raise ValueError(f"face tables need 1 <= dim <= {self.n}, got {dim}")
+        if self._face_tables[dim] is None:
+            # local face k of a top, less its vertex j, is local (dim-1)-face omit[k][j]
+            lower = list(itertools.combinations(range(self.n + 1), dim))
+            local = itertools.combinations(range(self.n + 1), dim + 1)
+            omit = [[lower.index(c[:j] + c[j + 1:]) for j in range(dim + 1)] for c in local]
+            table = np.empty((self.num_simplices(dim), dim + 1), dtype=np.intp)
+            table[self.face_of_top[dim]] = self.face_of_top[dim - 1][:, omit]
+            table.setflags(write=False)
+            self._face_tables[dim] = table
+        return self._face_tables[dim]
+
     def orientation(self, dim, index):
         return int(self.orientations[dim][index])
 
     def apex_vertex(self, dim, face_index, coface_index):
         """The vertex of the coface not in the face (face dim = dim)."""
-        face, coface = self.simplices[dim][face_index], self.simplices[dim + 1][coface_index]
-        extra = np.setdiff1d(coface, face)
-        if len(extra) != 1:
-            raise ComplexError(f"{dim + 1}-simplex {tuple(coface.tolist())} does not extend "
-                               f"{dim}-simplex {tuple(face.tolist())}")
-        return int(extra[0])
+        column = self.face_table(dim + 1)[coface_index] == face_index
+        if not column.any():
+            raise ComplexError(
+                f"{dim + 1}-simplex {self.simplex_vertices(dim + 1, coface_index)} does not "
+                f"extend {dim}-simplex {self.simplex_vertices(dim, face_index)}")
+        return int(self.simplices[dim + 1][coface_index, column.argmax()])
 
     # -- cached geometry -----------------------------------------------
 
@@ -294,12 +316,8 @@ def boundary_operator(complex_, dim):
     entries +-1: column j holds the boundary chain of simplex j, including
     its stored orientation. Composing two successive operators gives zero.
     """
-    if not 1 <= dim <= complex_.n:
-        raise ValueError(f"boundary operator needs 1 <= dim <= {complex_.n}, got {dim}")
-    cells = complex_.simplices[dim]
-    faces = np.stack([np.delete(cells, pos, axis=1) for pos in range(dim + 1)], axis=1)
-    rows = complex_.simplex_indices(dim - 1, faces).ravel()
-    cols = np.repeat(np.arange(len(cells)), dim + 1)
+    faces = complex_.face_table(dim)  # raises ValueError unless 1 <= dim <= n
+    cols = np.repeat(np.arange(len(faces)), dim + 1)
     vals = np.outer(complex_.orientations[dim], (-1.0) ** np.arange(dim + 1)).ravel()
-    shape = (complex_.num_simplices(dim - 1), len(cells))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    shape = (complex_.num_simplices(dim - 1), len(faces))
+    return sparse.csr_matrix((vals, (faces.ravel(), cols)), shape=shape)

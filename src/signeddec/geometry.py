@@ -128,7 +128,8 @@ def batched_circumcenters(pts, tol=None):
     k = kp1 - 1
     if k == 0:
         return pts[:, 0, :].copy(), np.zeros(m), np.zeros(m, dtype=bool)
-    edges = pts[:, 1:, :] - pts[:, :1, :]
+    spokes = pts - pts[:, :1, :]  # vertex offsets to vertex 0
+    edges = spokes[:, 1:]
     gram = edges @ edges.transpose(0, 2, 1)
     rhs = 0.5 * np.einsum("mii->mi", gram)
     singular = np.zeros(m, dtype=bool)
@@ -140,12 +141,13 @@ def batched_circumcenters(pts, tol=None):
         singular = np.linalg.slogdet(gram)[0] == 0.0
         gram[singular] = np.eye(k)
         coeff = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    centers = pts[:, 0, :] + np.einsum("mk,mkn->mn", coeff, edges)
-    dists = np.linalg.norm(pts - centers[:, None, :], axis=2)
+    offset = np.einsum("mk,mkn->mn", coeff, edges)
+    # measured from offsets, so the check does not depend on where the simplex sits
+    dists = np.linalg.norm(spokes - offset[:, None], axis=2)
     radii = dists.mean(axis=1)
     spread = dists.max(axis=1) - dists.min(axis=1)
     degenerate = singular | (radii == 0.0) | ~(spread <= max(eps, 1e-9) * radii)
-    return centers, radii, degenerate
+    return pts[:, 0, :] + offset, radii, degenerate
 
 
 def circumcenter(points, tol=None):

@@ -39,7 +39,7 @@ def _data_rows(path, what):
     """(line number, tokens) of every non-comment, non-blank line."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
     rows = [
         (lineno, tokens)

@@ -282,7 +282,7 @@ def sigma_vectors(mesh, sigma):
     cells = mesh.simplices[2]
     tails, heads = cells[:, [0, 0, 1]], cells[:, [1, 2, 2]]
     rows = mesh.points[heads] - mesh.points[tails]
-    vals = np.asarray(sigma)[mesh.simplex_indices(1, np.stack([tails, heads], axis=-1))]
+    vals = np.asarray(sigma)[mesh.face_table(2)[:, ::-1]]  # edges (0, 1), (0, 2), (1, 2)
     # all triangles' 3x2 least-squares problems at once, by Householder QR
     q, r = np.linalg.qr(rows)
     return np.linalg.solve(r, np.einsum("tij,ti->tj", q, vals)[..., None])[..., 0]

@@ -9,16 +9,16 @@ simplex's circumcenter against the side of the vertex that extends the
 smaller simplex: +1 same side, -1 opposite, 0 on the dividing hyperplane
 (such a piece is marginal and contributes zero).
 
-Every chain ends in exactly one top simplex. In a top with sorted vertices
-0..n, a chain from a p-face is fixed by its base face and the order in
-which the other n - p vertices are added, so each top holds
-C(n+1, p+1) (n-p)! chains. These local patterns are enumerated once per
-(n, p). The chain table of dimension p applies them to all tops in one
-numpy pass: faces along each chain are read from the complex's
-``face_of_top`` tables, every link sign and piece volume is computed at
-once, and ``np.bincount`` sums the pieces per base simplex. Tops go through
-in fixed-size blocks so the arrays stay small. Each table, totals and
-pieces, is memoized on the complex per (p, tolerance).
+Each link of a chain is orthogonal to all earlier ones, so a piece's volume
+is the product of its link lengths over (n-p)!, and the sum over chains
+factorises: D_p(s) = 1/(n-p) sum_{t > s} sign(s, t) |c_t - c_s| D_{p+1}(t),
+with D_n = 1. The link table of dimension d holds the sign and length of
+every link into a d-simplex t, entry (t, j) for the face omitting vertex j
+(the complex's face table). One sweep from n down to p applies the
+recursion with ``np.bincount`` to signed and unsigned volumes and to signed
+and nonzero chain counts, whose difference counts the negative pieces.
+Pieces are gathered per simplex on request. Link tables and DualTables are
+memoized on the complex per (dim, tolerance).
 """
 
 import functools
@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import ComplexError, DegeneracyError
-from .geometry import batched_volumes, circumcenter, halfspace_sign
+from .geometry import circumcenter, halfspace_sign
 
 __all__ = [
     "ElementaryDual",
@@ -45,10 +45,6 @@ __all__ = [
     "orientation_sign_via_determinant",
     "regular_simplex",
 ]
-
-# Top simplices per block of the chain table. A block of tetrahedra at
-# p = 0 (24 chains of 4 circumcenters each) then holds a few MiB of arrays.
-_TOP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class DualCell:
 
     @property
     def signed_volume(self):
-        return float(sum(p.sign * p.unsigned_volume for p in self.pieces))
+        return float(sum(p.signed_volume for p in self.pieces))
 
     @property
     def unsigned_volume(self):
@@ -105,48 +101,38 @@ class DualCell:
 
     def restricted_signed_volume(self, top_index):
         """Signed volume of the pieces inside one top simplex."""
-        return float(
-            sum(
-                p.sign * p.unsigned_volume
-                for p in self.pieces
-                if p.top_index == top_index
-            )
-        )
+        return float(sum(p.signed_volume for p in self.pieces if p.top_index == top_index))
 
 
 @dataclass(frozen=True)
 class DualTable:
-    """The chain table of one dimension p, as read-only arrays.
-
-    Per p-simplex: ``signed_volume``, ``unsigned_volume``, ``num_pieces``
-    and ``num_negative_pieces``. Per piece, sorted by base simplex and then
-    chain: ``chain`` (simplex indices at dimensions p+1 .. n),
-    ``step_signs`` (one per link) and ``piece_volume`` (unsigned). The
-    pieces of p-simplex i are rows offsets[i]:offsets[i+1].
-    """
+    """The duals of every p-simplex of one dimension, as read-only arrays:
+    ``signed_volume``, ``unsigned_volume``, ``num_pieces`` and
+    ``num_negative_pieces``."""
 
     signed_volume: np.ndarray
     unsigned_volume: np.ndarray
     num_pieces: np.ndarray
     num_negative_pieces: np.ndarray
-    offsets: np.ndarray
-    chain: np.ndarray
-    step_signs: np.ndarray
-    piece_volume: np.ndarray
 
 
-def _link_signs(face_centers, coface_centers, apexes, eps):
-    """Step signs of a stack of links, one per row of the (..., N) inputs.
-
-    The sign of (c_coface - c_face) . (apex - c_face); 0 when either factor
-    vanishes or the dot product is within eps of their norms' product.
-    """
-    across = coface_centers - face_centers
-    toward = apexes - face_centers
+def _links(complex_, dim, faces, cofaces, apexes, eps):
+    """Step signs and lengths |c_coface - c_face| of links from the
+    (dim-1)-simplices faces[i] to the dim-simplices cofaces[i], which add the
+    vertices apexes[i]. A sign is that of (c_coface - c_face) . (apex - c_face):
+    0 when either factor vanishes, when the dot product is within eps of their
+    norms' product, or when either circumcenter is degenerate."""
+    _, face_centers, _, face_flags = complex_.geometry(dim - 1)
+    _, coface_centers, _, coface_flags = complex_.geometry(dim)
+    origin = face_centers[faces]
+    across = coface_centers[cofaces] - origin
+    toward = complex_.points[apexes] - origin
     value = (across * toward).sum(axis=-1)
-    scale = np.linalg.norm(across, axis=-1) * np.linalg.norm(toward, axis=-1)
+    length = np.linalg.norm(across, axis=-1)
+    scale = length * np.linalg.norm(toward, axis=-1)
     marginal = (scale == 0.0) | (np.abs(value) <= eps * scale)
-    return np.where(marginal, 0, np.sign(value)).astype(np.int8)
+    marginal |= face_flags[faces] | coface_flags[cofaces]
+    return np.where(marginal, 0, np.sign(value)).astype(np.int8), length
 
 
 def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
@@ -159,19 +145,12 @@ def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     """
     faces = np.asarray(face_indices, dtype=np.intp)
     cofaces = np.asarray(coface_indices, dtype=np.intp)
-    face_rows = complex_.simplices[dim][faces]
     coface_rows = complex_.simplices[dim + 1][cofaces]
-    extra = (coface_rows[:, :, None] != face_rows[:, None, :]).all(axis=2)
+    extra = (coface_rows[:, :, None] != complex_.simplices[dim][faces][:, None, :]).all(axis=2)
     if (extra.sum(axis=1) != 1).any():
         raise ComplexError("coface does not extend face")
-    _, face_centers, _, face_flags = complex_.geometry(dim)
-    _, coface_centers, _, coface_flags = complex_.geometry(dim + 1)
-    signs = _link_signs(
-        face_centers[faces], coface_centers[cofaces], complex_.points[coface_rows[extra]],
-        max(tolerance(tol), 1e-14),
-    )
-    signs[face_flags[faces] | coface_flags[cofaces]] = 0
-    return signs
+    eps = max(tolerance(tol), 1e-14)
+    return _links(complex_, dim + 1, faces, cofaces, coface_rows[extra], eps)[0]
 
 
 def step_sign(complex_, dim, face_index, coface_index, tol=None):
@@ -187,92 +166,57 @@ def step_sign(complex_, dim, face_index, coface_index, tol=None):
     return int(step_signs(complex_, dim, [face_index], [coface_index], tol=tol)[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_patterns(n, p):
-    """Chains of a top with sorted local vertices 0..n, from a p-face.
-
-    Returns (levels, apexes): levels[c, k] is the position of chain c's
-    (p+k)-face among the top's local (p+k)-faces in lexicographic order,
-    which is the column order of ``face_of_top[p+k]``, and apexes[c, k]
-    the local vertex that link k adds.
-    """
-    faces = [list(itertools.combinations(range(n + 1), d + 1)) for d in range(p, n + 1)]
-    chains = [
-        (base, order)
-        for base in faces[0]
-        for order in itertools.permutations(sorted(set(range(n + 1)) - set(base)))
-    ]
-    levels = [
-        [faces[k].index(tuple(sorted(base + order[:k]))) for k in range(n - p + 1)]
-        for base, order in chains
-    ]
-    levels = np.array(levels)
-    apexes = np.array([order for _, order in chains], dtype=np.intp).reshape(len(chains), n - p)
-    for arr in (levels, apexes):  # shared by every caller of the cache
-        arr.setflags(write=False)
-    return levels, apexes
-
-
-def _chain_table(complex_, dim, eps):
-    """Build the DualTable of one dimension, one block of tops at a time."""
-    n = complex_.n
-    levels, apexes = _chain_patterns(n, dim)
-    centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
-    parts = []
-    tops = complex_.simplices[n]
-    for start in range(0, len(tops), _TOP_BLOCK):
-        block = slice(start, start + _TOP_BLOCK)
-        # simplex index of every level of every chain: (tops, chains, levels)
-        chain = np.stack(
-            [
-                complex_.face_of_top[dim + k][block][:, levels[:, k]]
-                for k in range(n - dim + 1)
-            ],
-            axis=-1,
-        )
-        path = np.stack([c[chain[..., k]] for k, c in enumerate(centers)], axis=2)
-        steps = _link_signs(
-            path[:, :, :-1], path[:, :, 1:], complex_.points[tops[block][:, apexes]], eps
-        )
-        volume = batched_volumes(path.reshape(-1, *path.shape[2:]))
-        parts.append(
-            (chain.reshape(len(volume), -1), steps.reshape(len(volume), -1), volume)
-        )
-    chain, steps, volume = (np.concatenate(columns) for columns in zip(*parts))
-    del parts  # the blocks are copied; free them before sorting copies again
-    # base simplex first, then the chain: the depth-first order of cofaces
-    order = np.lexsort(chain.T[::-1])
-    chain, steps, volume = chain[order], steps[order], volume[order]
-    base, sign = chain[:, 0], steps.prod(axis=1)
-    count = complex_.num_simplices(dim)
-    num_pieces = np.bincount(base, minlength=count)
-    table = DualTable(
-        signed_volume=np.bincount(base, weights=sign * volume, minlength=count),
-        unsigned_volume=np.bincount(base, weights=volume, minlength=count),
-        num_pieces=num_pieces,
-        num_negative_pieces=np.bincount(base[sign < 0], minlength=count),
-        offsets=np.concatenate([[0], np.cumsum(num_pieces)]),
-        chain=chain[:, 1:],
-        step_signs=steps,
-        piece_volume=volume,
-    )
-    for column in vars(table).values():
-        column.setflags(write=False)
-    return table
+def _link_table(complex_, dim, eps):
+    """Read-only (signs, lengths) of every link into a dim-simplex, each of
+    shape (num_simplices(dim), dim + 1): entry (t, j) is the link from the
+    face of simplex t that omits its vertex j. Memoized per (dim, eps)."""
+    cache = complex_._link_cache
+    if (dim, eps) not in cache:
+        faces = complex_.face_table(dim)
+        cofaces = np.repeat(np.arange(len(faces)), dim + 1)
+        links = _links(complex_, dim, faces.ravel(), cofaces, complex_.simplices[dim].ravel(), eps)
+        cache[dim, eps] = tuple(column.reshape(faces.shape) for column in links)
+        for column in cache[dim, eps]:
+            column.setflags(write=False)
+    return cache[dim, eps]
 
 
 def dual_table(complex_, dim, tol=None):
     """The :class:`DualTable` of signed duals at one dimension.
 
     For p = n every simplex has one piece of volume 1 (point measure).
-    Memoized on the complex per (dim, resolved tolerance); the geometry is
-    immutable so the memo never goes stale.
+    One sweep from n down to dim computes the tables of all dimensions in
+    between; each is memoized on the complex per (dim, resolved tolerance),
+    and the geometry is immutable so the memo never goes stale.
     """
-    key = (dim, tolerance(tol))
-    cache = complex_._dual_volume_cache
-    if key not in cache:
-        cache[key] = _chain_table(complex_, dim, max(key[1], 1e-14))
-    return cache[key]
+    tol = tolerance(tol)
+    cache, n = complex_._dual_volume_cache, complex_.n
+    if not 0 <= dim <= n:
+        raise ValueError(f"dual tables need 0 <= dim <= {n}, got {dim}")
+    if (dim, tol) in cache:
+        return cache[dim, tol]
+    for d in range(dim, n + 1):
+        complex_.circumcenters(d)  # raises on the lowest degenerate dimension
+    # per simplex: signed and unsigned dual volume, signed and nonzero chain count
+    totals = np.ones((4, complex_.num_simplices(n)))
+    for p in range(n, dim - 1, -1):
+        if p < n:
+            signs, lengths = _link_table(complex_, p + 1, max(tol, 1e-14))
+            faces = complex_.face_table(p + 1).ravel()
+            weights = (signs * lengths / (n - p), lengths / (n - p), signs, np.abs(signs))
+            totals = np.array([
+                np.bincount(faces, (w * t[:, None]).ravel(), complex_.num_simplices(p))
+                for w, t in zip(weights, totals)
+            ])
+        signed, unsigned, signed_count, nonzero_count = totals
+        table = DualTable(
+            signed, unsigned, np.bincount(complex_.face_of_top[p].ravel()) * math.factorial(n - p),
+            ((nonzero_count - signed_count) / 2).astype(np.intp),
+        )
+        for column in vars(table).values():
+            column.setflags(write=False)
+        cache.setdefault((p, tol), table)
+    return cache[dim, tol]
 
 
 def dual_volumes(complex_, dim, tol=None):
@@ -285,29 +229,61 @@ def dual_volumes(complex_, dim, tol=None):
     return table.signed_volume, table.unsigned_volume
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_patterns(n, p):
+    """Chains of a top with sorted local vertices 0..n, from a p-face.
+
+    Returns (levels, positions): levels[c, k] is the column of chain c's
+    (p+k)-face in ``face_of_top[p+k]`` (local faces in lexicographic order)
+    and positions[c, k] that of its link k in the link table: the position
+    of the vertex the link adds within the sorted (p+k+1)-face.
+    """
+    faces = [list(itertools.combinations(range(n + 1), d + 1)) for d in range(p, n + 1)]
+    levels, positions = [], []
+    for base in faces[0]:
+        for order in itertools.permutations(sorted(set(range(n + 1)) - set(base))):
+            cells = [tuple(sorted(base + order[:k])) for k in range(n - p + 1)]
+            levels.append([faces[k].index(cell) for k, cell in enumerate(cells)])
+            positions.append([cell.index(vertex) for cell, vertex in zip(cells[1:], order)])
+    levels = np.array(levels)
+    positions = np.array(positions, dtype=np.intp).reshape(len(levels), n - p)
+    for arr in (levels, positions):  # shared by every caller of the cache
+        arr.setflags(write=False)
+    return levels, positions
+
+
 def elementary_duals(complex_, dim, index, tol=None):
-    """All elementary dual pieces of the given p-simplex, read from the
-    chain table in lexicographic order of their chains. For a top simplex
-    the single piece is its circumcenter with 0-volume 1 and empty chain.
+    """All elementary dual pieces of the given p-simplex, in depth-first
+    (lexicographic) order of their chains, gathered from the tops that
+    contain it with signs and lengths from the link tables. For a top
+    simplex the single piece is its circumcenter with 0-volume 1 and empty
+    chain.
     """
     if not 0 <= index < complex_.num_simplices(dim):
         raise IndexError(f"no {dim}-simplex with index {index}")
-    table = dual_table(complex_, dim, tol=tol)
-    rows = slice(table.offsets[index], table.offsets[index + 1])
-    centers = [complex_.circumcenters(d) for d in range(dim, complex_.n + 1)]
-    pieces = []
-    for chain, steps, volume in zip(
-        table.chain[rows].tolist(), table.step_signs[rows].tolist(),
-        table.piece_volume[rows].tolist(),
-    ):
-        pieces.append(
-            ElementaryDual(
-                base_dim=dim, base_index=index, chain=tuple(chain),
-                vertices=np.vstack([c[i] for c, i in zip(centers, [index, *chain])]),
-                step_signs=tuple(steps), sign=math.prod(steps), unsigned_volume=volume,
-            )
-        )
-    return pieces
+    n, eps = complex_.n, max(tolerance(tol), 1e-14)
+    centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
+    levels, positions = _chain_patterns(n, dim)
+    tops, local = np.nonzero(complex_.face_of_top[dim] == index)
+    holder, pattern = np.nonzero(local[:, None] == levels[:, 0])
+    # simplex index of every level of every chain, base first
+    chain = np.stack([
+        complex_.face_of_top[dim + k][tops[holder], levels[pattern, k]]
+        for k in range(n - dim + 1)
+    ], axis=1)
+    steps, lengths = np.ones((2, len(chain), n - dim))
+    for k in range(n - dim):
+        signs, length = _link_table(complex_, dim + k + 1, eps)
+        link = chain[:, k + 1], positions[pattern, k]
+        steps[:, k], lengths[:, k] = signs[link], length[link]
+    volumes = lengths.prod(axis=1) / math.factorial(n - dim)
+    vertices = np.stack([c[chain[:, k]] for k, c in enumerate(centers)], axis=1)
+    pieces = zip(chain[:, 1:].tolist(), vertices, steps.astype(int).tolist(), volumes.tolist())
+    return sorted(
+        (ElementaryDual(dim, index, tuple(rest), points, tuple(signs), math.prod(signs), volume)
+         for rest, points, signs, volume in pieces),
+        key=lambda piece: piece.chain,
+    )
 
 
 def signed_dual_volume(complex_, dim, index, tol=None):

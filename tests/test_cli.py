@@ -56,6 +56,25 @@ def test_check_missing_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_mesh_is_input_error(good_mesh_path, tmp_path, capsys):
+    bad = tmp_path / "bad.node"
+    bad.write_bytes(good_mesh_path.read_bytes().rstrip() + b"\xff\n")
+    assert main(["check", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_output_into_missing_directory_is_error(good_mesh_path, tmp_path, capsys):
+    missing = tmp_path / "nodir"
+    for argv in (
+        ["fixture", "structured_square", "-o", str(missing / "m")],
+        ["hodge", str(good_mesh_path), "-p", "0", "-o", str(missing / "x.csv")],
+        ["duals", str(good_mesh_path), "-p", "0", "-o", str(missing / "d.csv")],
+    ):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

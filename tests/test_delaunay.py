@@ -23,6 +23,7 @@ from signeddec.delaunay import (
     pair_status_points,
 )
 from signeddec.errors import DegeneracyError
+from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -285,6 +286,20 @@ def test_degenerate_circumsphere_spoils_only_the_simplices_touching_it():
     # the signed duals still refuse the degenerate dimension
     with pytest.raises(DegeneracyError):
         classify_complex(joined)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_translation_flags_no_circumcenter_and_keeps_statuses(name):
+    # the equidistance check measures from each simplex's first vertex, so
+    # moving a unit-size mesh 1e6 away flags nothing and keeps every status
+    mesh = generate_fixture(name)
+    moved = build_complex(mesh.points + 1e6, mesh.simplices[mesh.n])
+    for dim in range(moved.n + 1):
+        assert not moved.geometry(dim)[3].any()
+    report, moved_report = classify_complex(mesh), classify_complex(moved)
+    assert moved_report.pair_statuses == report.pair_statuses
+    assert moved_report.boundary_statuses == report.boundary_statuses
+    assert moved_report.verdict == report.verdict
 
 
 def test_near_tie_grids_match_point_route_and_stay_positive():

@@ -144,6 +144,13 @@ def test_missing_and_truncated_files(tmp_path):
         read_mesh(tmp_path / "t.node")
 
 
+def test_non_utf8_file_is_format_error(tmp_path):
+    node = tmp_path / "m.node"
+    node.write_bytes(b"3 2 0 0\n1 0 0\n2 1 0\n3 0 \xff\n")
+    with pytest.raises(MeshFormatError, match="m.node"):
+        read_mesh(node)
+
+
 def test_off_rejects_non_triangles(tmp_path):
     (tmp_path / "q.off").write_text(
         "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from signeddec import signed_dual
 from signeddec.complexes import build_complex
+from signeddec.delaunay import classify_complex
 from signeddec.errors import ComplexError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
 from signeddec.geometry import circumcenter, simplex_volume
@@ -315,16 +315,49 @@ def test_elementary_duals_in_depth_first_chain_order():
             assert chains == depth_first(p, i)
 
 
-def test_top_blocks_do_not_change_the_table(monkeypatch):
-    whole = generate_fixture("delaunay_tet_cube", divisions=3)
-    points, tops = whole.points, whole.simplices[3]
-    assert len(tops) > 5 * 7
-    monkeypatch.setattr(signed_dual, "_TOP_BLOCK", 7)
-    blocked = build_complex(points, tops)
-    for p in range(4):
-        a, b = dual_table(whole, p), dual_table(blocked, p)
-        for name, column in vars(a).items():
-            np.testing.assert_array_equal(column, getattr(b, name), err_msg=name)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_elementary_duals_sum_to_dual_table(name):
+    # the two read paths, piece gather and totals sweep, agree per simplex
+    mesh = generate_fixture(name, **_SMALL_FIXTURES[name])
+    for p in range(mesh.n + 1):
+        table = dual_table(mesh, p)
+        cells = [signed_dual_volume(mesh, p, i) for i in range(mesh.num_simplices(p))]
+        scale = np.abs(table.unsigned_volume).max()
+        for got, want in (
+            ([cell.signed_volume for cell in cells], table.signed_volume),
+            ([cell.unsigned_volume for cell in cells], table.unsigned_volume),
+        ):
+            assert np.abs(np.array(got) - want).max() <= 1e-14 * scale
+        assert [len(cell.pieces) for cell in cells] == table.num_pieces.tolist()
+        assert [cell.num_negative_pieces for cell in cells] == table.num_negative_pieces.tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_duals_scale_and_statuses_hold_under_uniform_scaling(name, scale):
+    # a p-dual is an (n-p)-volume; pair and boundary statuses are unit-free
+    mesh = generate_fixture(name, **_SMALL_FIXTURES[name])
+    scaled = build_complex(mesh.points * scale, mesh.simplices[mesh.n])
+    for p in range(mesh.n + 1):
+        table, scaled_table = dual_table(mesh, p), dual_table(scaled, p)
+        factor = scale ** (mesh.n - p)
+        for got, want in (
+            (scaled_table.signed_volume, table.signed_volume),
+            (scaled_table.unsigned_volume, table.unsigned_volume),
+        ):
+            assert np.abs(got / factor - want).max() <= 1e-13 * np.abs(table.unsigned_volume).max()
+        np.testing.assert_array_equal(scaled_table.num_pieces, table.num_pieces)
+    report, scaled_report = classify_complex(mesh), classify_complex(scaled)
+    assert scaled_report.pair_statuses == report.pair_statuses
+    assert scaled_report.boundary_statuses == report.boundary_statuses
+    assert scaled_report.verdict == report.verdict
+
+
+def test_dual_table_rejects_dimensions_out_of_range():
+    mesh = generate_fixture("structured_square", divisions=2)
+    for dim in (-1, mesh.n + 1):
+        with pytest.raises(ValueError):
+            dual_table(mesh, dim)
 
 
 def test_step_signs_batch_matches_single_links():
