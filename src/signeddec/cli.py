@@ -17,7 +17,7 @@ from .errors import SignedDecError
 from .fixtures import FIXTURE_NAMES, generate_fixture
 from .hodge import hodge_star, validate_hodge
 from .meshfile import format_rows, load_complex, write_mesh
-from .poisson import FIGURE1_COLUMNS, figure1_experiment, sigma_vectors
+from .poisson import FIGURE1_COLUMNS, figure1_experiment
 from .signed_dual import dual_table
 
 SCHEMA_VERSION = 1
@@ -165,7 +165,7 @@ def _cmd_poisson(args):
             "edge_index,tail,head,sigma", "%d,%d,%d,%.17g", range(mesh.num_simplices(1)),
             *mesh.simplices[1].T.tolist(), result.solution.sigma.tolist(),
         ))
-        vectors = sigma_vectors(mesh, result.solution.sigma)
+        vectors = result.flux_vectors
         _write_out(out_dir / f"{tag}_flux_vectors.csv", _csv(
             "triangle_index,vec_x,vec_y", "%d,%.17g,%.17g", range(len(vectors)),
             *vectors.T.tolist(),

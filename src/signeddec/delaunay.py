@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import tolerance
 from .geometry import circumcenter, flatten_pair, halfspace_sign
-from .signed_dual import dual_volumes, step_sign, step_signs
+from .signed_dual import _boundary_step_signs, dual_volumes, step_sign
 
 __all__ = [
     "PAIR_STRICT",
@@ -288,10 +288,10 @@ def classify_complex(complex_, tol=None, check_duals=True):
     rows = np.flatnonzero(tops[:, 1] >= 0)
     statuses = _pair_statuses(complex_, rows, tops[rows], apexes[rows], tol=tol)
     report.pair_statuses = [(f, pair, s) for (f, pair), s in zip(internal, statuses)]
-    boundary = np.flatnonzero(tops[:, 1] < 0)
-    sides = step_signs(complex_, complex_.n - 1, boundary, tops[boundary, 0], tol=tol).tolist()
+    boundary, sides = _boundary_step_signs(complex_, tol=tol)
     report.boundary_statuses = [
-        (f, top, _SIDE_STATUS[side]) for (f, top), side in zip(complex_.boundary_faces(), sides)
+        (f, top, _SIDE_STATUS[side])
+        for f, top, side in zip(boundary.tolist(), tops[boundary, 0].tolist(), sides.tolist())
     ]
     if check_duals:
         for dim in range(complex_.n + 1):

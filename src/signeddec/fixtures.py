@@ -1,11 +1,18 @@
 """Deterministic mesh fixtures with verified properties.
 
-Random generators derive their RNG from (seed, attempt) and re-verify the
-advertised property after each attempt (strict pairwise-Delaunay pairs,
+Every random generator is an ``attempt(rng)`` body run by one seeded
+attempt loop, :func:`_first_accepted`: attempt k draws from
+``_rng(seed, k)`` for k < max_tries, builds a candidate mesh and
+re-verifies the advertised property (strict pairwise-Delaunay pairs,
 one-sided boundary, presence of an obtuse triangle, a planted defect, ...),
-so a returned mesh always has the property and the same seed always gives
-the same mesh. Qhull does the raw triangulations; all property checks go
-through this package's own predicates.
+returning the mesh or None. A triangulation or build that raises
+DegeneracyError or NonManifoldError rejects the attempt too, and when no
+attempt is accepted the loop raises the generator's FixtureError. So a
+returned mesh always has the property and the same seed always gives the
+same mesh. Qhull does the raw triangulations; all property checks go
+through this package's own predicates, and the cheap geometric gates
+before them are array passes over all cells. The grid families share one
+checked axis (``divisions`` >= 1) and one array of grid cells.
 """
 
 import numpy as np
@@ -28,6 +35,29 @@ def _rng(seed, attempt):
     return np.random.default_rng(parts + (int(attempt), 0x5D))
 
 
+def _first_accepted(attempt, seed, max_tries, failure):
+    """The first mesh that attempt(rng) returns for rng = _rng(seed, k),
+    k = 0 .. max_tries - 1. An attempt is rejected when it returns None or
+    raises DegeneracyError or NonManifoldError; if all are, raise
+    FixtureError(failure)."""
+    for k in range(max_tries):
+        try:
+            mesh = attempt(_rng(seed, k))
+        except (DegeneracyError, NonManifoldError):
+            continue
+        if mesh is not None:
+            return mesh
+    raise FixtureError(failure)
+
+
+def _lines(divisions, length):
+    """divisions + 1 evenly spaced coordinates on [0, length]: the axis of
+    every grid fixture, so a grid of no cells is rejected here."""
+    if divisions < 1:
+        raise FixtureError(f"divisions must be at least 1, got {divisions}")
+    return np.linspace(0.0, length, divisions + 1)
+
+
 def _jittered(points, free, scale, rng):
     """points plus scale * U(-1, 1) on each free coordinate, drawn in one
     call in row-major order: per point, x before y before z."""
@@ -37,48 +67,67 @@ def _jittered(points, free, scale, rng):
     return points + shift
 
 
+def _grid_points(divisions, width, height):
+    """(divisions+1)^2 points of the rectangle, row by row, x fastest."""
+    mesh = np.meshgrid(_lines(divisions, width), _lines(divisions, height))
+    return np.stack(mesh, axis=-1).reshape(-1, 2)
+
+
+def _grid_cells(divisions):
+    """The triangles (a, b, c) and (a, c, d) of each grid square, row by
+    row, where a = j * stride + i, b = a + 1, c = b + stride, d = a + stride."""
+    stride = divisions + 1
+    corners = (np.arange(divisions)[:, None] * stride + np.arange(divisions)).ravel()
+    halves = np.array([[0, 1, stride + 1], [0, stride + 1, stride]])
+    return (corners[:, None, None] + halves).reshape(-1, 3)
+
+
 def _grid_2d(divisions, width, height, jitter, rng, locked_columns=()):
     """(divisions+1)^2 grid points; interior points jitter in both
     coordinates, side points only along their side, corners stay put, so
     the domain remains the exact rectangle. Columns in ``locked_columns``
     keep their exact x (used to reserve a straight fold line)."""
-    xs = np.linspace(0.0, width, divisions + 1)
-    ys = np.linspace(0.0, height, divisions + 1)
+    points = _grid_points(divisions, width, height)
     lines = np.arange(divisions + 1)
     inner = (lines > 0) & (lines < divisions)
     free_x = inner & ~np.isin(lines, list(locked_columns))
-    grid = np.stack(np.meshgrid(xs, ys), axis=-1)
     free = np.stack(np.meshgrid(free_x, inner), axis=-1)
     scale = jitter * np.array([width / divisions, height / divisions])
-    return _jittered(grid.reshape(-1, 2), free.reshape(-1, 2), scale, rng)
+    return _jittered(points, free.reshape(-1, 2), scale, rng)
 
 
 def _grid_3d(divisions, rng, jitter):
     """(divisions+1)^3 points of the unit cube, x fastest; every coordinate
     strictly inside (0, 1) jitters."""
-    axis = np.linspace(0.0, 1.0, divisions + 1)
+    axis = _lines(divisions, 1.0)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
     return _jittered(grid, (grid > 0.0) & (grid < 1.0), jitter * (1.0 / divisions), rng)
 
 
 def _triangulate(points):
-    """Qhull Delaunay cells; None if any input point was dropped."""
+    """Qhull Delaunay cells; DegeneracyError if any input point was dropped."""
     cells = _QhullDelaunay(points).simplices
     if len(np.unique(cells)) != len(points):
-        return None
+        raise DegeneracyError("Qhull dropped a coincident or coplanar point")
     return cells
 
 
-def _statuses_ok(report, allow_boundary_no=0):
-    """All internal pairs strict; boundary one-sided except exactly
-    ``allow_boundary_no`` facets with status "no" (and none marginal)."""
-    if any(s != PAIR_STRICT for _, _, s in report.pair_statuses):
-        return False
+def _clean_report(complex_, allow_boundary_no=0):
+    """The classification (no duals) of a complex whose internal pairs are
+    all strict and whose boundary is one-sided except exactly
+    ``allow_boundary_no`` facets with status "no" (and none marginal);
+    None for any other complex."""
+    report = classify_complex(complex_, check_duals=False)
     sides = [s for _, _, s in report.boundary_statuses]
-    return (
-        sides.count(SIDE_NO) == allow_boundary_no
-        and all(s in (SIDE_YES, SIDE_NO) for s in sides)
-    )
+    strict = all(s == PAIR_STRICT for _, _, s in report.pair_statuses)
+    clean = strict and set(sides) <= {SIDE_YES, SIDE_NO}
+    return report if clean and sides.count(SIDE_NO) == allow_boundary_no else None
+
+
+def _qualifying(points):
+    """The Qhull Delaunay complex of points if it has a clean report, else None."""
+    complex_ = build_complex(points, _triangulate(points))
+    return complex_ if _clean_report(complex_) else None
 
 
 def _has_obtuse_triangle(complex_, margin=1e-9):
@@ -89,6 +138,17 @@ def _has_obtuse_triangle(complex_, margin=1e-9):
     return bool((cosine < -margin).any())
 
 
+def _dots(vectors):
+    """Each row's dot product with itself, as np.dot computes it."""
+    return (vectors[:, None] @ vectors[:, :, None]).ravel()
+
+
+def _on_side(complex_, facet, *sides):
+    """Whether all vertices of an edge have x close to one of ``sides``."""
+    xs = complex_.simplex_points(1, facet)[:, 0]
+    return any(np.allclose(xs, x) for x in sides)
+
+
 def structured_square(divisions=4, width=1.0, height=1.0):
     """Uniform grid of right isoceles triangles (all diagonals parallel).
 
@@ -96,41 +156,7 @@ def structured_square(divisions=4, width=1.0, height=1.0):
     the diagonal edges get zero signed dual length and the mesh does not
     qualify. Useful as the canonical boundary case.
     """
-    xs = np.linspace(0.0, width, divisions + 1)
-    ys = np.linspace(0.0, height, divisions + 1)
-    points = np.array([(x, y) for y in ys for x in xs])
-    cells = []
-    stride = divisions + 1
-    for j in range(divisions):
-        for i in range(divisions):
-            a = j * stride + i
-            b = a + 1
-            c = b + stride
-            d = a + stride
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    return build_complex(points, cells)
-
-
-def _square_attempts(divisions, width, height, jitter, seed, max_tries, drop_left=False):
-    for attempt in range(max_tries):
-        rng = _rng(seed, attempt)
-        points = _grid_2d(divisions, width, height, jitter, rng)
-        if drop_left:
-            keep = ~(
-                (points[:, 0] == 0.0)
-                & (points[:, 1] > 0.0)
-                & (points[:, 1] < height)
-            )
-            points = points[keep]
-        cells = _triangulate(points)
-        if cells is None:
-            continue
-        try:
-            complex_ = build_complex(points, cells)
-        except (DegeneracyError, NonManifoldError):
-            continue
-        yield complex_
+    return build_complex(_grid_points(divisions, width, height), _grid_cells(divisions))
 
 
 def perturbed_delaunay_square(
@@ -139,15 +165,15 @@ def perturbed_delaunay_square(
 ):
     """Jittered-grid Delaunay triangulation of the rectangle, verified
     strict pairwise-Delaunay with fully one-sided boundary."""
-    for complex_ in _square_attempts(divisions, width, height, jitter, seed, max_tries):
-        if not _statuses_ok(classify_complex(complex_, check_duals=False)):
-            continue
-        if require_obtuse and not _has_obtuse_triangle(complex_):
-            continue
-        return complex_
-    raise FixtureError(
-        f"no qualifying perturbed square in {max_tries} attempts (seed {seed})"
-    )
+
+    def attempt(rng):
+        complex_ = _qualifying(_grid_2d(divisions, width, height, jitter, rng))
+        if complex_ is not None and (not require_obtuse or _has_obtuse_triangle(complex_)):
+            return complex_
+        return None
+
+    failure = f"no qualifying perturbed square in {max_tries} attempts (seed {seed})"
+    return _first_accepted(attempt, seed, max_tries, failure)
 
 
 def obtuse_delaunay_square(
@@ -167,24 +193,17 @@ def bad_boundary_square(
     """Strictly Delaunay triangulation whose left side is a single long
     boundary edge with a nearby apex: exactly one boundary facet fails the
     one-sidedness test, everything else is clean."""
-    for complex_ in _square_attempts(
-        divisions, width, height, jitter, seed, max_tries, drop_left=True
-    ):
-        report = classify_complex(complex_, check_duals=False)
-        if not _statuses_ok(report, allow_boundary_no=1):
-            continue
-        bad_facet = report.non_one_sided[0][0]
-        facet_pts = complex_.simplex_points(1, bad_facet)
-        if not np.allclose(facet_pts[:, 0], 0.0):
-            continue
-        return complex_
-    raise FixtureError(
-        f"no single-bad-boundary square in {max_tries} attempts (seed {seed})"
-    )
 
+    def attempt(rng):
+        points = _grid_2d(divisions, width, height, jitter, rng)
+        ys = points[:, 1]
+        points = points[~((points[:, 0] == 0.0) & (ys > 0.0) & (ys < height))]
+        complex_ = build_complex(points, _triangulate(points))
+        report = _clean_report(complex_, allow_boundary_no=1)
+        return complex_ if report and _on_side(complex_, report.non_one_sided[0][0], 0.0) else None
 
-def _orient2d(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    failure = f"no single-bad-boundary square in {max_tries} attempts (seed {seed})"
+    return _first_accepted(attempt, seed, max_tries, failure)
 
 
 def non_delaunay_square(
@@ -197,64 +216,36 @@ def non_delaunay_square(
     oriented and the defects are generic: at least ``min_violations``
     strictly violated adjacent pairs, at least one boundary facet on a
     vertical side not one-sided, and no marginal statuses."""
-    stride = divisions + 1
-    cells = []
-    for j in range(divisions):
-        for i in range(divisions):
-            a = j * stride + i
-            b = a + 1
-            c = b + stride
-            d = a + stride
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    # Vertical-side boundary edges with the apex of their triangle, read
-    # off the fixed connectivity: an apex inside the open diametral disc
-    # makes that facet non-one-sided, a cheap gate worth testing before
-    # any classification work.
-    side_cells = []
-    for j in range(divisions):
-        left = j * stride
-        side_cells.append((left, left + stride, left + stride + 1))
-        right = j * stride + divisions
-        side_cells.append((right, right + stride, right - 1))
+    cells = _grid_cells(divisions)
+    # Vertical-side boundary edges (lo, hi) with the apex of their
+    # triangle, read off the fixed connectivity: an apex inside the open
+    # diametral disc makes that facet non-one-sided, a cheap gate worth
+    # testing before any classification work.
+    left = np.arange(divisions) * (divisions + 1)
+    lo = np.concatenate([left, left + divisions])
+    hi = lo + divisions + 1
+    apex = np.concatenate([left + divisions + 2, left + divisions - 1])
 
-    def _side_facet_bad(points):
-        for lo, hi, apex in side_cells:
-            mid = (points[lo] + points[hi]) / 2.0
-            gap = points[apex] - mid
-            half = points[hi] - mid
-            if np.dot(gap, gap) < np.dot(half, half):
-                return True
-        return False
-
-    area_floor = 1e-6 * (width / divisions) * (height / divisions)
-    for attempt in range(max_tries):
-        rng = _rng((seed, 1), attempt)
+    def attempt(rng):
         points = _grid_2d(divisions, width, height, jitter, rng)
-        if not _side_facet_bad(points):
-            continue
-        if min(_orient2d(*points[list(cell)]) for cell in cells) <= area_floor:
-            continue
-        try:
-            complex_ = build_complex(points, cells)
-        except (DegeneracyError, NonManifoldError):
-            continue
+        mid = (points[lo] + points[hi]) / 2.0
+        if not (_dots(points[apex] - mid) < _dots(points[hi] - mid)).any():
+            return None
+        a, b, c = points[cells].transpose(1, 2, 0)
+        doubled_area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if doubled_area.min() <= 1e-6 * (width / divisions) * (height / divisions):
+            return None
+        complex_ = build_complex(points, cells)
         report = classify_complex(complex_, check_duals=False)
         if len(report.violated_pairs) < min_violations:
-            continue
+            return None
         if report.degenerate_pairs or report.marginal_boundary:
-            continue
-        side_bad = any(
-            np.allclose(complex_.simplex_points(1, facet)[:, 0], 0.0)
-            or np.allclose(complex_.simplex_points(1, facet)[:, 0], width)
-            for facet, _, _ in report.non_one_sided
-        )
-        if not side_bad:
-            continue
-        return complex_
-    raise FixtureError(
-        f"no jittered non-Delaunay square in {max_tries} attempts (seed {seed})"
-    )
+            return None
+        facets = [f for f, _, _ in report.non_one_sided]
+        return complex_ if any(_on_side(complex_, f, 0.0, width) for f in facets) else None
+
+    failure = f"no jittered non-Delaunay square in {max_tries} attempts (seed {seed})"
+    return _first_accepted(attempt, (seed, 1), max_tries, failure)
 
 
 def surface_pairwise_delaunay(
@@ -269,64 +260,37 @@ def surface_pairwise_delaunay(
     if divisions % 2:
         raise FixtureError("surface fixture needs an even number of divisions")
     mid_column = divisions // 2
-    mid_x = np.linspace(0.0, width, divisions + 1)[mid_column]
-    for attempt in range(max_tries):
-        rng = _rng(seed, attempt)
-        points = _grid_2d(
-            divisions, width, height, jitter, rng, locked_columns=(mid_column,)
-        )
-        cells = _triangulate(points)
-        if cells is None:
-            continue
-        straddles = False
-        for cell in cells:
-            xs = points[cell, 0]
-            if xs.min() < mid_x - 1e-12 and xs.max() > mid_x + 1e-12:
-                straddles = True
-                break
-        if straddles:
-            continue
-        try:
-            flat = build_complex(points, cells)
-        except (DegeneracyError, NonManifoldError):
-            continue
-        if not _statuses_ok(classify_complex(flat, check_duals=False)):
-            continue
+    mid_x = _lines(divisions, width)[mid_column]
 
+    def attempt(rng):
+        points = _grid_2d(divisions, width, height, jitter, rng, locked_columns=(mid_column,))
+        cells = _triangulate(points)
+        xs = points[cells, 0]
+        if ((xs.min(axis=1) < mid_x - 1e-12) & (xs.max(axis=1) > mid_x + 1e-12)).any():
+            return None
+        if not _clean_report(build_complex(points, cells)):
+            return None
         folded = np.zeros((len(points), 3))
         folded[:, :2] = points
         right = points[:, 0] > mid_x
         folded[right, 0] = mid_x + (points[right, 0] - mid_x) * np.cos(fold_angle)
         folded[right, 2] = (points[right, 0] - mid_x) * np.sin(fold_angle)
-        try:
-            surface = build_complex(folded, cells)
-        except (DegeneracyError, NonManifoldError):
-            continue
-        if _statuses_ok(classify_complex(surface, check_duals=False)):
-            return surface
-    raise FixtureError(
-        f"no qualifying folded surface in {max_tries} attempts (seed {seed})"
-    )
+        surface = build_complex(folded, cells)
+        return surface if _clean_report(surface) else None
+
+    failure = f"no qualifying folded surface in {max_tries} attempts (seed {seed})"
+    return _first_accepted(attempt, seed, max_tries, failure)
 
 
 def delaunay_tet_cube(divisions=3, jitter=0.2, seed=0, max_tries=400):
     """Jittered-grid Delaunay tetrahedralization of the unit cube,
     verified strict pairwise-Delaunay with one-sided boundary."""
-    for attempt in range(max_tries):
-        rng = _rng(seed, attempt)
-        points = _grid_3d(divisions, rng, jitter)
-        cells = _triangulate(points)
-        if cells is None:
-            continue
-        try:
-            complex_ = build_complex(points, cells)
-        except (DegeneracyError, NonManifoldError):
-            continue
-        if _statuses_ok(classify_complex(complex_, check_duals=False)):
-            return complex_
-    raise FixtureError(
-        f"no qualifying tet cube in {max_tries} attempts (seed {seed})"
-    )
+
+    def attempt(rng):
+        return _qualifying(_grid_3d(divisions, rng, jitter))
+
+    failure = f"no qualifying tet cube in {max_tries} attempts (seed {seed})"
+    return _first_accepted(attempt, seed, max_tries, failure)
 
 
 def _point_in_polygon(point, polygon, tol=1e-9):
@@ -374,8 +338,9 @@ def fan_around_edge(
         raise FixtureError("need at least 4 ring vertices")
     if offset is None:
         offset = _FAN_DEFAULT_OFFSET[mode]
-    for attempt in range(max_tries):
-        rng = _rng(seed, attempt)
+    cells = [(i, (i + 1) % ring, ring, ring + 1) for i in range(ring)]
+
+    def attempt(rng):
         angles = 2.0 * np.pi * (np.arange(ring) + wobble * rng.uniform(-1, 1, ring)) / ring
         radii = 1.0 + wobble * rng.uniform(-1, 1, ring)
         points = np.zeros((ring + 2, 3))
@@ -383,26 +348,17 @@ def fan_around_edge(
         points[:ring, 1] = radii * np.sin(angles)
         points[ring] = (offset, 0.0, -half_length)
         points[ring + 1] = (offset, 0.0, half_length)
-        cells = [
-            (i, (i + 1) % ring, ring, ring + 1) for i in range(ring)
-        ]
-        try:
-            complex_ = build_complex(points, cells)
-        except (DegeneracyError, NonManifoldError):
-            continue
-        if not _statuses_ok(classify_complex(complex_, check_duals=False)):
-            continue
+        complex_ = build_complex(points, cells)
+        if not _clean_report(complex_):
+            return None
         centers = complex_.circumcenters(3)[complex_.simplex_indices(3, cells)]
         if np.abs(centers[:, 2]).max() > 1e-9:
-            continue
+            return None
         inside = _point_in_polygon((offset, 0.0), centers[:, :2])
-        if inside is None:
-            continue
-        if (mode == "crossing") == inside:
-            return complex_
-    raise FixtureError(
-        f"no {mode} fan in {max_tries} attempts (seed {seed}, offset {offset})"
-    )
+        return complex_ if inside is not None and (mode == "crossing") == inside else None
+
+    failure = f"no {mode} fan in {max_tries} attempts (seed {seed}, offset {offset})"
+    return _first_accepted(attempt, seed, max_tries, failure)
 
 
 _GENERATORS = {

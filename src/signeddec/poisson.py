@@ -22,7 +22,7 @@ from .complexes import boundary_operator
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
 from .hodge import hodge_star, validate_hodge
-from .signed_dual import step_signs
+from .signed_dual import _boundary_step_signs
 
 __all__ = [
     "MixedPoissonProblem",
@@ -148,8 +148,7 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     star1 = hodge_star(mesh, 1, mode=hodge_mode)
     flux_op = boundary_operator(mesh, 1).T.tocsr()  # d0: edges x vertices
 
-    tops, _ = mesh.facet_cofaces
-    facets = np.flatnonzero(tops[:, 1] < 0)  # in boundary_faces() order
+    facets, sides = _boundary_step_signs(mesh)
     flux = _flux_values(mesh, problem.boundary_flux, facets)
     num_vertices = mesh.num_simplices(0)
     num_edges = mesh.num_simplices(1)
@@ -159,7 +158,6 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     # the midpoint-exact +|e|/2 split; a facet that is not one-sided
     # carries a nonpositive trace and the load degrades accordingly.
     lengths = mesh.volumes(mesh.n - 1)[facets]
-    sides = step_signs(mesh, mesh.n - 1, facets, tops[facets, 0])
     outflux = float(flux @ lengths)
     gross_flux = float(np.abs(flux) @ lengths)
     b = np.zeros(num_vertices)
@@ -298,6 +296,7 @@ class ExperimentResult:
     solution: MixedPoissonSolution
     u_error: float
     sigma_error: float
+    flux_vectors: np.ndarray  # per-triangle sigma_vectors, which sigma_error measures
     report: object
     star0_nonpositive: list
     star1_nonpositive: list
@@ -384,6 +383,7 @@ def figure1_experiment(
         solution=solution,
         u_error=u_error,
         sigma_error=sigma_error,
+        flux_vectors=vectors,
         report=report,
         star0_nonpositive=validate_hodge(hodge_star(mesh, 0, mode="signed")),
         star1_nonpositive=validate_hodge(hodge_star(mesh, 1, mode="signed")),

@@ -153,6 +153,16 @@ def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     return _links(complex_, dim + 1, faces, cofaces, coface_rows[extra], eps)[0]
 
 
+def _boundary_step_signs(complex_, tol=None):
+    """(facets, signs): the boundary facets in ``boundary_faces()`` order
+    and the step sign of the link from each to its one top. The extending
+    vertices come from ``facet_cofaces``, so no vertex search is made."""
+    tops, apexes = complex_.facet_cofaces
+    facets = np.flatnonzero(tops[:, 1] < 0)
+    eps = max(tolerance(tol), 1e-14)
+    return facets, _links(complex_, complex_.n, facets, tops[facets, 0], apexes[facets, 0], eps)[0]
+
+
 def step_sign(complex_, dim, face_index, coface_index, tol=None):
     """Sign of one chain link: side of the coface's circumcenter relative
     to the face's affine hull, measured against the extending vertex.

@@ -289,6 +289,18 @@ def test_degenerate_circumsphere_spoils_only_the_simplices_touching_it():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_boundary_statuses_match_per_facet_one_sidedness(name):
+    # classify_complex reads each boundary facet's extending vertex from
+    # facet_cofaces; is_one_sided finds it by step_sign's vertex search
+    mesh = generate_fixture(name)
+    for tol in (None, 1e-3):
+        report = classify_complex(mesh, tol=tol, check_duals=False)
+        assert len(report.boundary_statuses) == len(mesh.boundary_faces())
+        for facet, top, status in report.boundary_statuses:
+            assert status == is_one_sided(mesh, top, facet, tol=tol)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_translation_flags_no_circumcenter_and_keeps_statuses(name):
     # the equidistance check measures from each simplex's first vertex, so
     # moving a unit-size mesh 1e6 away flags nothing and keeps every status

@@ -162,11 +162,35 @@ def test_same_seed_same_mesh():
         ("perturbed_delaunay_square", {"divisions": 5, "seed": 3}),
         ("non_delaunay_square", {"divisions": 8, "seed": 2}),
         ("fan_around_edge", {"seed": 1}),
+        ("fan_around_edge", {"seed": 2, "mode": "missing"}),
+        ("obtuse_delaunay_square", {"divisions": 6, "seed": 4}),
+        ("bad_boundary_square", {"divisions": 8, "seed": 1}),
+        ("surface_pairwise_delaunay", {"divisions": 6, "seed": 5}),
+        ("delaunay_tet_cube", {"divisions": 3, "seed": 2}),
+        ("structured_square", {"divisions": 3, "width": 2.0}),
     ):
         first = generate_fixture(name, **params)
         second = generate_fixture(name, **params)
         assert np.array_equal(first.points, second.points)
         assert np.array_equal(first.simplices[first.n], second.simplices[second.n])
+
+
+def test_grid_families_reject_nonpositive_divisions(tmp_path, capsys):
+    # every grid family reads its axis from one checked place, so a grid
+    # of no cells is an input error (CLI exit 2), never a numpy traceback
+    from signeddec.cli import main
+
+    grid_families = [name for name in FIXTURE_NAMES if name != "fan_around_edge"]
+    for name in grid_families:
+        for divisions in (0, -2):
+            with pytest.raises(FixtureError):
+                generate_fixture(name, divisions=divisions)
+            code = main(
+                ["fixture", name, "--divisions", str(divisions), "-o", str(tmp_path / name)]
+            )
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_seeds_differ():

@@ -242,6 +242,13 @@ def test_experiment_good_column(good_mesh):
     assert result.config["divisions"] == 16  # generation params, mesh reused
 
 
+def test_experiment_keeps_the_flux_vectors_it_measures():
+    result = figure1_experiment(family="bad_boundary", divisions=8)
+    vectors = sigma_vectors(result.mesh, result.solution.sigma)
+    assert np.array_equal(result.flux_vectors, vectors)
+    assert result.sigma_error == np.linalg.norm(vectors - [1.0, 0.0], axis=1).max()
+
+
 def test_experiment_failure_columns_small():
     # small versions of the failure columns: wrong answers, flagged stars
     bad = figure1_experiment(family="bad_boundary", divisions=8)
