@@ -9,8 +9,10 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
+from numbers import Real
 from pathlib import Path
+
+import numpy as np
 
 from .delaunay import classify_complex
 from .errors import SignedDecError
@@ -37,35 +39,55 @@ def _csv(header, fmt, *columns):
     return header + "\r\n" + format_rows(fmt + "\r\n", *columns)
 
 
-def _report_dict(mesh, report):
-    counts = {str(p): mesh.num_simplices(p) for p in range(mesh.n + 1)}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dimension": mesh.n,
-        "ambient_dimension": mesh.N,
-        "num_simplices": counts,
-        **report.as_dict(),
-    }
+# One row template per array section of the report, in the layout of
+# json.dumps(..., indent=2); "%r" is repr, which json uses for finite floats,
+# and every signed dual volume is finite.
+_REPORT_ROWS = {
+    "pairwise_delaunay": '    {\n      "facet": %d,\n      "tops": [\n        %d,\n'
+    '        %d\n      ],\n      "status": "%s"\n    }',
+    "one_sided": '    {\n      "facet": %d,\n      "top": %d,\n      "status": "%s"\n    }',
+    "nonpositive_duals": '    {\n      "dim": %d,\n      "index": %d,\n'
+    '      "signed_volume": %r\n    }',
+}
+
+
+def _report_json(mesh, report):
+    """The report as ``json.dumps(..., indent=2)`` writes it, plus a newline:
+    the header, then each array section filled from its row template."""
+    counts = ",\n".join(f'    "{p}": {mesh.num_simplices(p)}' for p in range(mesh.n + 1))
+    parts = [
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "dimension": {mesh.n},\n'
+        f'  "ambient_dimension": {mesh.N},\n  "num_simplices": {{\n{counts}\n  }},\n'
+        f'  "verdict": "{report.verdict}"'
+    ]
+    sections = (
+        (report.pair_facets, *report.pair_tops.T, report.pair_labels),
+        (report.boundary_facets, report.boundary_tops, report.boundary_labels),
+        (report.dual_dims, report.dual_indices, report.dual_values),
+    )
+    for (name, row), columns in zip(_REPORT_ROWS.items(), sections):
+        rows = format_rows(row + ",\n", *(column.tolist() for column in columns))[:-2]
+        parts.append(f'  "{name}": [\n{rows}\n  ]' if rows else f'  "{name}": []')
+    return ",\n".join(parts) + "\n}\n"
+
+
+def _status_counts(labels, none):
+    """The count of each distinct status as "count status", sorted by
+    status and joined by commas, or ``none`` when there are no labels."""
+    names, counts = np.unique(labels, return_counts=True)
+    return ", ".join(f"{c} {s}" for s, c in zip(names.tolist(), counts.tolist())) or none
 
 
 def _cmd_check(args):
     mesh = load_complex(args.mesh)
     report = classify_complex(mesh)
-    pair_counts = Counter(status for _, _, status in report.pair_statuses)
-    side_counts = Counter(status for _, _, status in report.boundary_statuses)
     sizes = ", ".join(
         f"{mesh.num_simplices(p)} of dim {p}" for p in range(mesh.n + 1)
     )
     print(f"mesh: n={mesh.n}, N={mesh.N}; {sizes}")
-    print(
-        "pairwise Delaunay: "
-        + (", ".join(f"{v} {k}" for k, v in sorted(pair_counts.items())) or "no internal facets")
-    )
-    print(
-        "boundary one-sided: "
-        + (", ".join(f"{v} {k}" for k, v in sorted(side_counts.items())) or "no boundary")
-    )
-    print(f"nonpositive dual volumes: {len(report.nonpositive_duals)}")
+    print("pairwise Delaunay: " + _status_counts(report.pair_labels, "no internal facets"))
+    print("boundary one-sided: " + _status_counts(report.boundary_labels, "no boundary"))
+    print(f"nonpositive dual volumes: {len(report.dual_values)}")
     for dim, index, value in report.nonpositive_duals[:10]:
         print(f"  dim {dim} simplex {index}: {value:.17g}")
     print(f"verdict: {report.verdict}")
@@ -75,7 +97,7 @@ def _cmd_check(args):
 def _cmd_report(args):
     mesh = load_complex(args.mesh)
     report = classify_complex(mesh)
-    _write_out(args.output, json.dumps(_report_dict(mesh, report), indent=2) + "\n")
+    _write_out(args.output, _report_json(mesh, report))
     return 0
 
 
@@ -119,6 +141,10 @@ def _cmd_hodge(args):
     return 0
 
 
+# The experiment parameters a poisson config may set, with their types.
+_POISSON_PARAMS = {"divisions": int, "seed": int, "width": Real, "height": Real, "influx": Real}
+
+
 def _cmd_poisson(args):
     try:
         config = json.loads(Path(args.config).read_text())
@@ -129,21 +155,23 @@ def _cmd_poisson(args):
     if not isinstance(config, dict):
         raise SignedDecError("poisson config must be a JSON object")
 
-    known = {"divisions", "seed", "width", "height", "influx", "output_dir", "columns"}
-    unknown = set(config) - known
+    unknown = set(config) - {*_POISSON_PARAMS, "output_dir", "columns"}
     if unknown:
         raise SignedDecError(f"unknown config keys: {sorted(unknown)}")
+    params = {key: config[key] for key in _POISSON_PARAMS if key in config}
+    for key, value in params.items():
+        kind = _POISSON_PARAMS[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is int else "a number"
+            raise SignedDecError(f"config key {key!r} must be {noun}")
     columns = config.get("columns")
     if columns is None:
         columns = [{"family": f, "hodge_mode": m} for f, m in FIGURE1_COLUMNS]
+    elif not isinstance(columns, list) or not all(isinstance(c, dict) for c in columns):
+        raise SignedDecError("config key 'columns' must be a list of objects")
     out_dir = Path(config.get("output_dir", "poisson_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    params = {
-        key: config[key]
-        for key in ("divisions", "seed", "width", "height", "influx")
-        if key in config
-    }
     summary = {"schema_version": SCHEMA_VERSION, "columns": []}
     meshes = {}
     for spec in columns:
@@ -183,9 +211,9 @@ def _cmd_poisson(args):
                 "files": [f"{tag}_u.csv", f"{tag}_sigma.csv", f"{tag}_flux_vectors.csv"],
             }
         )
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    json.dump(summary, sys.stdout, indent=2)
-    print()
+    text = json.dumps(summary, indent=2) + "\n"
+    (out_dir / "summary.json").write_text(text)
+    sys.stdout.write(text)
     return 0
 
 

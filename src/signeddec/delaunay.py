@@ -5,7 +5,7 @@ simplices isometrically into R^n: the pair is Delaunay when each apex lies
 strictly outside the other simplex's circumsphere. ``classify_complex``
 tests every internal pair, in any ambient dimension N >= n, with one power
 test on the complex's cached circumcenters, circumradii and volumes (see
-``_pair_statuses``); ``pair_status_points`` flattens one pair explicitly
+``_pair_signs``); ``pair_status_points`` flattens one pair explicitly
 and is the reference route. A boundary facet is
 one-sided when its coface's circumcenter lies strictly on the apex side of
 the facet's hyperplane. A mesh whose internal pairs are all strict and
@@ -13,7 +13,7 @@ whose boundary facets are all one-sided is "qualifying": its signed dual
 volumes are positive in every dimension.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,11 @@ PAIR_VIOLATED = "violated"
 SIDE_YES = "yes"
 SIDE_MARGINAL = "marginal"
 SIDE_NO = "no"
-_SIDE_STATUS = {1: SIDE_YES, 0: SIDE_MARGINAL, -1: SIDE_NO}
+
+# Status names indexed by a sign: +1 strict or one-sided, 0 degenerate or
+# marginal, -1 violated or not one-sided (index -1 is the last entry).
+_PAIR_STATUS = np.array([PAIR_DEGENERATE, PAIR_STRICT, PAIR_VIOLATED])
+_SIDE_STATUS = np.array([SIDE_MARGINAL, SIDE_YES, SIDE_NO])
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def one_sided_status_points(facet_points, apex, tol=None):
     """
     full = np.vstack([np.asarray(facet_points, dtype=float), np.asarray(apex, dtype=float)])
     center = circumcenter(full, tol=tol).center
-    return _SIDE_STATUS[halfspace_sign(facet_points, apex, center, tol=tol)]
+    return _SIDE_STATUS[halfspace_sign(facet_points, apex, center, tol=tol)].item()
 
 
 def circumcenter_order_points(
@@ -155,10 +159,10 @@ def _pair_apexes(complex_, left_top, right_top, facet_index):
     return apexes[facet_index][[row.index(left_top), row.index(right_top)]]
 
 
-def _pair_statuses(complex_, facets, tops, apexes, tol=None):
-    """Statuses of internal pairs in any ambient dimension N >= n, from the
-    cached facet and top geometry; row i holds a facet, its two tops and
-    the vertex each adds.
+def _pair_signs(complex_, facets, tops, apexes, tol=None):
+    """Status signs (+1 strict, 0 degenerate, -1 violated) of internal
+    pairs in any ambient dimension N >= n, from the cached facet and top
+    geometry; row i holds a facet, its two tops and the vertex each adds.
 
     The pair is unfolded about facet F into R^n. Top T, with apex a, has
     its center at offset s_T = (c_T - c_F) . (a - c_F) / h_a from c_F
@@ -187,18 +191,15 @@ def _pair_statuses(complex_, facets, tops, apexes, tol=None):
     # a pair touching a simplex with a degenerate circumcenter is degenerate
     margins[facet_flags[facets] | flags[tops].any(axis=1)] = np.nan
     return np.where(
-        margins.min(1) > eps,
-        PAIR_STRICT,
-        np.where(margins.max(1) < -eps, PAIR_VIOLATED, PAIR_DEGENERATE),
-    ).tolist()
+        margins.min(1) > eps, 1, np.where(margins.max(1) < -eps, -1, 0)
+    ).astype(np.int8)
 
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     """Delaunay status of the pair of top simplices sharing a facet."""
     apexes = _pair_apexes(complex_, left_top, right_top, facet_index)
-    return _pair_statuses(
-        complex_, [facet_index], [[left_top, right_top]], apexes[None], tol=tol
-    )[0]
+    signs = _pair_signs(complex_, [facet_index], [[left_top, right_top]], apexes[None], tol=tol)
+    return _PAIR_STATUS[signs[0]].item()
 
 
 def circumcenter_order(
@@ -218,40 +219,81 @@ def is_one_sided(complex_, top_index, facet_index, tol=None):
     Identical to the chain step sign of facet -> coface, so the dual length
     of the facet is positive exactly for SIDE_YES.
     """
-    return _SIDE_STATUS[step_sign(complex_, complex_.n - 1, facet_index, top_index, tol=tol)]
+    sign = step_sign(complex_, complex_.n - 1, facet_index, top_index, tol=tol)
+    return _SIDE_STATUS[sign].item()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MeshReport:
-    """Classification of a complex: pair statuses over internal facets,
-    one-sidedness over boundary facets, nonpositive signed dual volumes
-    over all dimensions, and the overall verdict.
+    """Classification of a complex, held as arrays: the sign of every
+    internal pair's status (+1 strict, 0 degenerate, -1 violated), the
+    step sign of every boundary facet (+1 one-sided, 0 marginal, -1 not),
+    and the nonpositive signed dual volumes over all dimensions as
+    (dim, index, value) columns. The verdict and the list properties are
+    computed from the arrays on demand.
     """
 
-    pair_statuses: list = field(default_factory=list)       # (facet, (left, right), status)
-    boundary_statuses: list = field(default_factory=list)   # (facet, top, status)
-    nonpositive_duals: list = field(default_factory=list)   # (dim, index, signed volume)
-    verdict: str = "not qualifying"
+    pair_facets: np.ndarray      # (P,) internal facet ids, ascending
+    pair_tops: np.ndarray        # (P, 2) the two tops of each, ascending
+    pair_signs: np.ndarray       # (P,) int8
+    boundary_facets: np.ndarray  # (B,) boundary facet ids, ascending
+    boundary_tops: np.ndarray    # (B,) the one top of each
+    boundary_signs: np.ndarray   # (B,) int8
+    dual_dims: np.ndarray        # (D,) dimension, simplex index and signed
+    dual_indices: np.ndarray     # volume of each nonpositive dual, by
+    dual_values: np.ndarray      # dimension, then index
+
+    @property
+    def verdict(self):
+        strict = (self.pair_signs > 0).all() and (self.boundary_signs > 0).all()
+        return "qualifying" if strict else "not qualifying"
 
     @property
     def is_qualifying(self):
         return self.verdict == "qualifying"
 
     @property
+    def pair_labels(self):
+        """The status string of each internal pair, as an array."""
+        return _PAIR_STATUS[self.pair_signs]
+
+    @property
+    def boundary_labels(self):
+        """The status string of each boundary facet, as an array."""
+        return _SIDE_STATUS[self.boundary_signs]
+
+    def _pairs(self, rows=slice(None)):
+        tops = map(tuple, self.pair_tops[rows].tolist())
+        return list(zip(self.pair_facets[rows].tolist(), tops, self.pair_labels[rows].tolist()))
+
+    def _boundary(self, rows=slice(None)):
+        columns = self.boundary_facets, self.boundary_tops, self.boundary_labels
+        return list(zip(*(column[rows].tolist() for column in columns)))
+
+    pair_statuses = property(_pairs, doc="(facet, (left, right), status) of every internal facet.")
+    boundary_statuses = property(_boundary, doc="(facet, top, status) of every boundary facet.")
+
+    @property
+    def nonpositive_duals(self):
+        """(dim, index, signed volume) of every nonpositive dual volume."""
+        columns = self.dual_dims, self.dual_indices, self.dual_values
+        return list(zip(*(column.tolist() for column in columns)))
+
+    @property
     def violated_pairs(self):
-        return [row for row in self.pair_statuses if row[2] == PAIR_VIOLATED]
+        return self._pairs(self.pair_signs < 0)
 
     @property
     def degenerate_pairs(self):
-        return [row for row in self.pair_statuses if row[2] == PAIR_DEGENERATE]
+        return self._pairs(self.pair_signs == 0)
 
     @property
     def non_one_sided(self):
-        return [row for row in self.boundary_statuses if row[2] == SIDE_NO]
+        return self._boundary(self.boundary_signs < 0)
 
     @property
     def marginal_boundary(self):
-        return [row for row in self.boundary_statuses if row[2] == SIDE_MARGINAL]
+        return self._boundary(self.boundary_signs == 0)
 
     def as_dict(self):
         """Plain JSON-ready dict."""
@@ -282,23 +324,20 @@ def classify_complex(complex_, tol=None, check_duals=True):
     dimension are then a theorem, and any nonpositive ones found are
     reported for diagnosis.
     """
-    report = MeshReport()
     tops, apexes = complex_.facet_cofaces
-    internal = complex_.internal_faces()
-    rows = np.flatnonzero(tops[:, 1] >= 0)
-    statuses = _pair_statuses(complex_, rows, tops[rows], apexes[rows], tol=tol)
-    report.pair_statuses = [(f, pair, s) for (f, pair), s in zip(internal, statuses)]
+    pairs = np.flatnonzero(tops[:, 1] >= 0)
     boundary, sides = _boundary_step_signs(complex_, tol=tol)
-    report.boundary_statuses = [
-        (f, top, _SIDE_STATUS[side])
-        for f, top, side in zip(boundary.tolist(), tops[boundary, 0].tolist(), sides.tolist())
-    ]
-    if check_duals:
-        for dim in range(complex_.n + 1):
-            signed, _ = dual_volumes(complex_, dim, tol=tol)
-            for i in np.nonzero(signed <= 0.0)[0]:
-                report.nonpositive_duals.append((dim, int(i), float(signed[i])))
-    ok_pairs = all(s == PAIR_STRICT for _, _, s in report.pair_statuses)
-    ok_boundary = all(s == SIDE_YES for _, _, s in report.boundary_statuses)
-    report.verdict = "qualifying" if ok_pairs and ok_boundary else "not qualifying"
-    return report
+    dims = range(complex_.n + 1) if check_duals else ()
+    signed = [dual_volumes(complex_, dim, tol=tol)[0] for dim in dims]
+    found = [np.flatnonzero(volumes <= 0.0) for volumes in signed]
+    return MeshReport(
+        pair_facets=pairs,
+        pair_tops=tops[pairs],
+        pair_signs=_pair_signs(complex_, pairs, tops[pairs], apexes[pairs], tol=tol),
+        boundary_facets=boundary,
+        boundary_tops=tops[boundary, 0],
+        boundary_signs=sides,
+        dual_dims=np.repeat(np.arange(len(found)), [len(index) for index in found]),
+        dual_indices=np.concatenate([np.empty(0, np.intp), *found]),
+        dual_values=np.concatenate([np.empty(0), *map(np.take, signed, found)]),
+    )

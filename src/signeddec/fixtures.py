@@ -15,23 +15,24 @@ before them are array passes over all cells. The grid families share one
 checked axis (``divisions`` >= 1) and one array of grid cells.
 """
 
+import logging
+
 import numpy as np
 from scipy.spatial import Delaunay as _QhullDelaunay
 
 from .complexes import build_complex
-from .delaunay import (
-    PAIR_STRICT,
-    SIDE_NO,
-    SIDE_YES,
-    classify_complex,
-)
+from .delaunay import classify_complex
 from .errors import DegeneracyError, FixtureError, NonManifoldError
 
 __all__ = ["FIXTURE_NAMES", "generate_fixture"]
 
+_log = logging.getLogger(__name__)
+
 
 def _rng(seed, attempt):
     parts = tuple(int(s) for s in seed) if isinstance(seed, tuple) else (int(seed),)
+    if min(parts) < 0:
+        raise FixtureError(f"seed must be nonnegative, got {min(parts)}")
     return np.random.default_rng(parts + (int(attempt), 0x5D))
 
 
@@ -39,14 +40,17 @@ def _first_accepted(attempt, seed, max_tries, failure):
     """The first mesh that attempt(rng) returns for rng = _rng(seed, k),
     k = 0 .. max_tries - 1. An attempt is rejected when it returns None or
     raises DegeneracyError or NonManifoldError; if all are, raise
-    FixtureError(failure)."""
+    FixtureError(failure). The number of attempts made is logged at DEBUG,
+    and a handler reads it as the record's ``attempts`` attribute."""
     for k in range(max_tries):
         try:
             mesh = attempt(_rng(seed, k))
         except (DegeneracyError, NonManifoldError):
             continue
         if mesh is not None:
+            _log.debug("accepted attempt %d of %d", k + 1, max_tries, extra={"attempts": k + 1})
             return mesh
+    _log.debug("no attempt accepted in %d", max_tries, extra={"attempts": max_tries})
     raise FixtureError(failure)
 
 
@@ -118,10 +122,9 @@ def _clean_report(complex_, allow_boundary_no=0):
     ``allow_boundary_no`` facets with status "no" (and none marginal);
     None for any other complex."""
     report = classify_complex(complex_, check_duals=False)
-    sides = [s for _, _, s in report.boundary_statuses]
-    strict = all(s == PAIR_STRICT for _, _, s in report.pair_statuses)
-    clean = strict and set(sides) <= {SIDE_YES, SIDE_NO}
-    return report if clean and sides.count(SIDE_NO) == allow_boundary_no else None
+    sides = report.boundary_signs
+    clean = (report.pair_signs > 0).all() and (sides != 0).all()
+    return report if clean and (sides < 0).sum() == allow_boundary_no else None
 
 
 def _qualifying(points):
@@ -200,7 +203,10 @@ def bad_boundary_square(
         points = points[~((points[:, 0] == 0.0) & (ys > 0.0) & (ys < height))]
         complex_ = build_complex(points, _triangulate(points))
         report = _clean_report(complex_, allow_boundary_no=1)
-        return complex_ if report and _on_side(complex_, report.non_one_sided[0][0], 0.0) else None
+        if report is None:
+            return None
+        facet = report.boundary_facets[report.boundary_signs < 0][0]
+        return complex_ if _on_side(complex_, facet, 0.0) else None
 
     failure = f"no single-bad-boundary square in {max_tries} attempts (seed {seed})"
     return _first_accepted(attempt, seed, max_tries, failure)
@@ -237,11 +243,12 @@ def non_delaunay_square(
             return None
         complex_ = build_complex(points, cells)
         report = classify_complex(complex_, check_duals=False)
-        if len(report.violated_pairs) < min_violations:
+        pairs, sides = report.pair_signs, report.boundary_signs
+        if (pairs < 0).sum() < min_violations:
             return None
-        if report.degenerate_pairs or report.marginal_boundary:
+        if (pairs == 0).any() or (sides == 0).any():
             return None
-        facets = [f for f, _, _ in report.non_one_sided]
+        facets = report.boundary_facets[sides < 0].tolist()
         return complex_ if any(_on_side(complex_, f, 0.0, width) for f in facets) else None
 
     failure = f"no jittered non-Delaunay square in {max_tries} attempts (seed {seed})"

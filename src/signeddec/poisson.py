@@ -21,7 +21,7 @@ from scipy.sparse.linalg import spsolve
 from .complexes import boundary_operator
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
-from .hodge import hodge_star, validate_hodge
+from .hodge import MODES, hodge_star, validate_hodge
 from .signed_dual import _boundary_step_signs
 
 __all__ = [
@@ -344,6 +344,8 @@ def figure1_experiment(
         raise ProblemDefinitionError(
             f"family must be one of {sorted(_FAMILY_FIXTURES)}, got {family!r}"
         )
+    if hodge_mode not in MODES:
+        raise ProblemDefinitionError(f"hodge_mode must be one of {MODES}, got {hodge_mode!r}")
     start = time.perf_counter()
     if mesh is None:
         mesh = generate_fixture(

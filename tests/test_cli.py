@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from signeddec.cli import _build_parser, main
+from signeddec.cli import SCHEMA_VERSION, _build_parser, main
 from signeddec.complexes import build_complex
-from signeddec.fixtures import generate_fixture
+from signeddec.delaunay import classify_complex
+from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
 from signeddec.hodge import hodge_star
 from signeddec.meshfile import load_complex, read_mesh, write_mesh
 from signeddec.poisson import figure1_experiment, sigma_vectors
@@ -176,9 +179,9 @@ def test_poisson_pipeline(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["poisson", str(config_path)]) == 0
-    stdout_summary = json.loads(capsys.readouterr().out)
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert stdout_summary == summary
+    text = (tmp_path / "out" / "summary.json").read_text()
+    assert capsys.readouterr().out == text
+    summary = json.loads(text)
     columns = summary["columns"]
     assert [(c["family"], c["hodge_mode"]) for c in columns] == [
         ("good", "signed"),
@@ -207,6 +210,33 @@ def test_poisson_config_validation(tmp_path, capsys):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["poisson", str(not_object)]) == 2
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"columns": "x"}, "columns"),
+    ({"columns": [3]}, "columns"),
+    ({"columns": [{"hodge_mode": "weird"}]}, "hodge_mode"),
+    ({"influx": "a"}, "influx"),
+    ({"width": True}, "width"),
+    ({"seed": "a"}, "seed"),
+])
+def test_poisson_malformed_config_is_input_error(config, key, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"divisions": 4, "output_dir": str(tmp_path), **config}))
+    assert main(["poisson", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_negative_seed_is_input_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"divisions": 4, "seed": -1, "output_dir": str(tmp_path)}))
+    for argv in (
+        ["fixture", "non_delaunay_square", "--seed", "-2", "-o", str(tmp_path / "x")],
+        ["poisson", str(config_path)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
 
 
 def test_fixture_failure_is_exit_2(tmp_path, capsys):
@@ -321,3 +351,63 @@ def test_cached_parser_keeps_no_options_between_calls(tmp_path, capsys):
     assert not np.array_equal(
         generate_fixture("perturbed_delaunay_square", seed=3).points, default.points
     )
+
+
+def _report_dict(mesh, report):
+    """The reference report: the writer must give its json.dumps text."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dimension": mesh.n,
+        "ambient_dimension": mesh.N,
+        "num_simplices": {str(p): mesh.num_simplices(p) for p in range(mesh.n + 1)},
+        **report.as_dict(),
+    }
+
+
+def _check_text(mesh, report):
+    """The reference ``check`` stdout, with statuses counted from the list views."""
+    def counts(rows, none):
+        tally = Counter(status for _, _, status in rows)
+        return ", ".join(f"{v} {k}" for k, v in sorted(tally.items())) or none
+
+    sizes = ", ".join(f"{mesh.num_simplices(p)} of dim {p}" for p in range(mesh.n + 1))
+    return "".join(line + "\n" for line in [
+        f"mesh: n={mesh.n}, N={mesh.N}; {sizes}",
+        "pairwise Delaunay: " + counts(report.pair_statuses, "no internal facets"),
+        "boundary one-sided: " + counts(report.boundary_statuses, "no boundary"),
+        f"nonpositive dual volumes: {len(report.nonpositive_duals)}",
+        *(f"  dim {d} simplex {i}: {v:.17g}" for d, i, v in report.nonpositive_duals[:10]),
+        f"verdict: {report.verdict}",
+    ])
+
+
+def _report_case(case):
+    """(points, cells) of a named fixture family or of one edge case."""
+    if case in FIXTURE_NAMES:
+        mesh = generate_fixture(case)
+        return mesh.points, mesh.simplices[mesh.n]
+    if case == "one_triangle":  # no internal facets
+        return np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]), [(0, 1, 2)]
+    if case == "acute_strip":  # qualifying, no nonpositive duals
+        h = np.sqrt(3.0) / 2.0
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, h], [1.5, h], [2.5, h]])
+        return points, [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4)]
+    points = np.random.default_rng(50).random((50, 3))  # random_tets
+    return points, Delaunay(points).simplices
+
+
+@pytest.mark.parametrize(
+    "case", [*FIXTURE_NAMES, "one_triangle", "acute_strip", "random_tets"]
+)
+def test_report_and_check_text_pinned(case, tmp_path, capsys):
+    mesh_path = write_mesh(tmp_path / "m", *_report_case(case))[0]
+    mesh = load_complex(mesh_path)
+    report = classify_complex(mesh)
+    out = _file_and_stdout(["report", str(mesh_path)], tmp_path / "r.json", capsys)
+    assert out == json.dumps(_report_dict(mesh, report), indent=2) + "\n"
+    main(["check", str(mesh_path)])
+    assert capsys.readouterr().out == _check_text(mesh, report)
+    if case == "one_triangle":
+        assert '"pairwise_delaunay": [],' in out
+    if case == "acute_strip":
+        assert report.is_qualifying and '"nonpositive_duals": []' in out

@@ -24,6 +24,7 @@ from signeddec.delaunay import (
 )
 from signeddec.errors import DegeneracyError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
+from signeddec.signed_dual import dual_volumes
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -298,6 +299,44 @@ def test_boundary_statuses_match_per_facet_one_sidedness(name):
         assert len(report.boundary_statuses) == len(mesh.boundary_faces())
         for facet, top, status in report.boundary_statuses:
             assert status == is_one_sided(mesh, top, facet, tol=tol)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_report_views_match_rows_built_one_at_a_time(name):
+    # the report holds arrays; its list views must be the tuples of plain
+    # ints, strings and floats that one pair, facet and dual at a time give
+    mesh = generate_fixture(name)
+    for tol in (None, 1e-3):
+        report = classify_complex(mesh, tol=tol)
+        pairs = [
+            (f, tops, is_delaunay_pair(mesh, *tops, f, tol=tol))
+            for f, tops in mesh.internal_faces()
+        ]
+        sides = [
+            (f, top, is_one_sided(mesh, top, f, tol=tol)) for f, top in mesh.boundary_faces()
+        ]
+        duals = [
+            (dim, i, value)
+            for dim in range(mesh.n + 1)
+            for i, value in enumerate(dual_volumes(mesh, dim, tol=tol)[0].tolist())
+            if value <= 0.0
+        ]
+        views = (report.pair_statuses, report.boundary_statuses, report.nonpositive_duals)
+        assert views == (pairs, sides, duals)
+        assert repr(views) == repr((pairs, sides, duals))  # no numpy scalars
+        assert report.violated_pairs == [row for row in pairs if row[2] == PAIR_VIOLATED]
+        assert report.degenerate_pairs == [row for row in pairs if row[2] == PAIR_DEGENERATE]
+        assert report.non_one_sided == [row for row in sides if row[2] == SIDE_NO]
+        assert report.marginal_boundary == [row for row in sides if row[2] == SIDE_MARGINAL]
+        qualifying = all(row[2] == PAIR_STRICT for row in pairs) and all(
+            row[2] == SIDE_YES for row in sides
+        )
+        assert report.is_qualifying == qualifying
+        assert report.verdict == ("qualifying" if qualifying else "not qualifying")
+        assert report.as_dict()["pairwise_delaunay"] == [
+            {"facet": f, "tops": list(tops), "status": status} for f, tops, status in pairs
+        ]
+        assert not classify_complex(mesh, tol=tol, check_duals=False).nonpositive_duals
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

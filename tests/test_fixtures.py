@@ -1,6 +1,8 @@
 """Every named fixture must actually have its advertised property, and
 the same seed must always give the same mesh."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,18 @@ def test_grid_families_reject_nonpositive_divisions(tmp_path, capsys):
             assert code == 2
             assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+def test_attempt_count_is_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="signeddec.fixtures"):
+        generate_fixture("non_delaunay_square", divisions=16, seed=0)
+        with pytest.raises(FixtureError):
+            generate_fixture("non_delaunay_square", divisions=16, seed=0, max_tries=2)
+    accepted, exhausted = caplog.records
+    assert accepted.name == "signeddec.fixtures"
+    assert accepted.attempts > 2
+    assert accepted.getMessage() == f"accepted attempt {accepted.attempts} of 400"
+    assert exhausted.attempts == 2
 
 
 def test_seeds_differ():

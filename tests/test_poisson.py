@@ -264,6 +264,8 @@ def test_experiment_failure_columns_small():
 def test_experiment_rejects_unknown_family():
     with pytest.raises(ProblemDefinitionError):
         figure1_experiment(family="great")
+    with pytest.raises(ProblemDefinitionError, match="hodge_mode"):
+        figure1_experiment(hodge_mode="weird", mesh=object())  # before any mesh work
 
 
 def test_column_table_is_fixed():
