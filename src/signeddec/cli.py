@@ -19,7 +19,7 @@ from .errors import SignedDecError
 from .fixtures import FIXTURE_NAMES, generate_fixture
 from .hodge import hodge_star, validate_hodge
 from .meshfile import format_rows, load_complex, write_mesh
-from .poisson import FIGURE1_COLUMNS, figure1_experiment
+from .poisson import FIGURE1_COLUMNS, figure1_columns
 from .signed_dual import dual_table
 
 SCHEMA_VERSION = 1
@@ -166,23 +166,19 @@ def _cmd_poisson(args):
             raise SignedDecError(f"config key {key!r} must be {noun}")
     columns = config.get("columns")
     if columns is None:
-        columns = [{"family": f, "hodge_mode": m} for f, m in FIGURE1_COLUMNS]
+        columns = FIGURE1_COLUMNS
     elif not isinstance(columns, list) or not all(isinstance(c, dict) for c in columns):
         raise SignedDecError("config key 'columns' must be a list of objects")
+    else:
+        columns = [(c.get("family", "good"), c.get("hodge_mode", "signed")) for c in columns]
+    # every column runs before the output directory is made, so a failing
+    # column leaves no files behind
+    results = figure1_columns(columns=columns, **params)
     out_dir = Path(config.get("output_dir", "poisson_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {"schema_version": SCHEMA_VERSION, "columns": []}
-    meshes = {}
-    for spec in columns:
-        family = spec.get("family", "good")
-        result = figure1_experiment(
-            family=family,
-            hodge_mode=spec.get("hodge_mode", "signed"),
-            mesh=meshes.get(family),
-            **params,
-        )
-        meshes[family] = result.mesh
+    for result in results:
         tag = f"{result.family}_{result.hodge_mode}"
         mesh = result.mesh
         _write_out(out_dir / f"{tag}_u.csv", _csv(

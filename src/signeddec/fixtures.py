@@ -54,11 +54,14 @@ def _first_accepted(attempt, seed, max_tries, failure):
     raise FixtureError(failure)
 
 
-def _lines(divisions, length):
+def _lines(divisions, length, name):
     """divisions + 1 evenly spaced coordinates on [0, length]: the axis of
-    every grid fixture, so a grid of no cells is rejected here."""
+    every grid fixture, so a grid of no cells or of an empty side, whose
+    length is called ``name``, is rejected here."""
     if divisions < 1:
         raise FixtureError(f"divisions must be at least 1, got {divisions}")
+    if not 0.0 < length < np.inf:
+        raise FixtureError(f"{name} must be positive and finite, got {length}")
     return np.linspace(0.0, length, divisions + 1)
 
 
@@ -73,7 +76,7 @@ def _jittered(points, free, scale, rng):
 
 def _grid_points(divisions, width, height):
     """(divisions+1)^2 points of the rectangle, row by row, x fastest."""
-    mesh = np.meshgrid(_lines(divisions, width), _lines(divisions, height))
+    mesh = np.meshgrid(_lines(divisions, width, "width"), _lines(divisions, height, "height"))
     return np.stack(mesh, axis=-1).reshape(-1, 2)
 
 
@@ -103,7 +106,7 @@ def _grid_2d(divisions, width, height, jitter, rng, locked_columns=()):
 def _grid_3d(divisions, rng, jitter):
     """(divisions+1)^3 points of the unit cube, x fastest; every coordinate
     strictly inside (0, 1) jitters."""
-    axis = _lines(divisions, 1.0)
+    axis = _lines(divisions, 1.0, "side")
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
     return _jittered(grid, (grid > 0.0) & (grid < 1.0), jitter * (1.0 / divisions), rng)
 
@@ -267,7 +270,7 @@ def surface_pairwise_delaunay(
     if divisions % 2:
         raise FixtureError("surface fixture needs an even number of divisions")
     mid_column = divisions // 2
-    mid_x = _lines(divisions, width)[mid_column]
+    mid_x = _lines(divisions, width, "width")[mid_column]
 
     def attempt(rng):
         points = _grid_2d(divisions, width, height, jitter, rng, locked_columns=(mid_column,))

@@ -8,11 +8,17 @@ boundary vertex's share of the boundary (half of each incident boundary
 edge). Eliminating sigma gives the reduced system
     d0^T star1 d0 u = star0 f - b,
 a pure-flux (Neumann) problem, solvable only when total source matches
-total outflux and determined up to a constant fixed by a gauge.
+total outflux and determined up to a constant fixed by a gauge. The saddle
+form keeps both cochains: [[star1, star1 d0], [(star1 d0)^T, 0]]. Either
+form gets one gauge step on its vertex block: "zero_mean" borders the
+matrix with a column of ones over it, ("pin", v) drops vertex v's row and
+column. figure1_columns runs the flux patch test (figure1_experiment) over
+a list of (family, hodge_mode) columns, generating one mesh per family.
 """
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
@@ -120,7 +126,9 @@ def _check_gauge(gauge, num_vertices):
         isinstance(gauge, tuple)
         and len(gauge) == 2
         and gauge[0] == "pin"
-        and 0 <= int(gauge[1]) < num_vertices
+        and isinstance(gauge[1], Integral)
+        and not isinstance(gauge[1], bool)
+        and 0 <= gauge[1] < num_vertices
     ):
         return ("pin", int(gauge[1]))
     raise ProblemDefinitionError(f"unrecognized gauge {gauge!r}")
@@ -176,38 +184,25 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
             f"{weighted_source.sum():.6e} vs total outflux {outflux:.6e}"
         )
 
+    # one block per form, whose vertex block starts at row ``first``
     star1_mat = star1.as_matrix()
     if form == "reduced":
-        stiffness = (flux_op.T @ star1_mat @ flux_op).tocsr()
+        first = 0
+        matrix = flux_op.T @ star1_mat @ flux_op
         rhs = weighted_source - b
-        if gauge == "zero_mean":
-            ones = np.ones((num_vertices, 1))
-            matrix = sparse.bmat([[stiffness, ones], [ones.T, None]], format="csr")
-            rhs = np.concatenate([rhs, [0.0]])
-        else:
-            keep = np.arange(num_vertices) != gauge[1]
-            matrix = stiffness[keep][:, keep]
-            rhs = rhs[keep]
     else:
-        coupling = (star1_mat @ flux_op).tocsr()
+        coupling = star1_mat @ flux_op
+        first = num_edges
+        matrix = sparse.bmat([[star1_mat, coupling], [coupling.T, None]])
         rhs = np.concatenate([np.zeros(num_edges), b - weighted_source])
-        if gauge == "zero_mean":
-            ones = np.ones((num_vertices, 1))
-            matrix = sparse.bmat(
-                [
-                    [star1_mat, coupling, None],
-                    [coupling.T, None, ones],
-                    [None, ones.T, None],
-                ],
-                format="csr",
-            )
-            rhs = np.concatenate([rhs, [0.0]])
-        else:
-            full = sparse.bmat([[star1_mat, coupling], [coupling.T, None]], format="csr")
-            keep = np.ones(num_edges + num_vertices, dtype=bool)
-            keep[num_edges + gauge[1]] = False
-            matrix = full[keep][:, keep]
-            rhs = rhs[keep]
+    if gauge == "zero_mean":
+        ones = np.repeat([[0.0], [1.0]], [first, num_vertices], axis=0)
+        matrix = sparse.bmat([[matrix, ones], [ones.T, None]])
+        rhs = np.append(rhs, 0.0)
+    else:
+        keep = np.arange(first + num_vertices) != first + gauge[1]
+        matrix = matrix.tocsr()[keep][:, keep]
+        rhs = rhs[keep]
 
     return LinearSystem(
         matrix=matrix.tocsr(), rhs=rhs, form=form, gauge=gauge,
@@ -232,27 +227,15 @@ def solve_mixed_poisson(system):
         / max(np.linalg.norm(system.rhs), 1e-300)
     )
 
-    if system.form == "reduced":
-        if system.gauge == "zero_mean":
-            u = raw[:num_vertices].copy()
-        else:
-            u = np.zeros(num_vertices)
-            keep = np.arange(num_vertices) != system.gauge[1]
-            u[keep] = raw
-        sigma = -(system.flux_operator @ u)
-    else:
-        sigma = raw[:num_edges].copy()
-        if system.gauge == "zero_mean":
-            u = raw[num_edges : num_edges + num_vertices].copy()
-        else:
-            u = np.zeros(num_vertices)
-            keep = np.arange(num_vertices) != system.gauge[1]
-            u[keep] = raw[num_edges:]
-
-    if system.gauge == "zero_mean":
-        u -= u.mean()
-    else:
-        u -= u[system.gauge[1]]
+    # the vertex block starts after the edge block in the saddle form and
+    # ends before a zero_mean multiplier; a pinned vertex has no unknown
+    # and gets its 0 back
+    first = num_edges if system.form == "saddle" else 0
+    u = raw[first:][:num_vertices]
+    if system.gauge != "zero_mean":
+        u = np.insert(u, system.gauge[1], 0.0)
+    sigma = raw[:first].copy() if system.form == "saddle" else -(system.flux_operator @ u)
+    u = u - (u.mean() if system.gauge == "zero_mean" else u[system.gauge[1]])
     return MixedPoissonSolution(
         u=u, sigma=sigma, residual_norm=residual,
         form=system.form, hodge_mode=system.hodge_mode,
@@ -346,6 +329,8 @@ def figure1_experiment(
         )
     if hodge_mode not in MODES:
         raise ProblemDefinitionError(f"hodge_mode must be one of {MODES}, got {hodge_mode!r}")
+    if not 0 < abs(influx) < np.inf:
+        raise ProblemDefinitionError(f"influx must be finite and nonzero, got {influx!r}")
     start = time.perf_counter()
     if mesh is None:
         mesh = generate_fixture(
@@ -360,9 +345,7 @@ def figure1_experiment(
             return influx
         return 0.0
 
-    problem = MixedPoissonProblem(
-        mesh=mesh, source=0.0, boundary_flux=flux, gauge=gauge
-    )
+    problem = MixedPoissonProblem(mesh=mesh, boundary_flux=flux, gauge=gauge)
     system = assemble_mixed_poisson(problem, hodge_mode=hodge_mode, form="reduced")
     solution = solve_mixed_poisson(system)
 
@@ -377,8 +360,7 @@ def figure1_experiment(
         np.linalg.norm(vectors - np.array([influx, 0.0]), axis=1).max() / abs(influx)
     )
 
-    report = classify_complex(mesh)
-    result = ExperimentResult(
+    return ExperimentResult(
         family=family,
         hodge_mode=hodge_mode,
         mesh=mesh,
@@ -386,7 +368,7 @@ def figure1_experiment(
         u_error=u_error,
         sigma_error=sigma_error,
         flux_vectors=vectors,
-        report=report,
+        report=classify_complex(mesh),
         star0_nonpositive=validate_hodge(hodge_star(mesh, 0, mode="signed")),
         star1_nonpositive=validate_hodge(hodge_star(mesh, 1, mode="signed")),
         elapsed_seconds=time.perf_counter() - start,
@@ -395,29 +377,21 @@ def figure1_experiment(
             "height": height, "influx": influx,
         },
     )
-    return result
 
 
-def figure1_columns(divisions=16, seed=0, **kwargs):
-    """All four canonical experiment columns: signed and unsigned stars on
-    the good mesh, signed star on the bad-boundary and non-Delaunay
-    meshes. Each mesh family is generated once; the two good-mesh columns
-    literally share one mesh."""
-    from .fixtures import generate_fixture
-
+def figure1_columns(divisions=16, seed=0, columns=FIGURE1_COLUMNS, **kwargs):
+    """The experiment over ``columns``, (family, hodge_mode) pairs that
+    default to the four canonical ones: signed and unsigned stars on the
+    good mesh, signed star on the bad-boundary and non-Delaunay meshes.
+    Each family's mesh is generated by its first column and shared by the
+    rest, so the two good-mesh columns literally share one mesh."""
     meshes = {}
     results = []
-    for family, mode in FIGURE1_COLUMNS:
-        if family not in meshes:
-            meshes[family] = generate_fixture(
-                _FAMILY_FIXTURES[family],
-                divisions=divisions, seed=seed,
-                width=kwargs.get("width", 1.0), height=kwargs.get("height", 1.0),
-            )
-        results.append(
-            figure1_experiment(
-                family=family, hodge_mode=mode, divisions=divisions, seed=seed,
-                mesh=meshes[family], **kwargs,
-            )
+    for family, mode in columns:
+        result = figure1_experiment(
+            family=family, hodge_mode=mode, divisions=divisions, seed=seed,
+            mesh=meshes.get(family), **kwargs,
         )
+        meshes[family] = result.mesh
+        results.append(result)
     return results

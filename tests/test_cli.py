@@ -219,6 +219,9 @@ def test_poisson_config_validation(tmp_path, capsys):
     ({"influx": "a"}, "influx"),
     ({"width": True}, "width"),
     ({"seed": "a"}, "seed"),
+    ({"influx": 0}, "influx"),
+    ({"width": 0}, "width"),
+    ({"height": -1}, "height"),
 ])
 def test_poisson_malformed_config_is_input_error(config, key, tmp_path, capsys):
     config_path = tmp_path / "config.json"
@@ -226,6 +229,18 @@ def test_poisson_malformed_config_is_input_error(config, key, tmp_path, capsys):
     assert main(["poisson", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+def test_poisson_failing_column_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "divisions": 4, "output_dir": str(out),
+        "columns": [{"family": "good"}, {"family": "bogus"}],
+    }))
+    assert main(["poisson", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: family must be one of")
+    assert not out.exists()
 
 
 def test_negative_seed_is_input_error(tmp_path, capsys):

@@ -195,6 +195,22 @@ def test_grid_families_reject_nonpositive_divisions(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_rectangle_families_reject_empty_sides(tmp_path, capsys):
+    # a side of zero, negative or infinite length is an input error that
+    # names the side, not a Qhull traceback or a run of failed attempts
+    from signeddec.cli import main
+
+    rectangles = [n for n in FIXTURE_NAMES if n not in ("fan_around_edge", "delaunay_tet_cube")]
+    for name in rectangles:
+        for key, value in (("width", 0.0), ("height", -1.0), ("width", np.inf)):
+            with pytest.raises(FixtureError, match=f"^{key} must be positive"):
+                generate_fixture(name, divisions=4, **{key: value})
+            code = main(["fixture", name, f"--{key}", str(value), "-o", str(tmp_path / name)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: {key} must be positive")
+    assert not list(tmp_path.iterdir())
+
+
 def test_attempt_count_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="signeddec.fixtures"):
         generate_fixture("non_delaunay_square", divisions=16, seed=0)

@@ -13,6 +13,7 @@ from signeddec.poisson import (
     MixedPoissonProblem,
     assemble_mixed_poisson,
     boundary_outward_normals,
+    figure1_columns,
     figure1_experiment,
     sigma_vectors,
     solve_mixed_poisson,
@@ -83,7 +84,8 @@ def test_gauges_differ_by_constant(good_mesh):
 
 
 def test_saddle_matches_reduced(good_mesh):
-    for gauge in ("zero_mean", ("pin", 0)):
+    last = good_mesh.num_simplices(0) - 1  # the pinned 0 goes back at the end
+    for gauge in ("zero_mean", ("pin", 0), ("pin", last)):
         reduced = _solve(good_mesh, form="reduced", gauge=gauge)
         saddle = _solve(good_mesh, form="saddle", gauge=gauge)
         assert np.max(np.abs(reduced.u - saddle.u)) < 1e-8
@@ -160,8 +162,9 @@ def test_flux_dict_form(good_mesh):
 def test_gauge_validation(good_mesh):
     with pytest.raises(ProblemDefinitionError):
         _solve(good_mesh, gauge="fix_somewhere")
-    with pytest.raises(ProblemDefinitionError):
-        _solve(good_mesh, gauge=("pin", 10**6))
+    for gauge in (("pin", 10**6), ("pin", 2.7), ("pin", True), ("pin", "a")):
+        with pytest.raises(ProblemDefinitionError):
+            _solve(good_mesh, gauge=gauge)
 
 
 def test_rejects_non_planar_mesh():
@@ -259,6 +262,25 @@ def test_experiment_failure_columns_small():
     assert skew.u_error > 1e-2
     assert skew.star1_nonpositive != []
     assert len(skew.report.violated_pairs) >= 1
+
+
+def test_experiment_rejects_zero_or_infinite_influx():
+    for influx in (0, 0.0, np.inf, np.nan):
+        with pytest.raises(ProblemDefinitionError, match="influx"):
+            figure1_experiment(influx=influx, mesh=object())  # before any mesh work
+
+
+def test_columns_share_each_family_mesh():
+    columns = [("good", "signed"), ("good", "unsigned"), ("non_delaunay", "signed")]
+    results = figure1_columns(divisions=8, columns=columns)
+    assert [(r.family, r.hodge_mode) for r in results] == columns
+    assert results[0].mesh is results[1].mesh
+    assert results[2].mesh is not results[0].mesh
+    for result in results:
+        alone = figure1_experiment(
+            family=result.family, hodge_mode=result.hodge_mode, divisions=8, mesh=result.mesh
+        )
+        assert alone.solution.u.tobytes() == result.solution.u.tobytes()
 
 
 def test_experiment_rejects_unknown_family():
