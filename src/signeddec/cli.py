@@ -9,7 +9,6 @@ import argparse
 import functools
 import json
 import sys
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +140,10 @@ def _cmd_hodge(args):
     return 0
 
 
-# The experiment parameters a poisson config may set, with their types.
-_POISSON_PARAMS = {"divisions": int, "seed": int, "width": Real, "height": Real, "influx": Real}
+# The experiment parameters a poisson config may set, with the type each is converted
+# to (a float one also takes an integer), and a column's string keys with defaults.
+_POISSON_PARAMS = {"divisions": int, "seed": int, "width": float, "height": float, "influx": float}
+_COLUMN_KEYS = {"family": "good", "hodge_mode": "signed"}
 
 
 def _cmd_poisson(args):
@@ -150,7 +151,7 @@ def _cmd_poisson(args):
         config = json.loads(Path(args.config).read_text())
     except OSError as exc:
         raise SignedDecError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
         raise SignedDecError(f"bad JSON in {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise SignedDecError("poisson config must be a JSON object")
@@ -161,16 +162,25 @@ def _cmd_poisson(args):
     params = {key: config[key] for key in _POISSON_PARAMS if key in config}
     for key, value in params.items():
         kind = _POISSON_PARAMS[key]
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, (kind, int)):
             noun = "an integer" if kind is int else "a number"
             raise SignedDecError(f"config key {key!r} must be {noun}")
+        try:
+            params[key] = kind(value)
+        except OverflowError:
+            raise SignedDecError(f"config key {key!r} is beyond float range") from None
     columns = config.get("columns")
     if columns is None:
         columns = FIGURE1_COLUMNS
     elif not isinstance(columns, list) or not all(isinstance(c, dict) for c in columns):
         raise SignedDecError("config key 'columns' must be a list of objects")
     else:
-        columns = [(c.get("family", "good"), c.get("hodge_mode", "signed")) for c in columns]
+        for key, value in (item for column in columns for item in column.items()):
+            if key not in _COLUMN_KEYS or not isinstance(value, str):
+                raise SignedDecError(
+                    f"column key {key!r}: a column may set only {list(_COLUMN_KEYS)}, as strings"
+                )
+        columns = [tuple(c.get(k, d) for k, d in _COLUMN_KEYS.items()) for c in columns]
     # every column runs before the output directory is made, so a failing
     # column leaves no files behind
     results = figure1_columns(columns=columns, **params)

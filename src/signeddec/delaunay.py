@@ -73,6 +73,23 @@ class CircumcenterOrder:
     positive_toward: str
 
 
+def _status_signs(margins, eps):
+    """Status signs of pairs from their (P, 2) relative margins (apex
+    distance outside the other circumsphere over its radius): +1 strict if
+    both exceed eps, -1 violated if both are below -eps, else 0 (NaN too)."""
+    return np.where(
+        margins.min(1) > eps, 1, np.where(margins.max(1) < -eps, -1, 0)
+    ).astype(np.int8)
+
+
+def _flat_circumdata(facet_points, apex_left, apex_right, tol, facet=False):
+    """The pair flattened into R^n, then the circumdata of its facet (if
+    ``facet``), left and right simplex, computed in that order."""
+    flat = flatten_pair(facet_points, apex_left, apex_right, tol=tol)
+    tails = [[]] * facet + [[flat.apex_left], [flat.apex_right]]
+    return flat, *(circumcenter(np.vstack([flat.facet, *tail]), tol=tol) for tail in tails)
+
+
 def pair_status_points(facet_points, apex_left, apex_right, tol=None):
     """Delaunay status of a shared-facet pair given raw coordinates.
 
@@ -81,20 +98,12 @@ def pair_status_points(facet_points, apex_left, apex_right, tol=None):
     "violated" if inside beyond tolerance, "degenerate" near the sphere.
     """
     eps = tolerance(tol)
-    flat = flatten_pair(facet_points, apex_left, apex_right, tol=tol)
-    left = circumcenter(np.vstack([flat.facet, flat.apex_left]), tol=tol)
-    right = circumcenter(np.vstack([flat.facet, flat.apex_right]), tol=tol)
-    margin_left = (
-        float(np.linalg.norm(flat.apex_right - left.center)) - left.radius
-    ) / left.radius
-    margin_right = (
-        float(np.linalg.norm(flat.apex_left - right.center)) - right.radius
-    ) / right.radius
-    if min(margin_left, margin_right) > eps:
-        return PAIR_STRICT
-    if max(margin_left, margin_right) < -eps:
-        return PAIR_VIOLATED
-    return PAIR_DEGENERATE
+    flat, left, right = _flat_circumdata(facet_points, apex_left, apex_right, tol)
+    margins = [
+        (float(np.linalg.norm(apex - circ.center)) - circ.radius) / circ.radius
+        for apex, circ in ((flat.apex_right, left), (flat.apex_left, right))
+    ]
+    return _PAIR_STATUS[_status_signs(np.array([margins]), eps)[0]].item()
 
 
 def one_sided_status_points(facet_points, apex, tol=None):
@@ -120,34 +129,22 @@ def circumcenter_order_points(
     """
     if positive_toward not in ("right", "left"):
         raise ValueError(f"positive_toward must be 'right' or 'left', got {positive_toward!r}")
-    flat = flatten_pair(facet_points, apex_left, apex_right, tol=tol)
-    n = flat.facet.shape[1]
-    axis = np.zeros(n)
-    axis[n - 1] = 1.0 if positive_toward == "right" else -1.0
-
-    facet_circ = circumcenter(flat.facet, tol=tol)
-    left = circumcenter(np.vstack([flat.facet, flat.apex_left]), tol=tol)
-    right = circumcenter(np.vstack([flat.facet, flat.apex_right]), tol=tol)
-
-    offset_left = float((left.center - facet_circ.center) @ axis)
-    offset_right = float((right.center - facet_circ.center) @ axis)
-    apex_vec = flat.apex_right - facet_circ.center
-    apex_offset = float(apex_vec @ axis)
-    apex_radial = float(np.linalg.norm(apex_vec - apex_offset * axis))
-
+    flat, facet, left, right = _flat_circumdata(facet_points, apex_left, apex_right, tol, True)
+    # the flattened facet spans {x_n = 0}, so the axis is the last coordinate
+    sign = 1.0 if positive_toward == "right" else -1.0
+    rise_left, rise_right, apex_rise = (
+        float(point[-1] - facet.center[-1])
+        for point in (left.center, right.center, flat.apex_right)
+    )
     data = CircumcenterOrder(
-        center_offset_left=offset_left,
-        center_offset_right=offset_right,
-        apex_offset=apex_offset,
-        apex_radial_distance=apex_radial,
-        facet_radius=facet_circ.radius,
+        center_offset_left=sign * rise_left,
+        center_offset_right=sign * rise_right,
+        apex_offset=sign * apex_rise,
+        apex_radial_distance=float(np.linalg.norm((flat.apex_right - facet.center)[:-1])),
+        facet_radius=facet.radius,
         positive_toward=positive_toward,
     )
-    if positive_toward == "right":
-        order_correct = offset_right > offset_left
-    else:
-        order_correct = offset_right < offset_left
-    return data, order_correct
+    return data, rise_right > rise_left
 
 
 def _pair_apexes(complex_, left_top, right_top, facet_index):
@@ -171,7 +168,6 @@ def _pair_signs(complex_, facets, tops, apexes, tol=None):
     |b - c_F|^2 - r_F^2 + 2 h_b s_T with respect to T's circumsphere, and
     relative margin (sqrt(r_T^2 + power) - r_T) / r_T. Column k of each
     array below belongs to top k; the far apex is the other column's.
-    Thresholds are those of :func:`pair_status_points`.
     """
     eps = tolerance(tol)
     n = complex_.n
@@ -190,9 +186,7 @@ def _pair_signs(complex_, facets, tops, apexes, tol=None):
         margins = np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
     # a pair touching a simplex with a degenerate circumcenter is degenerate
     margins[facet_flags[facets] | flags[tops].any(axis=1)] = np.nan
-    return np.where(
-        margins.min(1) > eps, 1, np.where(margins.max(1) < -eps, -1, 0)
-    ).astype(np.int8)
+    return _status_signs(margins, eps)
 
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):

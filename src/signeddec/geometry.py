@@ -163,22 +163,19 @@ def circumcenter(points, tol=None):
     return Circumdata(centers[0], float(radii[0]))
 
 
-def _orthonormal_basis(directions, eps):
-    """Orthonormal column basis of span(rows), with a rank check.
-
-    ``directions`` has shape (m, N); returns (N, m). Raises DegeneracyError
-    if the rows are (nearly) linearly dependent.
+def _facet_frame(facet_points, eps):
+    """(facet, origin, basis) of k facet points in R^N: the points, the first
+    of them, and an orthonormal (N, k-1) column basis of the edges from it (no
+    columns for one point). DegeneracyError if the edges are (nearly) dependent.
     """
-    m = len(directions)
-    if m == 0:
-        return np.zeros((0, 0))
-    mat = np.asarray(directions, dtype=float).T
-    q, r = np.linalg.qr(mat)
-    diag = np.abs(np.diag(r))
-    scale = np.linalg.norm(mat, axis=0).max()
-    if scale == 0.0 or diag.min() <= eps * scale:
+    facet = _as_points(facet_points)
+    origin = facet[0]
+    edges = (facet[1:] - origin).T
+    basis, r = np.linalg.qr(edges)
+    scale = np.linalg.norm(edges, axis=0).max(initial=0.0)
+    if (np.abs(np.diag(r)) <= eps * scale).any():
         raise DegeneracyError("facet vertices are (nearly) affinely dependent")
-    return q
+    return facet, origin, basis
 
 
 def halfspace_sign(facet_points, apex, query, tol=None):
@@ -191,32 +188,22 @@ def halfspace_sign(facet_points, apex, query, tol=None):
     in the combined affine hull within tolerance (else AffineHullError).
     """
     eps = tolerance(tol)
-    facet = _as_points(facet_points)
-    apex = np.asarray(apex, dtype=float)
-    query = np.asarray(query, dtype=float)
-    origin = facet[0]
-    basis = _orthonormal_basis(facet[1:] - origin, eps)
-
-    def perp(vec):
-        if basis.size == 0:
-            return vec
-        return vec - basis @ (basis.T @ vec)
-
-    apex_vec = apex - origin
-    query_vec = query - origin
+    facet, origin, basis = _facet_frame(facet_points, eps)
+    apex_vec = np.asarray(apex, dtype=float) - origin
+    query_vec = np.asarray(query, dtype=float) - origin
     scale = max(
         float(np.linalg.norm(apex_vec)),
         float(np.linalg.norm(query_vec)),
-        float(np.linalg.norm(facet[1:] - origin, axis=1).max()) if len(facet) > 1 else 0.0,
+        float(np.linalg.norm(facet[1:] - origin, axis=1).max(initial=0.0)),
     )
     if scale == 0.0:
         raise DegeneracyError("all points coincide")
-    apex_perp = perp(apex_vec)
+    apex_perp = apex_vec - basis @ (basis.T @ apex_vec)
     height = float(np.linalg.norm(apex_perp))
     if height <= eps * scale:
         raise DegeneracyError("apex is affinely dependent on the facet")
     normal = apex_perp / height
-    query_perp = perp(query_vec)
+    query_perp = query_vec - basis @ (basis.T @ query_vec)
     offset = float(query_perp @ normal)
     residual = float(np.linalg.norm(query_perp - offset * normal))
     if residual > max(eps, 1e-9) * scale:
@@ -239,26 +226,17 @@ def flatten_pair(facet_points, apex_left, apex_right, tol=None):
     half-spaces.
     """
     eps = tolerance(tol)
-    facet = _as_points(facet_points)
-    n = len(facet)
-    origin = facet[0]
-    basis = _orthonormal_basis(facet[1:] - origin, eps)
-
-    flat_facet = np.zeros((n, n))
-    if n > 1:
-        flat_facet[1:, : n - 1] = (facet[1:] - origin) @ basis
+    facet, origin, basis = _facet_frame(facet_points, eps)
+    flat_facet = np.zeros((len(facet), len(facet)))
+    flat_facet[1:, :-1] = (facet[1:] - origin) @ basis
 
     def place(apex, side):
         vec = np.asarray(apex, dtype=float) - origin
-        tang = basis.T @ vec if basis.size else np.zeros(0)
-        perp = vec - basis @ tang if basis.size else vec
-        height = float(np.linalg.norm(perp))
+        tang = basis.T @ vec
+        height = float(np.linalg.norm(vec - basis @ tang))
         if height <= eps * max(float(np.linalg.norm(vec)), 1.0e-300):
             raise DegeneracyError("apex lies in the facet's affine hull")
-        out = np.zeros(n)
-        out[: n - 1] = tang
-        out[n - 1] = side * height
-        return out
+        return np.append(tang, side * height)
 
     return FlattenedPair(
         facet=flat_facet,

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import spsolve
 from .complexes import boundary_operator
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
-from .hodge import MODES, hodge_star, validate_hodge
+from .hodge import MODES, hodge_star
 from .signed_dual import _boundary_step_signs
 
 __all__ = [
@@ -323,7 +323,7 @@ def figure1_experiment(
     """
     from .fixtures import generate_fixture
 
-    if family not in _FAMILY_FIXTURES:
+    if not isinstance(family, str) or family not in _FAMILY_FIXTURES:  # before it is hashed
         raise ProblemDefinitionError(
             f"family must be one of {sorted(_FAMILY_FIXTURES)}, got {family!r}"
         )
@@ -359,6 +359,7 @@ def figure1_experiment(
     sigma_error = float(
         np.linalg.norm(vectors - np.array([influx, 0.0]), axis=1).max() / abs(influx)
     )
+    report = classify_complex(mesh)
 
     return ExperimentResult(
         family=family,
@@ -368,9 +369,9 @@ def figure1_experiment(
         u_error=u_error,
         sigma_error=sigma_error,
         flux_vectors=vectors,
-        report=classify_complex(mesh),
-        star0_nonpositive=validate_hodge(hodge_star(mesh, 0, mode="signed")),
-        star1_nonpositive=validate_hodge(hodge_star(mesh, 1, mode="signed")),
+        report=report,
+        star0_nonpositive=report.dual_indices[report.dual_dims == 0].tolist(),
+        star1_nonpositive=report.dual_indices[report.dual_dims == 1].tolist(),
         elapsed_seconds=time.perf_counter() - start,
         config={
             "divisions": divisions, "seed": seed, "width": width,
@@ -385,13 +386,11 @@ def figure1_columns(divisions=16, seed=0, columns=FIGURE1_COLUMNS, **kwargs):
     good mesh, signed star on the bad-boundary and non-Delaunay meshes.
     Each family's mesh is generated by its first column and shared by the
     rest, so the two good-mesh columns literally share one mesh."""
-    meshes = {}
     results = []
     for family, mode in columns:
-        result = figure1_experiment(
+        shared = (result.mesh for result in results if result.family == family)
+        results.append(figure1_experiment(
             family=family, hodge_mode=mode, divisions=divisions, seed=seed,
-            mesh=meshes.get(family), **kwargs,
-        )
-        meshes[family] = result.mesh
-        results.append(result)
+            mesh=next(shared, None), **kwargs,
+        ))
     return results

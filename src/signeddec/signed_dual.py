@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import ComplexError, DegeneracyError
-from .geometry import circumcenter, halfspace_sign
+from .geometry import _facet_frame, circumcenter, halfspace_sign
 
 __all__ = [
     "ElementaryDual",
@@ -116,6 +116,11 @@ class DualTable:
     num_negative_pieces: np.ndarray
 
 
+def _link_eps(eps):
+    """The tolerance of link signs: a resolved tolerance, floored at 1e-14."""
+    return max(eps, 1e-14)
+
+
 def _links(complex_, dim, faces, cofaces, apexes, eps):
     """Step signs and lengths |c_coface - c_face| of links from the
     (dim-1)-simplices faces[i] to the dim-simplices cofaces[i], which add the
@@ -149,7 +154,7 @@ def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     extra = (coface_rows[:, :, None] != complex_.simplices[dim][faces][:, None, :]).all(axis=2)
     if (extra.sum(axis=1) != 1).any():
         raise ComplexError("coface does not extend face")
-    eps = max(tolerance(tol), 1e-14)
+    eps = _link_eps(tolerance(tol))
     return _links(complex_, dim + 1, faces, cofaces, coface_rows[extra], eps)[0]
 
 
@@ -159,7 +164,7 @@ def _boundary_step_signs(complex_, tol=None):
     vertices come from ``facet_cofaces``, so no vertex search is made."""
     tops, apexes = complex_.facet_cofaces
     facets = np.flatnonzero(tops[:, 1] < 0)
-    eps = max(tolerance(tol), 1e-14)
+    eps = _link_eps(tolerance(tol))
     return facets, _links(complex_, complex_.n, facets, tops[facets, 0], apexes[facets, 0], eps)[0]
 
 
@@ -211,7 +216,7 @@ def dual_table(complex_, dim, tol=None):
     totals = np.ones((4, complex_.num_simplices(n)))
     for p in range(n, dim - 1, -1):
         if p < n:
-            signs, lengths = _link_table(complex_, p + 1, max(tol, 1e-14))
+            signs, lengths = _link_table(complex_, p + 1, _link_eps(tol))
             faces = complex_.face_table(p + 1).ravel()
             weights = (signs * lengths / (n - p), lengths / (n - p), signs, np.abs(signs))
             totals = np.array([
@@ -271,7 +276,7 @@ def elementary_duals(complex_, dim, index, tol=None):
     """
     if not 0 <= index < complex_.num_simplices(dim):
         raise IndexError(f"no {dim}-simplex with index {index}")
-    n, eps = complex_.n, max(tolerance(tol), 1e-14)
+    n, eps = complex_.n, _link_eps(tolerance(tol))
     centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
     levels, positions = _chain_patterns(n, dim)
     tops, local = np.nonzero(complex_.face_of_top[dim] == index)
@@ -312,16 +317,18 @@ def regular_simplex(n):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    corners = np.eye(n + 1)
-    edges = (corners[1:] - corners[0]).T
-    basis, _ = np.linalg.qr(edges)
-    flat = np.vstack([np.zeros(n), edges.T @ basis])
-    return flat
+    corners, origin, basis = _facet_frame(np.eye(n + 1), 0.0)
+    return np.vstack([np.zeros(n), (corners[1:] - origin) @ basis])
 
 
 def _edge_frame(points):
     pts = np.asarray(points, dtype=float)
     return pts[1:] - pts[0]
+
+
+def _chain_frame(base_points, centers):
+    """A chain's n-frame: the base simplex's edges, then its circumcenter steps."""
+    return np.vstack([_edge_frame(base_points), np.diff(centers, axis=0)])
 
 
 def _sign_of_det(matrix):
@@ -340,10 +347,7 @@ def _reference_sign(reference, cells, tol):
         apex = next(v for v in coface if v not in face)
         if halfspace_sign(reference[list(face)], reference[apex], center, tol=tol) <= 0:
             raise ValueError("reference simplex is not well-centered")
-    base = reference[list(cells[0])]
-    rows = [base[k] - base[0] for k in range(1, len(base))]
-    rows.extend(np.diff(np.vstack(centers), axis=0))
-    return _sign_of_det(np.vstack(rows))
+    return _sign_of_det(_chain_frame(reference[list(cells[0])], centers))
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,8 +379,7 @@ def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol
             f"(N == n), got N={complex_.N}, n={n}"
         )
     top_cell = complex_.simplex_vertices(n, piece.top_index)
-    top_points = complex_.points[list(top_cell)]
-    det_top = _sign_of_det(_edge_frame(top_points))
+    det_top = _sign_of_det(_edge_frame(complex_.points[list(top_cell)]))
     if det_top == 0:
         raise DegeneracyError("top simplex of the piece is degenerate")
 
@@ -402,7 +405,4 @@ def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol
             )
         ref_sign = _reference_sign(reference, local, tol)
 
-    base_points = complex_.points[list(cells[0])]
-    test_rows = [base_points[k] - base_points[0] for k in range(1, len(cells[0]))]
-    test_rows.extend(np.diff(piece.vertices, axis=0))
-    return _sign_of_det(np.vstack(test_rows)) * ref_sign
+    return _sign_of_det(_chain_frame(complex_.points[list(cells[0])], piece.vertices)) * ref_sign

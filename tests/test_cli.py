@@ -210,6 +210,14 @@ def test_poisson_config_validation(tmp_path, capsys):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["poisson", str(not_object)]) == 2
+    too_long = tmp_path / "long.json"  # beyond Python's integer-reading limit
+    too_long.write_text('{"influx": 1' + "0" * 5000 + "}")
+    assert main(["poisson", str(too_long)]) == 2
+    assert "bad JSON" in capsys.readouterr().err
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b'{"divisions": 4, "output_dir": "\xff"}')
+    assert main(["poisson", str(not_utf8)]) == 2
+    assert "bad JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, key", [
@@ -222,6 +230,10 @@ def test_poisson_config_validation(tmp_path, capsys):
     ({"influx": 0}, "influx"),
     ({"width": 0}, "width"),
     ({"height": -1}, "height"),
+    ({"columns": [{"family": ["x"]}]}, "family"),
+    ({"columns": [{"family": "good", "hodge-mode": "unsigned"}]}, "hodge-mode"),
+    ({"influx": 10**400}, "influx"),
+    ({"width": 10**400}, "width"),
 ])
 def test_poisson_malformed_config_is_input_error(config, key, tmp_path, capsys):
     config_path = tmp_path / "config.json"

@@ -24,6 +24,7 @@ from signeddec.delaunay import (
 )
 from signeddec.errors import DegeneracyError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
+from signeddec.geometry import flatten_pair
 from signeddec.signed_dual import dual_volumes
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -38,6 +39,28 @@ def _equilateral_strip():
         [0.5, h], [1.5, h], [2.5, h],
     ])
     return build_complex(points, [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4)])
+
+
+def test_polyline_one_point_facets():
+    # n = 1 in R^2: every facet is one vertex, whose frame has no columns
+    points = np.array([[0.0, 0.0], [1.0, 0.5], [2.5, 0.2], [3.0, 1.5]])
+    mesh = build_complex(points, [(0, 1), (1, 2), (2, 3)])
+    tops, apexes = mesh.facet_cofaces
+    internal = np.flatnonzero(tops[:, 1] >= 0)
+    assert internal.tolist() == [1, 2]
+    for facet in internal:
+        facet_points = mesh.simplex_points(0, facet)
+        left, right = mesh.points[apexes[facet]]
+        flat = flatten_pair(facet_points, left, right)
+        assert flat.facet.tolist() == [[0.0]]
+        assert flat.apex_left.tolist() == [-np.linalg.norm(left - facet_points[0])]
+        assert flat.apex_right.tolist() == [np.linalg.norm(right - facet_points[0])]
+        status = pair_status_points(facet_points, left, right)
+        assert status == is_delaunay_pair(mesh, *tops[facet], facet) == PAIR_STRICT
+    for end in np.flatnonzero(tops[:, 1] < 0):
+        top, apex = tops[end, 0], apexes[end, 0]
+        status = one_sided_status_points(mesh.simplex_points(0, end), mesh.points[apex])
+        assert status == is_one_sided(mesh, top, end) == SIDE_YES
 
 
 @st.composite

@@ -8,6 +8,7 @@ from scipy import sparse
 from conftest import cotan_weights
 from signeddec.errors import ProblemDefinitionError
 from signeddec.fixtures import generate_fixture
+from signeddec.hodge import hodge_star, validate_hodge
 from signeddec.poisson import (
     FIGURE1_COLUMNS,
     MixedPoissonProblem,
@@ -262,6 +263,10 @@ def test_experiment_failure_columns_small():
     assert skew.u_error > 1e-2
     assert skew.star1_nonpositive != []
     assert len(skew.report.violated_pairs) >= 1
+    # the nonpositive star entries are the report's nonpositive duals
+    for result in (bad, skew):
+        for p, found in enumerate((result.star0_nonpositive, result.star1_nonpositive)):
+            assert found == validate_hodge(hodge_star(result.mesh, p))
 
 
 def test_experiment_rejects_zero_or_infinite_influx():
@@ -288,6 +293,11 @@ def test_experiment_rejects_unknown_family():
         figure1_experiment(family="great")
     with pytest.raises(ProblemDefinitionError, match="hodge_mode"):
         figure1_experiment(hodge_mode="weird", mesh=object())  # before any mesh work
+    # a family that is not a string fails before it is hashed
+    with pytest.raises(ProblemDefinitionError, match="family"):
+        figure1_experiment(family=["good"], mesh=object())
+    with pytest.raises(ProblemDefinitionError, match="family"):
+        figure1_columns(divisions=4, columns=[("good", "signed"), (["good"], "signed")])
 
 
 def test_column_table_is_fixed():
