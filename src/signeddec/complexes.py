@@ -6,12 +6,12 @@ lexicographic order; ``orientations[p]`` holds +-1 per simplex, for top
 simplices the parity of the user's vertex ordering; ``face_of_top[p]``
 holds, per top and local p-face (in ``itertools.combinations`` order),
 that face's index in ``simplices[p]``. ``facet_cofaces`` lists the tops of
-each codim-1 simplex. The face table of dimension d >= 1, built from
-``face_of_top`` on first use, holds in column j of row i the face of
-d-simplex i that omits its vertex j; the boundary operators read it, and
-the signed incidences ``cofaces`` are read from those. Volumes and
-circumcenters are cached per dimension. Instances are immutable after
-build; all queries are read-only.
+each codim-1 simplex and the vertex column each omits. The face table of
+dimension d >= 1, built from ``face_of_top`` on first use, holds in column
+j of row i the face of d-simplex i that omits its vertex j; the boundary
+operators read it, and the signed incidences ``cofaces`` are read from
+those. Volumes, circumcenters and barycentric coordinates are cached per
+dimension. Instances are immutable after build; all queries are read-only.
 """
 
 import itertools
@@ -35,8 +35,8 @@ class SimplicialComplex:
         self.simplices = simplices
         self.orientations = orientations
         self.face_of_top = face_of_top
-        # (tops, apexes), read-only (F, 2): row f holds the tops of facet f
-        # in ascending order and the vertex each adds; -1 pads boundary rows
+        # (tops, columns), read-only (F, 2): row f holds the tops of facet f
+        # in ascending order and the vertex column f omits; -1 pads boundary rows
         self.facet_cofaces = facet_cofaces
         self._codes = codes
         self.n = len(simplices) - 1
@@ -122,10 +122,10 @@ class SimplicialComplex:
     # -- cached geometry -----------------------------------------------
 
     def geometry(self, dim):
-        """Read-only (volumes, circumcenters, circumradii, degenerate) of all
-        dim-simplices; never raises. ``degenerate`` flags the simplices whose
-        circumcenter failed its check; their centers and radii are
-        placeholders, and the accessors below raise for the whole dimension."""
+        """Read-only (volumes, circumcenters, circumradii, degenerate,
+        barycentric) of all dim-simplices; never raises. ``degenerate`` flags
+        the simplices whose circumcenter failed its check; their other values
+        are placeholders, and the accessors below raise for the whole dimension."""
         if self._geometry[dim] is None:
             stacked = self.points[self.simplices[dim]]
             geometry = batched_volumes(stacked), *batched_circumcenters(stacked)
@@ -284,14 +284,14 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     first = np.cumsum(counts) - counts
     by_facet = np.argsort(slots, kind="stable")[np.stack([first, first + counts - 1], axis=1)]
     facet_tops, local = np.divmod(by_facet, n + 1)
-    facet_apexes = tops[facet_tops, n - local]
-    facet_tops[counts == 1, 1] = facet_apexes[counts == 1, 1] = -1
-    for arr in (*simplices, *face_of_top, *codes, *orientations, facet_tops, facet_apexes):
+    facet_columns = n - local
+    facet_tops[counts == 1, 1] = facet_columns[counts == 1, 1] = -1
+    for arr in (*simplices, *face_of_top, *codes, *orientations, facet_tops, facet_columns):
         arr.setflags(write=False)
 
     complex_ = SimplicialComplex(
         points=pts.copy(), simplices=simplices, orientations=orientations,
-        face_of_top=face_of_top, facet_cofaces=(facet_tops, facet_apexes), codes=codes,
+        face_of_top=face_of_top, facet_cofaces=(facet_tops, facet_columns), codes=codes,
     )
     complex_.points.setflags(write=False)
 

@@ -4,13 +4,15 @@ A pair of top simplices sharing a facet is tested after unfolding the two
 simplices isometrically into R^n: the pair is Delaunay when each apex lies
 strictly outside the other simplex's circumsphere. ``classify_complex``
 tests every internal pair, in any ambient dimension N >= n, with one power
-test on the complex's cached circumcenters, circumradii and volumes (see
-``_pair_signs``); ``pair_status_points`` flattens one pair explicitly
-and is the reference route. A boundary facet is
-one-sided when its coface's circumcenter lies strictly on the apex side of
-the facet's hyperplane. A mesh whose internal pairs are all strict and
-whose boundary facets are all one-sided is "qualifying": its signed dual
-volumes are positive in every dimension.
+test: each apex b's power is 2 h_b (s_T + s_T'), its height times the
+facet's signed dual length, read from cached barycentric coordinates and
+volumes (see ``_pair_signs``); ``pair_status_points`` flattens one pair
+explicitly and is the reference route. A boundary facet is one-sided when
+its coface's circumcenter lies strictly on the apex side of the facet's
+hyperplane: its step sign in the link table, with
+``one_sided_status_points`` as the reference route. A mesh whose internal
+pairs are all strict and whose boundary facets are all one-sided is
+"qualifying": its signed dual volumes are positive in every dimension.
 """
 
 from dataclasses import dataclass
@@ -147,41 +149,36 @@ def circumcenter_order_points(
     return data, rise_right > rise_left
 
 
-def _pair_apexes(complex_, left_top, right_top, facet_index):
-    """The vertices that the two tops add to their shared facet."""
-    tops, apexes = complex_.facet_cofaces
+def _pair_columns(complex_, left_top, right_top, facet_index):
+    """The columns of the two tops' vertex rows that their shared facet omits."""
+    tops, columns = complex_.facet_cofaces
     row = tops[facet_index].tolist()
     if sorted((left_top, right_top)) != row:
         raise ValueError(f"simplices {left_top}, {right_top} do not share facet {facet_index}")
-    return apexes[facet_index][[row.index(left_top), row.index(right_top)]]
+    return columns[facet_index][[row.index(left_top), row.index(right_top)]]
 
 
-def _pair_signs(complex_, facets, tops, apexes, tol=None):
+def _pair_signs(complex_, facets, tops, columns, tol=None):
     """Status signs (+1 strict, 0 degenerate, -1 violated) of internal
-    pairs in any ambient dimension N >= n, from the cached facet and top
-    geometry; row i holds a facet, its two tops and the vertex each adds.
+    pairs in any ambient dimension N >= n, from cached volumes, radii and
+    barycentric coordinates; row i holds a facet, its two tops and the
+    column of each top's vertex row that the facet omits (its apex).
 
-    The pair is unfolded about facet F into R^n. Top T, with apex a, has
-    its center at offset s_T = (c_T - c_F) . (a - c_F) / h_a from c_F
-    toward a, where h_a = n vol(T) / vol(F) is a's height over F. The
-    other apex b, at height h_b on the far side, has power
-    |b - c_F|^2 - r_F^2 + 2 h_b s_T with respect to T's circumsphere, and
+    The pair is unfolded about facet F into R^n. Top T's center lies at
+    signed offset s_T = lambda_a(T) h_a from F toward its apex a, where
+    h_a = n vol(T) / vol(F) is a's height over F. The other apex b has
+    power 2 h_b (s_T + s_T') with respect to T's circumsphere, and
     relative margin (sqrt(r_T^2 + power) - r_T) / r_T. Column k of each
     array below belongs to top k; the far apex is the other column's.
     """
     eps = tolerance(tol)
     n = complex_.n
-    facet_volumes, facet_centers, facet_radii, facet_flags = complex_.geometry(n - 1)
-    volumes, centers, radii, flags = complex_.geometry(n)
-    facet_centers = facet_centers[facets][:, None]
-    facet_radii = facet_radii[facets][:, None]
+    facet_volumes, _, _, facet_flags, _ = complex_.geometry(n - 1)
+    volumes, _, radii, flags, barycentric = complex_.geometry(n)
     radii = radii[tops]
     heights = n * volumes[tops] / facet_volumes[facets][:, None]
-    apex_vecs = complex_.points[apexes] - facet_centers
-    center_vecs = centers[tops] - facet_centers
-    offsets = np.einsum("pkx,pkx->pk", center_vecs, apex_vecs) / heights
-    far = np.einsum("pkx,pkx->pk", apex_vecs, apex_vecs)[:, ::-1]
-    power = far - facet_radii**2 + 2.0 * heights[:, ::-1] * offsets
+    dual_lengths = (barycentric[tops, columns] * heights).sum(axis=1, keepdims=True)
+    power = 2.0 * heights[:, ::-1] * dual_lengths
     with np.errstate(divide="ignore", invalid="ignore"):  # placeholder radii
         margins = np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
     # a pair touching a simplex with a degenerate circumcenter is degenerate
@@ -191,8 +188,8 @@ def _pair_signs(complex_, facets, tops, apexes, tol=None):
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     """Delaunay status of the pair of top simplices sharing a facet."""
-    apexes = _pair_apexes(complex_, left_top, right_top, facet_index)
-    signs = _pair_signs(complex_, [facet_index], [[left_top, right_top]], apexes[None], tol=tol)
+    columns = _pair_columns(complex_, left_top, right_top, facet_index)
+    signs = _pair_signs(complex_, [facet_index], [[left_top, right_top]], columns[None], tol=tol)
     return _PAIR_STATUS[signs[0]].item()
 
 
@@ -200,7 +197,8 @@ def circumcenter_order(
     complex_, left_top, right_top, facet_index, positive_toward="right", tol=None
 ):
     """CircumcenterOrder data for an internal facet of the complex."""
-    apexes = _pair_apexes(complex_, left_top, right_top, facet_index)
+    columns = _pair_columns(complex_, left_top, right_top, facet_index)
+    apexes = complex_.simplices[complex_.n][[left_top, right_top], columns]
     return circumcenter_order_points(
         complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes],
         positive_toward=positive_toward, tol=tol,
@@ -318,7 +316,7 @@ def classify_complex(complex_, tol=None, check_duals=True):
     dimension are then a theorem, and any nonpositive ones found are
     reported for diagnosis.
     """
-    tops, apexes = complex_.facet_cofaces
+    tops, columns = complex_.facet_cofaces
     pairs = np.flatnonzero(tops[:, 1] >= 0)
     boundary, sides = _boundary_step_signs(complex_, tol=tol)
     dims = range(complex_.n + 1) if check_duals else ()
@@ -327,7 +325,7 @@ def classify_complex(complex_, tol=None, check_duals=True):
     return MeshReport(
         pair_facets=pairs,
         pair_tops=tops[pairs],
-        pair_signs=_pair_signs(complex_, pairs, tops[pairs], apexes[pairs], tol=tol),
+        pair_signs=_pair_signs(complex_, pairs, tops[pairs], columns[pairs], tol=tol),
         boundary_facets=boundary,
         boundary_tops=tops[boundary, 0],
         boundary_signs=sides,

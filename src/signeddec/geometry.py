@@ -2,7 +2,9 @@
 
 Everything here works on raw point arrays in R^N and knows nothing about
 complexes. Points within a call are rows of float arrays; a k-simplex is a
-(k+1, N) array of affinely independent rows.
+(k+1, N) array of affinely independent rows. A circumcenter's barycentric
+coordinate j times vertex j's height is its signed distance from the face
+opposite vertex j; ``halfspace_sign`` finds that side by an explicit frame.
 """
 
 import math
@@ -118,16 +120,17 @@ def batched_circumcenters(pts, tol=None):
 
     Solves each Gram system 2 (p_i - p_0) . (c - p_0) = |p_i - p_0|^2,
     which keeps the center inside the affine hull of the vertices. Returns
-    (centers, radii, degenerate): ``degenerate`` flags the rows whose
-    vertices are (nearly) affinely dependent, i.e. whose Gram matrix is
-    singular or whose center is not equidistant to relative tolerance;
-    their centers and radii are meaningless.
+    (centers, radii, degenerate, barycentric): ``degenerate`` flags the
+    rows whose vertices are (nearly) affinely dependent, i.e. whose Gram
+    matrix is singular or whose center is not equidistant to relative
+    tolerance; their other values are meaningless. ``barycentric`` (M, k+1)
+    holds the centers' coordinates: the solution, after one minus its sum.
     """
     eps = tolerance(tol)
     m, kp1, ambient = pts.shape
     k = kp1 - 1
     if k == 0:
-        return pts[:, 0, :].copy(), np.zeros(m), np.zeros(m, dtype=bool)
+        return pts[:, 0, :].copy(), np.zeros(m), np.zeros(m, dtype=bool), np.ones((m, 1))
     spokes = pts - pts[:, :1, :]  # vertex offsets to vertex 0
     edges = spokes[:, 1:]
     gram = edges @ edges.transpose(0, 2, 1)
@@ -147,7 +150,8 @@ def batched_circumcenters(pts, tol=None):
     radii = dists.mean(axis=1)
     spread = dists.max(axis=1) - dists.min(axis=1)
     degenerate = singular | (radii == 0.0) | ~(spread <= max(eps, 1e-9) * radii)
-    return pts[:, 0, :] + offset, radii, degenerate
+    barycentric = np.hstack([1.0 - coeff.sum(axis=1, keepdims=True), coeff])
+    return pts[:, 0, :] + offset, radii, degenerate, barycentric
 
 
 def circumcenter(points, tol=None):
@@ -157,7 +161,7 @@ def circumcenter(points, tol=None):
     DegeneracyError when the vertices are (nearly) affinely dependent.
     """
     pts = _as_points(points)
-    centers, radii, degenerate = batched_circumcenters(pts[np.newaxis], tol=tol)
+    centers, radii, degenerate, _ = batched_circumcenters(pts[np.newaxis], tol=tol)
     if degenerate[0]:
         raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {pts.tolist()}")
     return Circumdata(centers[0], float(radii[0]))

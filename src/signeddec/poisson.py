@@ -245,13 +245,14 @@ def solve_mixed_poisson(system):
 def boundary_outward_normals(mesh):
     """Outward unit normal per boundary facet (2D), in boundary_faces()
     order: perpendicular to the edge, pointing away from its triangle."""
-    tops, apexes = mesh.facet_cofaces
+    tops, columns = mesh.facet_cofaces
     facets = np.flatnonzero(tops[:, 1] < 0)
+    apexes = mesh.simplices[mesh.n][tops[facets, 0], columns[facets, 0]]
     a, b = mesh.points[mesh.simplices[mesh.n - 1][facets]].transpose(1, 0, 2)
     normals = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)[:, None]
     # row-wise dot products by matmul round like the one-row norm and dot
     normals /= np.sqrt(normals @ normals.transpose(0, 2, 1))
-    inward = (normals @ (mesh.points[apexes[facets, 0]] - a)[:, :, None])[:, 0, 0] > 0
+    inward = (normals @ (mesh.points[apexes] - a)[:, :, None])[:, 0, 0] > 0
     normals[inward] = -normals[inward]
     return normals[:, 0]
 
@@ -329,6 +330,13 @@ def figure1_experiment(
         )
     if hodge_mode not in MODES:
         raise ProblemDefinitionError(f"hodge_mode must be one of {MODES}, got {hodge_mode!r}")
+    params = {"width": width, "height": height, "influx": influx}
+    for name, value in params.items():  # once, up front, as the CLI does
+        try:
+            params[name] = float(value)
+        except OverflowError:
+            raise ProblemDefinitionError(f"{name} is beyond float range") from None
+    width, height, influx = params.values()
     if not 0 < abs(influx) < np.inf:
         raise ProblemDefinitionError(f"influx must be finite and nonzero, got {influx!r}")
     start = time.perf_counter()

@@ -7,18 +7,23 @@ product of one step sign per chain link. The step sign at a link compares,
 within the affine hull of the larger simplex, the side of the larger
 simplex's circumcenter against the side of the vertex that extends the
 smaller simplex: +1 same side, -1 opposite, 0 on the dividing hyperplane
-(such a piece is marginal and contributes zero).
+(such a piece is marginal and contributes zero). Both circumcenters project
+onto the face's hull at the same point, so with lambda the barycentric
+coordinates of the larger one, the link from the face omitting vertex j
+has sign sign(lambda_j) and length |lambda_j| h_j, h_j being vertex j's
+height over that face; it is marginal when |lambda_j| <= eps.
 
 Each link of a chain is orthogonal to all earlier ones, so a piece's volume
 is the product of its link lengths over (n-p)!, and the sum over chains
 factorises: D_p(s) = 1/(n-p) sum_{t > s} sign(s, t) |c_t - c_s| D_{p+1}(t),
 with D_n = 1. The link table of dimension d holds the sign and length of
 every link into a d-simplex t, entry (t, j) for the face omitting vertex j
-(the complex's face table). One sweep from n down to p applies the
-recursion with ``np.bincount`` to signed and unsigned volumes and to signed
-and nonzero chain counts, whose difference counts the negative pieces.
-Pieces are gathered per simplex on request. Link tables and DualTables are
-memoized on the complex per (dim, tolerance).
+(the complex's face table), from cached barycentric coordinates and
+volumes; every step sign is read from it. One sweep from n down to p applies
+the recursion with ``np.bincount`` to signed and unsigned volumes and to
+signed and nonzero chain counts, whose difference counts the negative
+pieces. Pieces are gathered per simplex on request. Link tables and
+DualTables are memoized on the complex per (dim, tolerance).
 """
 
 import functools
@@ -116,56 +121,31 @@ class DualTable:
     num_negative_pieces: np.ndarray
 
 
-def _link_eps(eps):
-    """The tolerance of link signs: a resolved tolerance, floored at 1e-14."""
-    return max(eps, 1e-14)
-
-
-def _links(complex_, dim, faces, cofaces, apexes, eps):
-    """Step signs and lengths |c_coface - c_face| of links from the
-    (dim-1)-simplices faces[i] to the dim-simplices cofaces[i], which add the
-    vertices apexes[i]. A sign is that of (c_coface - c_face) . (apex - c_face):
-    0 when either factor vanishes, when the dot product is within eps of their
-    norms' product, or when either circumcenter is degenerate."""
-    _, face_centers, _, face_flags = complex_.geometry(dim - 1)
-    _, coface_centers, _, coface_flags = complex_.geometry(dim)
-    origin = face_centers[faces]
-    across = coface_centers[cofaces] - origin
-    toward = complex_.points[apexes] - origin
-    value = (across * toward).sum(axis=-1)
-    length = np.linalg.norm(across, axis=-1)
-    scale = length * np.linalg.norm(toward, axis=-1)
-    marginal = (scale == 0.0) | (np.abs(value) <= eps * scale)
-    marginal |= face_flags[faces] | coface_flags[cofaces]
-    return np.where(marginal, 0, np.sign(value)).astype(np.int8), length
-
-
 def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     """Step signs of many chain links at once: link i goes from the
     dim-simplex face_indices[i] to its coface coface_indices[i].
 
-    Returns an int8 array of +1/0/-1 as :func:`step_sign` would give for
-    each link; a link touching a simplex whose circumcenter is degenerate
-    gets 0. Raises ComplexError if a coface does not extend its face.
+    Returns an int8 array of +1/0/-1 read from the link table; a link
+    touching a simplex whose circumcenter is degenerate gets 0. Raises
+    ComplexError if a coface does not extend its face.
     """
     faces = np.asarray(face_indices, dtype=np.intp)
     cofaces = np.asarray(coface_indices, dtype=np.intp)
-    coface_rows = complex_.simplices[dim + 1][cofaces]
-    extra = (coface_rows[:, :, None] != complex_.simplices[dim][faces][:, None, :]).all(axis=2)
-    if (extra.sum(axis=1) != 1).any():
+    match = complex_.face_table(dim + 1)[cofaces] == faces[:, None]
+    if not match.any(axis=1).all():
         raise ComplexError("coface does not extend face")
-    eps = _link_eps(tolerance(tol))
-    return _links(complex_, dim + 1, faces, cofaces, coface_rows[extra], eps)[0]
+    signs = _link_table(complex_, dim + 1, tolerance(tol))[0]
+    return signs[cofaces, match.argmax(axis=1)]
 
 
 def _boundary_step_signs(complex_, tol=None):
     """(facets, signs): the boundary facets in ``boundary_faces()`` order
-    and the step sign of the link from each to its one top. The extending
-    vertices come from ``facet_cofaces``, so no vertex search is made."""
-    tops, apexes = complex_.facet_cofaces
+    and the step sign of the link from each to its one top, read from the
+    link table at the column that ``facet_cofaces`` holds."""
+    tops, columns = complex_.facet_cofaces
     facets = np.flatnonzero(tops[:, 1] < 0)
-    eps = _link_eps(tolerance(tol))
-    return facets, _links(complex_, complex_.n, facets, tops[facets, 0], apexes[facets, 0], eps)[0]
+    signs = _link_table(complex_, complex_.n, tolerance(tol))[0]
+    return facets, signs[tops[facets, 0], columns[facets, 0]]
 
 
 def step_sign(complex_, dim, face_index, coface_index, tol=None):
@@ -174,25 +154,29 @@ def step_sign(complex_, dim, face_index, coface_index, tol=None):
 
     Returns +1 (circumcenter on the extending vertex's side), -1
     (opposite side), or 0 (on the hull within tolerance).
-
-    Both circumcenters project onto the face's hull at the same point, so
-    the half-space test reduces to one dot product against cached centers.
     """
     return int(step_signs(complex_, dim, [face_index], [coface_index], tol=tol)[0])
 
 
-def _link_table(complex_, dim, eps):
+def _link_table(complex_, dim, tol):
     """Read-only (signs, lengths) of every link into a dim-simplex, each of
     shape (num_simplices(dim), dim + 1): entry (t, j) is the link from the
-    face of simplex t that omits its vertex j. Memoized per (dim, eps)."""
-    cache = complex_._link_cache
+    face of simplex t that omits its vertex j. With lambda the barycentric
+    coordinates of t's circumcenter and h_j = dim vol(t) / vol(face), the
+    sign is sign(lambda_j), 0 when |lambda_j| <= eps (the resolved
+    tolerance, floored at 1e-14) or either circumcenter is degenerate, and
+    the length is |lambda_j| h_j. Memoized per (dim, eps)."""
+    cache, eps = complex_._link_cache, max(tol, 1e-14)
     if (dim, eps) not in cache:
         faces = complex_.face_table(dim)
-        cofaces = np.repeat(np.arange(len(faces)), dim + 1)
-        links = _links(complex_, dim, faces.ravel(), cofaces, complex_.simplices[dim].ravel(), eps)
-        cache[dim, eps] = tuple(column.reshape(faces.shape) for column in links)
-        for column in cache[dim, eps]:
+        face_volumes, _, _, face_flags, _ = complex_.geometry(dim - 1)
+        volumes, _, _, flags, barycentric = complex_.geometry(dim)
+        marginal = (np.abs(barycentric) <= eps) | face_flags[faces] | flags[:, None]
+        signs = np.where(marginal, 0, np.sign(barycentric)).astype(np.int8)
+        lengths = np.abs(barycentric) * (dim * volumes[:, None] / face_volumes[faces])
+        for column in (signs, lengths):
             column.setflags(write=False)
+        cache[dim, eps] = signs, lengths
     return cache[dim, eps]
 
 
@@ -216,7 +200,7 @@ def dual_table(complex_, dim, tol=None):
     totals = np.ones((4, complex_.num_simplices(n)))
     for p in range(n, dim - 1, -1):
         if p < n:
-            signs, lengths = _link_table(complex_, p + 1, _link_eps(tol))
+            signs, lengths = _link_table(complex_, p + 1, tol)
             faces = complex_.face_table(p + 1).ravel()
             weights = (signs * lengths / (n - p), lengths / (n - p), signs, np.abs(signs))
             totals = np.array([
@@ -276,7 +260,7 @@ def elementary_duals(complex_, dim, index, tol=None):
     """
     if not 0 <= index < complex_.num_simplices(dim):
         raise IndexError(f"no {dim}-simplex with index {index}")
-    n, eps = complex_.n, _link_eps(tolerance(tol))
+    n, tol = complex_.n, tolerance(tol)
     centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
     levels, positions = _chain_patterns(n, dim)
     tops, local = np.nonzero(complex_.face_of_top[dim] == index)
@@ -288,7 +272,7 @@ def elementary_duals(complex_, dim, index, tol=None):
     ], axis=1)
     steps, lengths = np.ones((2, len(chain), n - dim))
     for k in range(n - dim):
-        signs, length = _link_table(complex_, dim + k + 1, eps)
+        signs, length = _link_table(complex_, dim + k + 1, tol)
         link = chain[:, k + 1], positions[pattern, k]
         steps[:, k], lengths[:, k] = signs[link], length[link]
     volumes = lengths.prod(axis=1) / math.factorial(n - dim)

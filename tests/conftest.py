@@ -8,6 +8,7 @@ rather than an implementation with itself.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,30 @@ def cayley_menger_volume(points):
     det = np.linalg.det(m)
     vol2 = (-1.0) ** (k + 1) / (2.0 ** k * math.factorial(k) ** 2) * det
     return float(np.sqrt(max(vol2, 0.0)))
+
+
+def exact_barycentric(points):
+    """Exact barycentric coordinates, as Fractions, of the circumcenter of
+    the simplex with the given float vertices: Gauss-Jordan elimination on
+    the Gram system 2 (p_i - p_0) . (c - p_0) = |p_i - p_0|^2 in rational
+    arithmetic, whose solution is coordinates 1..k; coordinate 0 is one
+    minus their sum. Every float is a rational, so nothing is rounded."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(points, dtype=float).tolist()]
+    edges = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
+    k = len(edges)
+    system = [
+        [sum(a * b for a, b in zip(ei, ej)) for ej in edges] + [sum(a * a for a in ei) / 2]
+        for ei in edges
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(k):
+            if r != col and system[r][col] != 0:
+                factor = system[r][col] / system[col][col]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
+    coeff = [system[i][k] / system[i][i] for i in range(k)]
+    return [1 - sum(coeff), *coeff]
 
 
 def incircle_sign(a, b, c, d):

@@ -25,7 +25,7 @@ from signeddec.delaunay import (
 from signeddec.errors import DegeneracyError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
 from signeddec.geometry import flatten_pair
-from signeddec.signed_dual import dual_volumes
+from signeddec.signed_dual import dual_table, dual_volumes
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -45,7 +45,8 @@ def test_polyline_one_point_facets():
     # n = 1 in R^2: every facet is one vertex, whose frame has no columns
     points = np.array([[0.0, 0.0], [1.0, 0.5], [2.5, 0.2], [3.0, 1.5]])
     mesh = build_complex(points, [(0, 1), (1, 2), (2, 3)])
-    tops, apexes = mesh.facet_cofaces
+    tops, columns = mesh.facet_cofaces
+    apexes = np.where(tops >= 0, mesh.simplices[mesh.n][tops, columns], -1)
     internal = np.flatnonzero(tops[:, 1] >= 0)
     assert internal.tolist() == [1, 2]
     for facet in internal:
@@ -314,14 +315,18 @@ def test_degenerate_circumsphere_spoils_only_the_simplices_touching_it():
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_boundary_statuses_match_per_facet_one_sidedness(name):
-    # classify_complex reads each boundary facet's extending vertex from
-    # facet_cofaces; is_one_sided finds it by step_sign's vertex search
+    # classify_complex reads each boundary facet's link-table column from
+    # facet_cofaces and is_one_sided finds it by step_sign's face-table
+    # search; the half-space route recomputes the side from coordinates
     mesh = generate_fixture(name)
     for tol in (None, 1e-3):
         report = classify_complex(mesh, tol=tol, check_duals=False)
         assert len(report.boundary_statuses) == len(mesh.boundary_faces())
         for facet, top, status in report.boundary_statuses:
             assert status == is_one_sided(mesh, top, facet, tol=tol)
+            apex = mesh.points[mesh.apex_vertex(mesh.n - 1, facet, top)]
+            facet_points = mesh.simplex_points(mesh.n - 1, facet)
+            assert status == one_sided_status_points(facet_points, apex, tol=tol)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -366,10 +371,14 @@ def test_report_views_match_rows_built_one_at_a_time(name):
 def test_translation_flags_no_circumcenter_and_keeps_statuses(name):
     # the equidistance check measures from each simplex's first vertex, so
     # moving a unit-size mesh 1e6 away flags nothing and keeps every status
+    # and every negative-piece count
     mesh = generate_fixture(name)
     moved = build_complex(mesh.points + 1e6, mesh.simplices[mesh.n])
     for dim in range(moved.n + 1):
         assert not moved.geometry(dim)[3].any()
+        np.testing.assert_array_equal(
+            dual_table(moved, dim).num_negative_pieces, dual_table(mesh, dim).num_negative_pieces
+        )
     report, moved_report = classify_complex(mesh), classify_complex(moved)
     assert moved_report.pair_statuses == report.pair_statuses
     assert moved_report.boundary_statuses == report.boundary_statuses

@@ -54,10 +54,13 @@ def test_circumcenter_colinear_raises():
         circumcenter(pts)
     # in a stack, only the collinear row is flagged; the others still solve
     good = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
-    centers, radii, degenerate = batched_circumcenters(np.stack([good, pts, good]))
+    stack = np.stack([good, pts, good])
+    centers, radii, degenerate, barycentric = batched_circumcenters(stack)
     assert degenerate.tolist() == [False, True, False]
     assert np.allclose(centers[[0, 2]], [2.0, -3.75])
     assert np.allclose(radii[[0, 2]], 4.25)
+    # the center is the barycentric combination of the vertices
+    assert np.allclose(np.einsum("mi,min->mn", barycentric, stack)[[0, 2]], centers[[0, 2]])
 
 
 @settings(max_examples=100, deadline=None)

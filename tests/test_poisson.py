@@ -275,6 +275,12 @@ def test_experiment_rejects_zero_or_infinite_influx():
             figure1_experiment(influx=influx, mesh=object())  # before any mesh work
 
 
+def test_experiment_rejects_integers_beyond_float_range():
+    for name in ("width", "height", "influx"):
+        with pytest.raises(ProblemDefinitionError, match=name):
+            figure1_experiment(mesh=object(), **{name: 10**400})  # before any mesh work
+
+
 def test_columns_share_each_family_mesh():
     columns = [("good", "signed"), ("good", "unsigned"), ("non_delaunay", "signed")]
     results = figure1_columns(divisions=8, columns=columns)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exact_barycentric
 from signeddec.complexes import build_complex
 from signeddec.delaunay import classify_complex
 from signeddec.errors import ComplexError
@@ -239,7 +240,11 @@ def _permutation_oracle(mesh, p, eps=1e-10):
     The prefixes of one vertex order form a flag; its tail from the p-face
     is one elementary piece, counted once by keeping only the orders whose
     first p+1 vertices ascend. Circumcenters and volumes come from the
-    scalar geometry routines, one simplex at a time.
+    scalar geometry routines, one simplex at a time. A link is marginal
+    when its center step's component along the apex direction,
+    (c_coface - c_face) . (apex - c_face) = lambda h^2 with h the apex's
+    height over the face, is within eps h^2: the rule |lambda| <= eps,
+    reached without barycentric coordinates.
     """
     count = mesh.num_simplices(p)
     signed, unsigned = np.zeros(count), np.zeros(count)
@@ -255,8 +260,9 @@ def _permutation_oracle(mesh, p, eps=1e-10):
                 across = centers[k + 1] - centers[k]
                 toward = mesh.points[order[p + k + 1]] - centers[k]
                 value = float(across @ toward)
-                scale = float(np.linalg.norm(across) * np.linalg.norm(toward))
-                if scale == 0.0 or abs(value) <= max(eps, 1e-14) * scale:
+                volumes = [simplex_volume(mesh.points[cell]) for cell in cells[k:k + 2]]
+                height = (p + k + 1) * volumes[1] / volumes[0]
+                if abs(value) <= max(eps, 1e-14) * height**2:
                     sign = 0
                 elif value < 0.0:
                     sign = -sign
@@ -332,10 +338,11 @@ def test_elementary_duals_sum_to_dual_table(name):
         assert [cell.num_negative_pieces for cell in cells] == table.num_negative_pieces.tolist()
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("scale", [1e-6, 3.0, 1e6])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_duals_scale_and_statuses_hold_under_uniform_scaling(name, scale):
-    # a p-dual is an (n-p)-volume; pair and boundary statuses are unit-free
+    # a p-dual is an (n-p)-volume; pair and boundary statuses and the
+    # negative-piece counts are unit-free
     mesh = generate_fixture(name, **_SMALL_FIXTURES[name])
     scaled = build_complex(mesh.points * scale, mesh.simplices[mesh.n])
     for p in range(mesh.n + 1):
@@ -347,10 +354,37 @@ def test_duals_scale_and_statuses_hold_under_uniform_scaling(name, scale):
         ):
             assert np.abs(got / factor - want).max() <= 1e-13 * np.abs(table.unsigned_volume).max()
         np.testing.assert_array_equal(scaled_table.num_pieces, table.num_pieces)
+        np.testing.assert_array_equal(scaled_table.num_negative_pieces, table.num_negative_pieces)
     report, scaled_report = classify_complex(mesh), classify_complex(scaled)
     assert scaled_report.pair_statuses == report.pair_statuses
     assert scaled_report.boundary_statuses == report.boundary_statuses
     assert scaled_report.verdict == report.verdict
+
+
+@pytest.mark.parametrize("name, kwargs, num_zero", [
+    ("delaunay_tet_cube", dict(divisions=2), 18),
+    ("structured_square", dict(divisions=4), 32),
+    ("obtuse_delaunay_square", dict(divisions=5), 3),
+    ("surface_pairwise_delaunay", dict(divisions=4), 4),
+])
+def test_link_signs_match_exact_barycentric_signs(name, kwargs, num_zero):
+    # the circumcenter of every simplex in exact arithmetic on its float
+    # vertices: a link whose exact coordinate is 0 (a right angle) must be
+    # marginal, and every signed link must carry the exact sign
+    mesh = generate_fixture(name, **kwargs)
+    zeros = 0
+    for dim in range(1, mesh.n + 1):
+        faces = mesh.face_table(dim)
+        cofaces = np.repeat(np.arange(len(faces)), dim + 1)
+        signs = step_signs(mesh, dim - 1, faces.ravel(), cofaces).reshape(faces.shape)
+        exact = np.array([
+            [(x > 0) - (x < 0) for x in exact_barycentric(mesh.points[row])]
+            for row in mesh.simplices[dim]
+        ])
+        assert (signs[exact == 0] == 0).all()
+        np.testing.assert_array_equal(signs[signs != 0], exact[signs != 0])
+        zeros += (exact == 0).sum()
+    assert zeros == num_zero
 
 
 def test_dual_table_rejects_dimensions_out_of_range():
