@@ -25,6 +25,7 @@ from .errors import (
     ProblemDefinitionError,
     SignedDecError,
     SolveError,
+    ToleranceError,
 )
 from .fixtures import FIXTURE_NAMES, generate_fixture
 from .geometry import (
@@ -83,6 +84,7 @@ __all__ = [
     "SignedDecError",
     "SimplicialComplex",
     "SolveError",
+    "ToleranceError",
     "assemble_mixed_poisson",
     "boundary_operator",
     "build_complex",

@@ -160,15 +160,11 @@ def _cmd_poisson(args):
     if unknown:
         raise SignedDecError(f"unknown config keys: {sorted(unknown)}")
     params = {key: config[key] for key in _POISSON_PARAMS if key in config}
-    for key, value in params.items():
+    for key, value in params.items():  # figure1_experiment converts the numbers
         kind = _POISSON_PARAMS[key]
         if isinstance(value, bool) or not isinstance(value, (kind, int)):
             noun = "an integer" if kind is int else "a number"
             raise SignedDecError(f"config key {key!r} must be {noun}")
-        try:
-            params[key] = kind(value)
-        except OverflowError:
-            raise SignedDecError(f"config key {key!r} is beyond float range") from None
     columns = config.get("columns")
     if columns is None:
         columns = FIGURE1_COLUMNS

@@ -123,9 +123,12 @@ class SimplicialComplex:
 
     def geometry(self, dim):
         """Read-only (volumes, circumcenters, circumradii, degenerate,
-        barycentric) of all dim-simplices; never raises. ``degenerate`` flags
-        the simplices whose circumcenter failed its check; their other values
-        are placeholders, and the accessors below raise for the whole dimension."""
+        barycentric) of all dim-simplices, 0 <= dim <= n (else ValueError);
+        raises no DegeneracyError. ``degenerate`` flags the simplices whose
+        circumcenter failed its check; their other values are placeholders,
+        and the accessors below raise for the whole dimension."""
+        if not 0 <= dim <= self.n:
+            raise ValueError(f"geometry needs 0 <= dim <= {self.n}, got {dim}")
         if self._geometry[dim] is None:
             stacked = self.points[self.simplices[dim]]
             geometry = batched_volumes(stacked), *batched_circumcenters(stacked)
@@ -296,15 +299,14 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     complex_.points.setflags(write=False)
 
     # Reject (near-)zero-volume top cells: threshold far below predicate
-    # tolerance, scaled by the longest edge to stay unit-free.
-    cell_pts = pts[tops]
-    longest = np.linalg.norm(cell_pts[:, :, None] - cell_pts[:, None], axis=-1).max(axis=(1, 2))
-    vols = batched_volumes(cell_pts)
-    for i in np.flatnonzero((longest == 0.0) | (vols < DEGENERACY_FACTOR * longest**n))[:1]:
-        top = tuple(tops[i].tolist())
+    # tolerance, scaled by the longest cached edge to stay unit-free.
+    volumes = complex_.geometry(n)[0]
+    longest = complex_.geometry(1)[0][face_of_top[1]].max(axis=1)
+    for i in np.flatnonzero((longest == 0.0) | (volumes < DEGENERACY_FACTOR * longest**n))[:1]:
+        top = complex_.simplex_vertices(n, i)
         if longest[i] == 0.0:
             raise DegeneracyError(f"top simplex {top} has coincident vertices")
-        raise DegeneracyError(f"top simplex {top} is degenerate (volume {vols[i]:.3e})")
+        raise DegeneracyError(f"top simplex {top} is degenerate (volume {volumes[i]:.3e})")
 
     return complex_
 

@@ -5,6 +5,11 @@ class SignedDecError(Exception):
     """Base class for all package errors."""
 
 
+class ToleranceError(SignedDecError, ValueError):
+    """A tolerance, given or read from SIGNED_DEC_EPS, is not a finite
+    nonnegative float."""
+
+
 class DegeneracyError(SignedDecError):
     """Geometric degeneracy: affinely dependent points, zero-volume simplex."""
 

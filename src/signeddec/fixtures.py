@@ -137,11 +137,9 @@ def _qualifying(points):
 
 
 def _has_obtuse_triangle(complex_, margin=1e-9):
-    pts = complex_.points[complex_.simplices[complex_.n]]
-    u = np.roll(pts, -1, axis=1) - pts
-    v = np.roll(pts, -2, axis=1) - pts
-    cosine = (u * v).sum(axis=-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
-    return bool((cosine < -margin).any())
+    """Whether a triangle's circumcenter lies beyond one of its edges: a
+    barycentric coordinate below -margin, which marks an obtuse angle."""
+    return bool((complex_.geometry(2)[4] < -margin).any())
 
 
 def _dots(vectors):

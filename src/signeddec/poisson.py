@@ -97,7 +97,7 @@ def _source_values(mesh, source):
         raise ProblemDefinitionError(
             f"source must give one value per vertex ({count}), got shape {values.shape}"
         )
-    return values
+    return _finite(values, "source")
 
 
 def _flux_values(mesh, flux, facets):
@@ -116,6 +116,14 @@ def _flux_values(mesh, flux, facets):
             f"boundary flux must give one value per boundary facet ({count}), "
             f"got shape {values.shape}"
         )
+    return _finite(values, "boundary flux")
+
+
+def _finite(values, name):
+    """values, unless one is NaN or infinite: such data would pass the
+    compatibility check (NaN compares false) and fail only in the solve."""
+    for i in np.flatnonzero(~np.isfinite(values))[:1]:
+        raise ProblemDefinitionError(f"{name} must be finite, got {values[i]} at entry {i}")
     return values
 
 
@@ -261,10 +269,10 @@ def sigma_vectors(mesh, sigma):
     """Per-triangle constant vector field reproducing the edge cochain:
     least-squares fit of s with s . (head - tail) = sigma_e over the three
     edges of each triangle."""
-    cells = mesh.simplices[2]
-    tails, heads = cells[:, [0, 0, 1]], cells[:, [1, 2, 2]]
+    edges = mesh.face_of_top[1]
+    tails, heads = mesh.simplices[1][edges].transpose(2, 0, 1)
     rows = mesh.points[heads] - mesh.points[tails]
-    vals = np.asarray(sigma)[mesh.face_table(2)[:, ::-1]]  # edges (0, 1), (0, 2), (1, 2)
+    vals = np.asarray(sigma)[edges]
     # all triangles' 3x2 least-squares problems at once, by Householder QR
     q, r = np.linalg.qr(rows)
     return np.linalg.solve(r, np.einsum("tij,ti->tj", q, vals)[..., None])[..., 0]

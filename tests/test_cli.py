@@ -54,6 +54,13 @@ def test_check_exit_codes(good_mesh_path, skew_mesh_path, capsys):
     assert "violated" in out
 
 
+@pytest.mark.parametrize("raw", ["abc", "-1", "nan", "inf"])
+def test_bad_tolerance_variable_is_input_error(raw, good_mesh_path, monkeypatch, capsys):
+    monkeypatch.setenv("SIGNED_DEC_EPS", raw)
+    assert main(["check", str(good_mesh_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: SIGNED_DEC_EPS must be")
+
+
 def test_check_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.node")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -5,9 +5,12 @@ import pytest
 from scipy.spatial import Delaunay
 
 from conftest import brute_face_count, brute_incidence
+from signeddec import complexes
 from signeddec.complexes import boundary_operator, build_complex
+from signeddec.delaunay import classify_complex
 from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
+from signeddec.geometry import batched_volumes
 from signeddec.signed_dual import dual_volumes
 
 
@@ -199,6 +202,42 @@ def test_rejects_degenerate_top():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DegeneracyError):
         build_complex(points, [(0, 1, 2)])
+
+
+def test_degeneracy_gate_messages():
+    # the gate compares each top's volume with 1e-12 times its longest
+    # edge to the n-th power
+    with pytest.raises(DegeneracyError, match=r"^top simplex \(0, 1\) has coincident vertices$"):
+        build_complex([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [(1, 0), (0, 2)])
+    sliver = r"^top simplex \(0, 1, 2\) is degenerate \(volume 5\.000e-14\)$"
+    with pytest.raises(DegeneracyError, match=sliver):
+        build_complex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]], [(2, 1, 0)])
+    assert build_complex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-11]], [(0, 1, 2)]).n == 2
+
+
+@pytest.mark.parametrize("dim, count", [(2, 300), (3, 60)])
+def test_fresh_build_and_classify_compute_volumes_once_per_dimension(dim, count, monkeypatch):
+    # the build gate reads the cached top and edge volumes, which the
+    # classification then reuses
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[1] - 1)
+        return batched_volumes(pts)
+
+    monkeypatch.setattr(complexes, "batched_volumes", counted)
+    points = np.random.default_rng(3).random((count, dim))
+    classify_complex(build_complex(points, Delaunay(points).simplices))
+    assert sorted(calls) == list(range(dim + 1))
+
+
+def test_geometry_rejects_dimensions_out_of_range():
+    complex_ = _two_tets()
+    queries = (complex_.geometry, complex_.volumes, complex_.circumcenters, complex_.circumradii)
+    for dim in (-1, complex_.n + 1):
+        for query in queries:
+            with pytest.raises(ValueError, match="0 <= dim <= 3"):
+                query(dim)
 
 
 def test_rejects_duplicate_top():

@@ -4,6 +4,7 @@ whole-mesh classification."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import special_ortho_group
 
 from conftest import incircle_sign, random_rotation
 from signeddec.complexes import build_complex
@@ -383,6 +384,27 @@ def test_translation_flags_no_circumcenter_and_keeps_statuses(name):
     assert moved_report.pair_statuses == report.pair_statuses
     assert moved_report.boundary_statuses == report.boundary_statuses
     assert moved_report.verdict == report.verdict
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rotations_keep_statuses_and_negative_pieces(name):
+    # every sign is read from barycentric coordinates, volumes and flags,
+    # which rotation keeps: five fixed rotations of each mesh at seeds 0-2
+    # keep every pair and boundary sign, the verdict and every
+    # negative-piece count
+    for params in [{}] if name == "structured_square" else [{"seed": s} for s in range(3)]:
+        mesh = generate_fixture(name, **params)
+        report = classify_complex(mesh)
+        counts = [dual_table(mesh, p).num_negative_pieces for p in range(mesh.n + 1)]
+        for k in range(5):
+            rotation = special_ortho_group(dim=mesh.N, seed=k).rvs()
+            turned = build_complex(mesh.points @ rotation.T, mesh.simplices[mesh.n])
+            turned_report = classify_complex(turned)
+            np.testing.assert_array_equal(turned_report.pair_signs, report.pair_signs)
+            np.testing.assert_array_equal(turned_report.boundary_signs, report.boundary_signs)
+            assert turned_report.verdict == report.verdict
+            for p in range(mesh.n + 1):
+                np.testing.assert_array_equal(dual_table(turned, p).num_negative_pieces, counts[p])
 
 
 def test_near_tie_grids_match_point_route_and_stay_positive():

@@ -6,9 +6,10 @@ import logging
 import numpy as np
 import pytest
 
+from signeddec.complexes import build_complex
 from signeddec.delaunay import PAIR_STRICT, SIDE_NO, SIDE_YES, classify_complex
 from signeddec.errors import FixtureError
-from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
+from signeddec.fixtures import FIXTURE_NAMES, _has_obtuse_triangle, generate_fixture
 from signeddec.hodge import hodge_star, validate_hodge
 
 
@@ -82,6 +83,18 @@ def test_obtuse_square_qualifies_with_obtuse_triangle():
     mesh = generate_fixture("obtuse_delaunay_square", divisions=6)
     assert classify_complex(mesh, check_duals=False).is_qualifying
     assert _has_obtuse(mesh)
+
+
+def test_obtuse_gate_reads_barycentric_coordinates():
+    # a circumcenter outside its triangle (a negative barycentric
+    # coordinate) marks an obtuse angle; right angles are not obtuse
+    acute = build_complex([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]], [(0, 1, 2)])
+    obtuse = build_complex([[0.0, 0.0], [1.0, 0.0], [0.4, 0.2]], [(0, 1, 2)])
+    assert not _has_obtuse_triangle(acute) and _has_obtuse_triangle(obtuse)
+    assert not _has_obtuse_triangle(generate_fixture("structured_square"))
+    for seed in range(3):
+        mesh = generate_fixture("perturbed_delaunay_square", seed=seed)
+        assert _has_obtuse_triangle(mesh) == _has_obtuse(mesh)
 
 
 def test_bad_boundary_square_property():

@@ -160,6 +160,25 @@ def test_flux_dict_form(good_mesh):
         _solve(good_mesh, flux=np.zeros(3))
 
 
+def test_non_finite_data_is_rejected_by_name(good_mesh):
+    # NaN compares false, so such data once passed the compatibility check
+    # and failed only in the solve
+    facets = [facet for facet, _ in good_mesh.boundary_faces()]
+    source = np.zeros(good_mesh.num_simplices(0))
+    source[3] = np.nan
+    flux = np.zeros(len(facets))
+    flux[1] = -np.inf
+    for data, name in (
+        ({"source": np.nan}, "source"),
+        ({"source": source}, "source"),
+        ({"boundary_flux": np.inf}, "boundary flux"),
+        ({"boundary_flux": flux}, "boundary flux"),
+        ({"boundary_flux": {facets[0]: np.nan}}, "boundary flux"),
+    ):
+        with pytest.raises(ProblemDefinitionError, match=f"^{name} must be finite"):
+            assemble_mixed_poisson(MixedPoissonProblem(mesh=good_mesh, **data))
+
+
 def test_gauge_validation(good_mesh):
     with pytest.raises(ProblemDefinitionError):
         _solve(good_mesh, gauge="fix_somewhere")
