@@ -165,6 +165,8 @@ def _cmd_poisson(args):
         if isinstance(value, bool) or not isinstance(value, (kind, int)):
             noun = "an integer" if kind is int else "a number"
             raise SignedDecError(f"config key {key!r} must be {noun}")
+    if not isinstance(config.get("output_dir", ""), str):
+        raise SignedDecError("config key 'output_dir' must be a string")
     columns = config.get("columns")
     if columns is None:
         columns = FIGURE1_COLUMNS
@@ -220,14 +222,9 @@ def _cmd_poisson(args):
 
 
 def _cmd_fixture(args):
-    params = {}
-    for key in (
-        "divisions", "seed", "jitter", "width", "height", "fold_angle",
-        "min_violations", "ring", "half_length", "offset", "wobble", "mode",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    # the parser suppresses the defaults, so only the options given are set
+    skip = ("command", "func", "name", "output")
+    params = {key: value for key, value in vars(args).items() if key not in skip}
     mesh = generate_fixture(args.name, **params)
     written = write_mesh(args.output, mesh.points, mesh.simplices[mesh.n])
     for path in written:
@@ -280,21 +277,23 @@ def _build_parser():
     p.add_argument("config", help="JSON config file")
     p.set_defaults(func=_cmd_poisson)
 
-    p = sub.add_parser("fixture", help="generate a named fixture mesh")
+    p = sub.add_parser(
+        "fixture", help="generate a named fixture mesh", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("name", choices=FIXTURE_NAMES)
     p.add_argument("-o", "--output", required=True, help="output base path")
-    p.add_argument("--divisions", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jitter", type=float, default=None)
-    p.add_argument("--width", type=float, default=None)
-    p.add_argument("--height", type=float, default=None)
-    p.add_argument("--fold-angle", dest="fold_angle", type=float, default=None)
-    p.add_argument("--min-violations", dest="min_violations", type=int, default=None)
-    p.add_argument("--ring", type=int, default=None)
-    p.add_argument("--half-length", dest="half_length", type=float, default=None)
-    p.add_argument("--offset", type=float, default=None)
-    p.add_argument("--wobble", type=float, default=None)
-    p.add_argument("--mode", choices=("crossing", "missing"), default=None)
+    p.add_argument("--divisions", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--jitter", type=float)
+    p.add_argument("--width", type=float)
+    p.add_argument("--height", type=float)
+    p.add_argument("--fold-angle", dest="fold_angle", type=float)
+    p.add_argument("--min-violations", dest="min_violations", type=int)
+    p.add_argument("--ring", type=int)
+    p.add_argument("--half-length", dest="half_length", type=float)
+    p.add_argument("--offset", type=float)
+    p.add_argument("--wobble", type=float)
+    p.add_argument("--mode", choices=("crossing", "missing"))
     p.set_defaults(func=_cmd_fixture)
 
     return parser

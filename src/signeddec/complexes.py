@@ -299,14 +299,22 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     complex_.points.setflags(write=False)
 
     # Reject (near-)zero-volume top cells: threshold far below predicate
-    # tolerance, scaled by the longest cached edge to stay unit-free.
-    volumes = complex_.geometry(n)[0]
-    longest = complex_.geometry(1)[0][face_of_top[1]].max(axis=1)
-    for i in np.flatnonzero((longest == 0.0) | (volumes < DEGENERACY_FACTOR * longest**n))[:1]:
+    # tolerance, scaled by the longest cached edge to stay unit-free. A top
+    # whose volume is no finite normal double, or whose longest edge^n
+    # overflows, has a scale outside double range: reported, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        volumes = complex_.geometry(n)[0]
+        span = complex_.geometry(1)[0][face_of_top[1]].max(axis=1) ** n
+    floor = np.maximum(DEGENERACY_FACTOR * span, np.finfo(float).tiny)
+    for i in np.flatnonzero(~(floor <= volumes) | (volumes == np.inf))[:1]:
         top = complex_.simplex_vertices(n, i)
-        if longest[i] == 0.0:
+        if (pts[list(top)] == pts[top[0]]).all():
             raise DegeneracyError(f"top simplex {top} has coincident vertices")
-        raise DegeneracyError(f"top simplex {top} is degenerate (volume {volumes[i]:.3e})")
+        if volumes[i] < DEGENERACY_FACTOR * span[i] < np.inf:
+            raise DegeneracyError(f"top simplex {top} is degenerate (volume {volumes[i]:.3e})")
+        raise DegeneracyError(
+            f"top simplex {top} has volume {volumes[i]:.3e}: its scale is outside double range"
+        )
 
     return complex_
 

@@ -12,7 +12,8 @@ returned mesh always has the property and the same seed always gives the
 same mesh. Qhull does the raw triangulations; all property checks go
 through this package's own predicates, and the cheap geometric gates
 before them are array passes over all cells. The grid families share one
-checked axis (``divisions`` >= 1) and one array of grid cells.
+checked axis (``divisions`` >= 1), one box-grid builder and one array of
+grid cells.
 """
 
 import logging
@@ -65,19 +66,24 @@ def _lines(divisions, length, name):
     return np.linspace(0.0, length, divisions + 1)
 
 
-def _jittered(points, free, scale, rng):
-    """points plus scale * U(-1, 1) on each free coordinate, drawn in one
-    call in row-major order: per point, x before y before z."""
-    shift = np.zeros_like(points)
+def _box_grid(divisions, sides, jitter=0.0, rng=None, locked_columns=()):
+    """(divisions+1)^k points of the box with the given k side lengths, x
+    fastest. Given an rng, every coordinate strictly inside its side gets
+    jitter * side / divisions * U(-1, 1), drawn in one call in row-major
+    order (per point, x before y before z), so the box stays exact;
+    columns in ``locked_columns`` keep their exact x (used to reserve a
+    straight fold line)."""
+    names = ("width", "height", "depth")
+    axes = [_lines(divisions, side, name) for side, name in zip(sides, names)]
+    grid = np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, len(sides))
+    if rng is None:
+        return grid
+    free = (grid > 0.0) & (grid < np.array(sides))
+    free[:, 0] &= ~np.isin(grid[:, 0], axes[0][list(locked_columns)])
+    shift = np.zeros_like(grid)
     draws = rng.uniform(-1.0, 1.0, size=int(free.sum()))
-    shift[free] = np.broadcast_to(scale, points.shape)[free] * draws
-    return points + shift
-
-
-def _grid_points(divisions, width, height):
-    """(divisions+1)^2 points of the rectangle, row by row, x fastest."""
-    mesh = np.meshgrid(_lines(divisions, width, "width"), _lines(divisions, height, "height"))
-    return np.stack(mesh, axis=-1).reshape(-1, 2)
+    shift[free] = np.broadcast_to(jitter * (np.array(sides) / divisions), grid.shape)[free] * draws
+    return grid + shift
 
 
 def _grid_cells(divisions):
@@ -87,28 +93,6 @@ def _grid_cells(divisions):
     corners = (np.arange(divisions)[:, None] * stride + np.arange(divisions)).ravel()
     halves = np.array([[0, 1, stride + 1], [0, stride + 1, stride]])
     return (corners[:, None, None] + halves).reshape(-1, 3)
-
-
-def _grid_2d(divisions, width, height, jitter, rng, locked_columns=()):
-    """(divisions+1)^2 grid points; interior points jitter in both
-    coordinates, side points only along their side, corners stay put, so
-    the domain remains the exact rectangle. Columns in ``locked_columns``
-    keep their exact x (used to reserve a straight fold line)."""
-    points = _grid_points(divisions, width, height)
-    lines = np.arange(divisions + 1)
-    inner = (lines > 0) & (lines < divisions)
-    free_x = inner & ~np.isin(lines, list(locked_columns))
-    free = np.stack(np.meshgrid(free_x, inner), axis=-1)
-    scale = jitter * np.array([width / divisions, height / divisions])
-    return _jittered(points, free.reshape(-1, 2), scale, rng)
-
-
-def _grid_3d(divisions, rng, jitter):
-    """(divisions+1)^3 points of the unit cube, x fastest; every coordinate
-    strictly inside (0, 1) jitters."""
-    axis = _lines(divisions, 1.0, "side")
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij")[::-1], axis=-1).reshape(-1, 3)
-    return _jittered(grid, (grid > 0.0) & (grid < 1.0), jitter * (1.0 / divisions), rng)
 
 
 def _triangulate(points):
@@ -160,7 +144,7 @@ def structured_square(divisions=4, width=1.0, height=1.0):
     the diagonal edges get zero signed dual length and the mesh does not
     qualify. Useful as the canonical boundary case.
     """
-    return build_complex(_grid_points(divisions, width, height), _grid_cells(divisions))
+    return build_complex(_box_grid(divisions, (width, height)), _grid_cells(divisions))
 
 
 def perturbed_delaunay_square(
@@ -171,7 +155,7 @@ def perturbed_delaunay_square(
     strict pairwise-Delaunay with fully one-sided boundary."""
 
     def attempt(rng):
-        complex_ = _qualifying(_grid_2d(divisions, width, height, jitter, rng))
+        complex_ = _qualifying(_box_grid(divisions, (width, height), jitter, rng))
         if complex_ is not None and (not require_obtuse or _has_obtuse_triangle(complex_)):
             return complex_
         return None
@@ -199,7 +183,7 @@ def bad_boundary_square(
     one-sidedness test, everything else is clean."""
 
     def attempt(rng):
-        points = _grid_2d(divisions, width, height, jitter, rng)
+        points = _box_grid(divisions, (width, height), jitter, rng)
         ys = points[:, 1]
         points = points[~((points[:, 0] == 0.0) & (ys > 0.0) & (ys < height))]
         complex_ = build_complex(points, _triangulate(points))
@@ -234,7 +218,7 @@ def non_delaunay_square(
     apex = np.concatenate([left + divisions + 2, left + divisions - 1])
 
     def attempt(rng):
-        points = _grid_2d(divisions, width, height, jitter, rng)
+        points = _box_grid(divisions, (width, height), jitter, rng)
         mid = (points[lo] + points[hi]) / 2.0
         if not (_dots(points[apex] - mid) < _dots(points[hi] - mid)).any():
             return None
@@ -271,7 +255,7 @@ def surface_pairwise_delaunay(
     mid_x = _lines(divisions, width, "width")[mid_column]
 
     def attempt(rng):
-        points = _grid_2d(divisions, width, height, jitter, rng, locked_columns=(mid_column,))
+        points = _box_grid(divisions, (width, height), jitter, rng, (mid_column,))
         cells = _triangulate(points)
         xs = points[cells, 0]
         if ((xs.min(axis=1) < mid_x - 1e-12) & (xs.max(axis=1) > mid_x + 1e-12)).any():
@@ -295,7 +279,7 @@ def delaunay_tet_cube(divisions=3, jitter=0.2, seed=0, max_tries=400):
     verified strict pairwise-Delaunay with one-sided boundary."""
 
     def attempt(rng):
-        return _qualifying(_grid_3d(divisions, rng, jitter))
+        return _qualifying(_box_grid(divisions, (1.0, 1.0, 1.0), jitter, rng))
 
     failure = f"no qualifying tet cube in {max_tries} attempts (seed {seed})"
     return _first_accepted(attempt, seed, max_tries, failure)

@@ -1,11 +1,11 @@
-"""Mixed-form Poisson solves on planar triangle meshes.
+"""Mixed-form Poisson solves on full-dimensional meshes of any dimension.
 
 Unknowns are a vertex potential u and an edge flux cochain sigma = -d0 u.
 With diagonal Hodge stars the flux balance at each vertex's dual cell reads
-d0^T star1 sigma = b - star0 f, where f is the source density (per area)
+d0^T star1 sigma = b - star0 f, where f is the source density (per volume)
 and b integrates the prescribed outward boundary flux density g over each
-boundary vertex's share of the boundary (half of each incident boundary
-edge). Eliminating sigma gives the reduced system
+boundary vertex's share of the boundary (its signed dual in each facet).
+Eliminating sigma gives the reduced system
     d0^T star1 d0 u = star0 f - b,
 a pure-flux (Neumann) problem, solvable only when total source matches
 total outflux and determined up to a constant fixed by a gauge. The saddle
@@ -25,10 +25,11 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .complexes import boundary_operator
+from .config import tolerance
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
 from .hodge import MODES, hodge_star
-from .signed_dual import _boundary_step_signs
+from .signed_dual import _boundary_step_signs, _sweep
 
 __all__ = [
     "MixedPoissonProblem",
@@ -53,7 +54,7 @@ class MixedPoissonProblem:
     ``source``: scalar, per-vertex array, or callable on points.
     ``boundary_flux``: scalar, dict {boundary facet index: g}, array over
     boundary facets (in boundary_faces() order), or callable on the facet
-    midpoint. ``gauge``: "zero_mean" or ("pin", vertex_index).
+    centroid. ``gauge``: "zero_mean" or ("pin", vertex_index).
     """
 
     mesh: object
@@ -152,9 +153,9 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     fails beyond compat_tol.
     """
     mesh = problem.mesh
-    if mesh.n != 2 or mesh.N != 2:
+    if mesh.n != mesh.N:
         raise ProblemDefinitionError(
-            f"mixed Poisson needs a planar triangle mesh (n=N=2), got n={mesh.n}, N={mesh.N}"
+            f"mixed Poisson needs a full-dimensional mesh (n=N), got n={mesh.n}, N={mesh.N}"
         )
     if form not in ("reduced", "saddle"):
         raise ProblemDefinitionError(f"form must be 'reduced' or 'saddle', got {form!r}")
@@ -164,20 +165,21 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     star1 = hodge_star(mesh, 1, mode=hodge_mode)
     flux_op = boundary_operator(mesh, 1).T.tocsr()  # d0: edges x vertices
 
-    facets, sides = _boundary_step_signs(mesh)
+    tol = tolerance()
+    facets, sides = _boundary_step_signs(mesh, tol)
     flux = _flux_values(mesh, problem.boundary_flux, facets)
     num_vertices = mesh.num_simplices(0)
     num_edges = mesh.num_simplices(1)
     # Prescribed flux integrated over the boundary portions of the dual
-    # cells: per boundary edge, the two half-edge faces [vertex, midpoint]
-    # weighted by the chain sign of facet -> coface. One-sided facets give
-    # the midpoint-exact +|e|/2 split; a facet that is not one-sided
-    # carries a nonpositive trace and the load degrades accordingly.
-    lengths = mesh.volumes(mesh.n - 1)[facets]
-    outflux = float(flux @ lengths)
-    gross_flux = float(np.abs(flux) @ lengths)
-    b = np.zeros(num_vertices)
-    np.add.at(b, mesh.simplices[mesh.n - 1][facets], (flux * sides * lengths / 2.0)[:, None])
+    # cells: vertex v's part in boundary facet f is v's signed dual within f
+    # times the step sign s_f of f -> its top, so the signed-dual sweep runs
+    # from g_f s_f on the facets (|e|/2 per end in 2D). A facet that is not
+    # one-sided carries a nonpositive trace and the load degrades accordingly.
+    areas = mesh.volumes(mesh.n - 1)[facets]
+    outflux = float(flux @ areas)
+    gross_flux = float(np.abs(flux) @ areas)
+    seed = np.bincount(facets, flux * sides, mesh.num_simplices(mesh.n - 1))  # 0 off the boundary
+    *_, (_, (b,)) = _sweep(mesh, mesh.n - 1, seed[None], tol)  # its last step, at dimension 0
 
     source = _source_values(mesh, problem.source)
     weighted_source = star0.entries * source
@@ -251,29 +253,27 @@ def solve_mixed_poisson(system):
 
 
 def boundary_outward_normals(mesh):
-    """Outward unit normal per boundary facet (2D), in boundary_faces()
-    order: perpendicular to the edge, pointing away from its triangle."""
+    """Outward unit normal per boundary facet, in boundary_faces() order: the
+    apex offset's part orthogonal to the facet's hull, negated and normalised."""
     tops, columns = mesh.facet_cofaces
     facets = np.flatnonzero(tops[:, 1] < 0)
     apexes = mesh.simplices[mesh.n][tops[facets, 0], columns[facets, 0]]
-    a, b = mesh.points[mesh.simplices[mesh.n - 1][facets]].transpose(1, 0, 2)
-    normals = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)[:, None]
-    # row-wise dot products by matmul round like the one-row norm and dot
-    normals /= np.sqrt(normals @ normals.transpose(0, 2, 1))
-    inward = (normals @ (mesh.points[apexes] - a)[:, :, None])[:, 0, 0] > 0
-    normals[inward] = -normals[inward]
-    return normals[:, 0]
+    corners = mesh.points[mesh.simplices[mesh.n - 1][facets]]
+    basis = np.linalg.qr((corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1))[0]
+    offsets = (mesh.points[apexes] - corners[:, 0])[:, :, None]
+    inward = offsets - basis @ (basis.transpose(0, 2, 1) @ offsets)
+    return -(inward / np.sqrt(inward.transpose(0, 2, 1) @ inward))[:, :, 0]
 
 
 def sigma_vectors(mesh, sigma):
-    """Per-triangle constant vector field reproducing the edge cochain:
-    least-squares fit of s with s . (head - tail) = sigma_e over the three
-    edges of each triangle."""
+    """Per-top constant vector field reproducing the edge cochain:
+    least-squares fit of s with s . (head - tail) = sigma_e over the
+    n(n+1)/2 edges of each top simplex."""
     edges = mesh.face_of_top[1]
     tails, heads = mesh.simplices[1][edges].transpose(2, 0, 1)
     rows = mesh.points[heads] - mesh.points[tails]
     vals = np.asarray(sigma)[edges]
-    # all triangles' 3x2 least-squares problems at once, by Householder QR
+    # all tops' least-squares problems at once, by Householder QR
     q, r = np.linalg.qr(rows)
     return np.linalg.solve(r, np.einsum("tij,ti->tj", q, vals)[..., None])[..., 0]
 

@@ -22,8 +22,9 @@ every link into a d-simplex t, entry (t, j) for the face omitting vertex j
 volumes; every step sign is read from it. One sweep from n down to p applies
 the recursion with ``np.bincount`` to signed and unsigned volumes and to
 signed and nonzero chain counts, whose difference counts the negative
-pieces. Pieces are gathered per simplex on request. Link tables and
-DualTables are memoized on the complex per (dim, tolerance).
+pieces; run from n-1 on per-facet weights, it gives the Poisson load.
+Pieces are gathered per simplex on request. Link tables and DualTables are
+memoized on the complex per (dim, tolerance).
 """
 
 import functools
@@ -180,6 +181,23 @@ def _link_table(complex_, dim, tol):
     return cache[dim, eps]
 
 
+def _sweep(complex_, top, totals, tol):
+    """Yield (p, totals) for p = top down to 0, where ``totals`` starts as
+    rows of values on the top-simplices (top <= n) and each step applies
+    D_p(s) = 1/(top - p) sum_t w(s, t) D_{p+1}(t) to row k, w the link's
+    signed length, length, sign or nonzero sign for k = 0, 1, 2 or 3."""
+    for p in range(top, -1, -1):
+        if p < top:
+            signs, lengths = _link_table(complex_, p + 1, tol)
+            faces = complex_.face_table(p + 1).ravel()
+            weights = (signs * lengths / (top - p), lengths / (top - p), signs, np.abs(signs))
+            totals = np.array([
+                np.bincount(faces, (w * t[:, None]).ravel(), complex_.num_simplices(p))
+                for w, t in zip(weights, totals)
+            ])
+        yield p, totals
+
+
 def dual_table(complex_, dim, tol=None):
     """The :class:`DualTable` of signed duals at one dimension.
 
@@ -197,16 +215,7 @@ def dual_table(complex_, dim, tol=None):
     for d in range(dim, n + 1):
         complex_.circumcenters(d)  # raises on the lowest degenerate dimension
     # per simplex: signed and unsigned dual volume, signed and nonzero chain count
-    totals = np.ones((4, complex_.num_simplices(n)))
-    for p in range(n, dim - 1, -1):
-        if p < n:
-            signs, lengths = _link_table(complex_, p + 1, tol)
-            faces = complex_.face_table(p + 1).ravel()
-            weights = (signs * lengths / (n - p), lengths / (n - p), signs, np.abs(signs))
-            totals = np.array([
-                np.bincount(faces, (w * t[:, None]).ravel(), complex_.num_simplices(p))
-                for w, t in zip(weights, totals)
-            ])
+    for p, totals in _sweep(complex_, n, np.ones((4, complex_.num_simplices(n))), tol):
         signed, unsigned, signed_count, nonzero_count = totals
         table = DualTable(
             signed, unsigned, np.bincount(complex_.face_of_top[p].ravel()) * math.factorial(n - p),
@@ -215,7 +224,8 @@ def dual_table(complex_, dim, tol=None):
         for column in vars(table).values():
             column.setflags(write=False)
         cache.setdefault((p, tol), table)
-    return cache[dim, tol]
+        if p == dim:
+            return cache[dim, tol]
 
 
 def dual_volumes(complex_, dim, tol=None):

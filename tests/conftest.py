@@ -76,6 +76,15 @@ def incircle_sign(a, b, c, d):
     return 0
 
 
+def _cot(apex, p, q):
+    """Cotangent of the angle at apex between p and q, any ambient dim."""
+    u = p - apex
+    v = q - apex
+    # |u||v| sin(angle) via the Gram identity
+    sine_area = math.sqrt(max(np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2, 0.0))
+    return np.dot(u, v) / sine_area
+
+
 def cotan_weights(points, triangles):
     """Per-edge sum of half-cotangents of the opposite angles.
 
@@ -87,15 +96,20 @@ def cotan_weights(points, triangles):
         for k in range(3):
             apex = tri[k]
             i, j = sorted((tri[(k + 1) % 3], tri[(k + 2) % 3]))
-            u = points[i] - points[apex]
-            v = points[j] - points[apex]
-            # |u||v| sin(angle) via the Gram identity, any ambient dim
-            sine_area = math.sqrt(
-                max(np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2, 0.0)
-            )
-            cot = np.dot(u, v) / sine_area
+            cot = _cot(points[apex], points[i], points[j])
             weights[(i, j)] = weights.get((i, j), 0.0) + 0.5 * cot
     return weights
+
+
+def voronoi_shares(corners):
+    """Signed Voronoi area of each corner a of a triangle by the cotangent
+    formula (|ab|^2 cot c + |ac|^2 cot b) / 8, no circumcenters involved."""
+    shares = []
+    for k in range(3):
+        a, b, c = corners[k], corners[(k + 1) % 3], corners[(k + 2) % 3]
+        ab, ac = b - a, c - a
+        shares.append((np.dot(ab, ab) * _cot(c, a, b) + np.dot(ac, ac) * _cot(b, a, c)) / 8.0)
+    return shares
 
 
 def brute_face_count(tops, dim):

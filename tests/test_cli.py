@@ -241,6 +241,9 @@ def test_poisson_config_validation(tmp_path, capsys):
     ({"columns": [{"family": "good", "hodge-mode": "unsigned"}]}, "hodge-mode"),
     ({"influx": 10**400}, "influx"),
     ({"width": 10**400}, "width"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"output_dir": ["a"]}, "output_dir"),
+    ({"output_dir": None}, "output_dir"),
 ])
 def test_poisson_malformed_config_is_input_error(config, key, tmp_path, capsys):
     config_path = tmp_path / "config.json"

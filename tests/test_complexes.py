@@ -1,5 +1,7 @@
 """Complex construction, face closure, incidence and boundary operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -213,6 +215,29 @@ def test_degeneracy_gate_messages():
     with pytest.raises(DegeneracyError, match=sliver):
         build_complex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]], [(2, 1, 0)])
     assert build_complex([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-11]], [(0, 1, 2)]).n == 2
+
+
+@pytest.mark.parametrize("n, scale", [
+    (3, 1e-150), (3, 1e-160), (2, 1e-160), (3, 1e-170), (2, 1e-170), (3, 1e150), (2, 1e160),
+    (3, 3e-103), (2, 1.1e-154),  # a normal longest edge^n, but a subnormal volume
+    (2, 1e154),  # a finite volume, but a longest edge^n that overflows
+])
+def test_degeneracy_gate_rejects_scales_outside_double_range(n, scale):
+    # a unit simplex whose volume or edge^n under- or overflows once went
+    # through as 0.0 or a subnormal, was called "coincident vertices", or
+    # warned of an overflow
+    unit = np.vstack([np.zeros(n), np.eye(n)])
+    top = tuple(range(n + 1))
+    message = (
+        rf"^top simplex \({', '.join(map(str, top))}\) has volume .*: "
+        r"its scale is outside double range$"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match=message):
+            build_complex(unit * scale, [top])
+    # well inside the range, the same simplex passes
+    assert build_complex(unit * scale ** 0.5, [top]).volumes(n)[0] > 0.0
 
 
 @pytest.mark.parametrize("dim, count", [(2, 300), (3, 60)])

@@ -253,19 +253,18 @@ def test_grids_match_scalar_draws_bitwise():
     # one batched uniform draw per grid gives the very points, and leaves
     # the generator in the very state, of one scalar draw per coordinate
     from conftest import scalar_grid_2d, scalar_grid_3d
-    from signeddec.fixtures import _grid_2d, _grid_3d, _rng
+    from signeddec.fixtures import _box_grid, _rng
 
     for seed in range(4):
         for divisions in (1, 2, 3, 5, 8):
             for jitter in (0.0, 0.15, 0.4):
                 for locked in ((), (divisions // 2,), (1, divisions - 1)):
-                    args = (divisions, 2.0, 1.5, jitter)
                     rng_a, rng_b = _rng(seed, divisions), _rng(seed, divisions)
-                    a = _grid_2d(*args, rng_a, locked_columns=locked)
-                    b = scalar_grid_2d(*args, rng_b, locked_columns=locked)
+                    a = _box_grid(divisions, (2.0, 1.5), jitter, rng_a, locked)
+                    b = scalar_grid_2d(divisions, 2.0, 1.5, jitter, rng_b, locked_columns=locked)
                     assert a.tobytes() == b.tobytes()
                     assert rng_a.random() == rng_b.random()
                 rng_a, rng_b = _rng(seed, divisions), _rng(seed, divisions)
-                a = _grid_3d(divisions, rng_a, jitter)
+                a = _box_grid(divisions, (1.0, 1.0, 1.0), jitter, rng_a)
                 assert a.tobytes() == scalar_grid_3d(divisions, rng_b, jitter).tobytes()
                 assert rng_a.random() == rng_b.random()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import cotan_weights
+from conftest import cotan_weights, voronoi_shares
+from signeddec.complexes import build_complex
 from signeddec.errors import ProblemDefinitionError
 from signeddec.fixtures import generate_fixture
 from signeddec.hodge import hodge_star, validate_hodge
@@ -19,6 +20,7 @@ from signeddec.poisson import (
     sigma_vectors,
     solve_mixed_poisson,
 )
+from signeddec.signed_dual import _boundary_step_signs
 
 
 @pytest.fixture(scope="module")
@@ -188,18 +190,91 @@ def test_gauge_validation(good_mesh):
 
 
 def test_rejects_non_planar_mesh():
-    from signeddec.complexes import build_complex
-
-    points = np.array([
-        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-        [0.3, 0.3, 1.0], [0.3, 0.3, -1.0],
-    ])
-    tets = build_complex(points, [(0, 1, 2, 3), (0, 1, 2, 4)])
-    with pytest.raises(ProblemDefinitionError):
-        assemble_mixed_poisson(MixedPoissonProblem(mesh=tets))
     surface = generate_fixture("surface_pairwise_delaunay", divisions=4)
-    with pytest.raises(ProblemDefinitionError):
+    with pytest.raises(ProblemDefinitionError, match="full-dimensional"):
         assemble_mixed_poisson(MixedPoissonProblem(mesh=surface))
+
+
+@pytest.mark.parametrize("divisions", [2, 3, 4])
+def test_tet_cube_flux_patch_test(divisions):
+    # the solve has no planar special case: on pairwise-Delaunay tets the
+    # signed stars give the affine potential and the constant flux, the
+    # unsigned stars do not
+    for seed in range(3):
+        mesh = generate_fixture("delaunay_tet_cube", divisions=divisions, seed=seed)
+        exact = -mesh.points[:, 0]
+        exact -= exact.mean()
+        for form in ("reduced", "saddle"):
+            signed = _solve(mesh, form=form)
+            assert np.abs(signed.u - exact).max() < 1e-12
+            assert np.abs(sigma_vectors(mesh, signed.sigma) - [1.0, 0.0, 0.0]).max() < 1e-8
+            assert np.abs(_solve(mesh, "unsigned", form).u - exact).max() > 1e-3
+
+
+def test_segment_flux_patch_test():
+    inner = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 9))
+    points = np.concatenate([[0.0], inner, [1.0]])[:, None]
+    mesh = build_complex(points, [(i, i + 1) for i in range(len(points) - 1)])
+    exact = -points[:, 0] + points[:, 0].mean()
+    for form in ("reduced", "saddle"):
+        solution = _solve(mesh, form=form)
+        assert np.abs(solution.u - exact).max() < 1e-12
+        assert np.abs(sigma_vectors(mesh, solution.sigma) - 1.0).max() < 1e-12
+    assert boundary_outward_normals(mesh).tolist() == [[-1.0], [1.0]]
+
+
+def _half_edge_load(mesh, flux):
+    """The planar boundary load by the half-edge rule: boundary edge e puts
+    g_e s_e |e| / 2 on each of its ends, s_e the step sign of e -> its
+    triangle."""
+    facets, sides = _boundary_step_signs(mesh)
+    b = np.zeros(mesh.num_simplices(0))
+    lengths = mesh.volumes(1)[facets]
+    np.add.at(b, mesh.simplices[1][facets], (flux * sides * lengths / 2.0)[:, None])
+    return b
+
+
+def _balanced_rhs(mesh, flux):
+    """The reduced zero-mean system's vertex rhs for boundary flux ``flux``
+    and the uniform source that balances it, and that source."""
+    star0 = hodge_star(mesh, 0).entries
+    facets = np.array([facet for facet, _ in mesh.boundary_faces()])
+    source = np.full(len(star0), flux @ mesh.volumes(mesh.n - 1)[facets] / star0.sum())
+    problem = MixedPoissonProblem(mesh=mesh, source=source, boundary_flux=flux)
+    return assemble_mixed_poisson(problem).rhs[:len(star0)], star0 * source
+
+
+@pytest.mark.parametrize("name", [
+    "structured_square", "perturbed_delaunay_square", "obtuse_delaunay_square",
+    "bad_boundary_square", "non_delaunay_square",
+])
+def test_planar_load_is_the_half_edge_rule_bitwise(name):
+    # the dual sweep's link from a vertex into an edge is exactly |e| / 2
+    for divisions in (4, 8):
+        for seed in range(3) if name != "structured_square" else (None,):
+            params = {"divisions": divisions} | ({} if seed is None else {"seed": seed})
+            mesh = generate_fixture(name, **params)
+            rng = np.random.default_rng(divisions)
+            count = len(mesh.boundary_faces())
+            for flux in (rng.standard_normal(count), rng.choice([-1.0, 1.0], count)):
+                rhs, weighted_source = _balanced_rhs(mesh, flux)
+                assert rhs.tobytes() == (weighted_source - _half_edge_load(mesh, flux)).tobytes()
+
+
+def test_tet_load_is_the_cotangent_shares():
+    # on one-sided boundary facets the load is the flux times each corner's
+    # signed Voronoi share of its triangle
+    for seed in range(3):
+        mesh = generate_fixture("delaunay_tet_cube", divisions=3, seed=seed)
+        facets = [facet for facet, _ in mesh.boundary_faces()]
+        flux = np.random.default_rng(seed).standard_normal(len(facets))
+        want = np.zeros(mesh.num_simplices(0))
+        for g, facet in zip(flux, facets):
+            corners = mesh.simplices[2][facet]
+            want[corners] += g * np.array(voronoi_shares(mesh.points[corners]))
+        rhs, weighted_source = _balanced_rhs(mesh, flux)
+        got = weighted_source - rhs
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_rejects_unknown_form(good_mesh):
@@ -217,6 +292,18 @@ def test_boundary_outward_normals_on_square():
         assert np.isclose(np.linalg.norm(normal), 1.0)
         mid = mesh.simplex_points(1, facet).mean(axis=0)
         assert normal @ (mid - center) > 0.0
+
+
+def test_boundary_outward_normals_on_tet_cube():
+    # each boundary triangle lies in one side of the cube, whose axis its
+    # centroid is farthest from the centre along
+    mesh = generate_fixture("delaunay_tet_cube", divisions=3)
+    facets = [facet for facet, _ in mesh.boundary_faces()]
+    offsets = mesh.points[mesh.simplices[2][facets]].mean(axis=1) - 0.5
+    rows, axes = np.arange(len(facets)), np.abs(offsets).argmax(axis=1)
+    want = np.zeros_like(offsets)
+    want[rows, axes] = np.sign(offsets[rows, axes])
+    assert np.abs(boundary_outward_normals(mesh) - want).max() < 1e-12
 
 
 def test_sigma_vectors_reconstruct_linear_field(good_mesh):
