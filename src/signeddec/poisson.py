@@ -12,19 +12,22 @@ total outflux and determined up to a constant fixed by a gauge. The saddle
 form keeps both cochains: [[star1, star1 d0], [(star1 d0)^T, 0]]. Either
 form gets one gauge step on its vertex block: "zero_mean" borders the
 matrix with a column of ones over it, ("pin", v) drops vertex v's row and
-column. figure1_columns runs the flux patch test (figure1_experiment) over
+column. The gauged matrix is one sparse construction (CSC) from the edge
+table (tail, head, orientation) and the star entries, with no sparse
+products; the solve gathers the reduced form's sigma from the same table.
+figure1_columns runs the flux patch test (figure1_experiment) over
 a list of (family, hodge_mode) columns, generating one mesh per family.
 """
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .complexes import boundary_operator
 from .config import tolerance
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
@@ -65,16 +68,16 @@ class MixedPoissonProblem:
 
 @dataclass
 class LinearSystem:
-    """Assembled gauged linear system plus what solve needs to undo the
-    gauge bookkeeping."""
+    """Assembled gauged linear system, a CSC matrix built in one sparse
+    construction from the edge table, plus what solve needs to undo the
+    gauge bookkeeping and gather sigma from that table."""
 
-    matrix: sparse.spmatrix
+    matrix: sparse.csc_matrix
     rhs: np.ndarray
     form: str
     gauge: object
     hodge_mode: str
     mesh: object
-    flux_operator: sparse.spmatrix
 
 
 @dataclass
@@ -109,7 +112,14 @@ def _flux_values(mesh, flux, facets):
     elif np.isscalar(flux):
         values = np.full(count, float(flux))
     elif isinstance(flux, dict):
-        values = np.array([float(flux.get(facet, 0.0)) for facet in facets.tolist()])
+        boundary = facets.tolist()
+        known = set(boundary)
+        for key in flux:  # else an interior or unknown key would be ignored
+            if isinstance(key, bool) or not isinstance(key, Integral) or key not in known:
+                raise ProblemDefinitionError(
+                    f"boundary flux key {key!r} is not a boundary facet index"
+                )
+        values = np.array([float(flux.get(facet, 0.0)) for facet in boundary])
     else:
         values = np.asarray(flux, dtype=float)
     if values.shape != (count,):
@@ -163,7 +173,6 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
 
     star0 = hodge_star(mesh, 0, mode=hodge_mode)
     star1 = hodge_star(mesh, 1, mode=hodge_mode)
-    flux_op = boundary_operator(mesh, 1).T.tocsr()  # d0: edges x vertices
 
     tol = tolerance()
     facets, sides = _boundary_step_signs(mesh, tol)
@@ -194,39 +203,61 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
             f"{weighted_source.sum():.6e} vs total outflux {outflux:.6e}"
         )
 
-    # one block per form, whose vertex block starts at row ``first``
-    star1_mat = star1.as_matrix()
+    # One block per form, whose vertex block starts at row ``first``, read
+    # off the edge table: d0 has -o_e at (e, tail) and +o_e at (e, head).
+    ends = mesh.simplices[1]
+    tails, heads = ends.T
+    weights = star1.entries
     if form == "reduced":
+        # d0^T star1 d0: -w_e at (tail, head) and (head, tail), and each
+        # vertex's weights summed in edge order on the diagonal
         first = 0
-        matrix = flux_op.T @ star1_mat @ flux_op
+        vertices = np.arange(num_vertices)
+        diagonal = np.bincount(ends.ravel(), np.repeat(weights, 2), num_vertices)
+        rows = [tails, heads, vertices]
+        cols = [heads, tails, vertices]
+        vals = [-weights, -weights, diagonal]
         rhs = weighted_source - b
     else:
-        coupling = star1_mat @ flux_op
+        # [[star1, star1 d0], [(star1 d0)^T, 0]]
         first = num_edges
-        matrix = sparse.bmat([[star1_mat, coupling], [coupling.T, None]])
+        edges = np.arange(num_edges)
+        coupling = mesh.orientations[1] * weights
+        rows = [edges, edges, edges, first + tails, first + heads]
+        cols = [edges, first + tails, first + heads, edges, edges]
+        vals = [weights, -coupling, coupling, -coupling, coupling]
         rhs = np.concatenate([np.zeros(num_edges), b - weighted_source])
-    if gauge == "zero_mean":
-        ones = np.repeat([[0.0], [1.0]], [first, num_vertices], axis=0)
-        matrix = sparse.bmat([[matrix, ones], [ones.T, None]])
+    size = first + num_vertices
+    if gauge == "zero_mean":  # a last row and column of ones over the vertex block
+        border, last = np.arange(first, size), np.full(num_vertices, size)
+        rows, cols = np.concatenate(rows + [border, last]), np.concatenate(cols + [last, border])
+        vals = np.concatenate(vals + [np.ones(2 * num_vertices)])
         rhs = np.append(rhs, 0.0)
-    else:
-        keep = np.arange(first + num_vertices) != first + gauge[1]
-        matrix = matrix.tocsr()[keep][:, keep]
-        rhs = rhs[keep]
-
+    else:  # the pinned row and column go, the later ones move up
+        pinned = first + gauge[1]
+        index = np.insert(np.arange(size - 1), pinned, -1)
+        rows, cols = index[np.concatenate(rows)], index[np.concatenate(cols)]
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals = rows[keep], cols[keep], np.concatenate(vals)[keep]
+        rhs = np.delete(rhs, pinned)
+    matrix = sparse.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
+    matrix.eliminate_zeros()  # a zero star entry stores nothing, as in d0^T star1 d0
     return LinearSystem(
-        matrix=matrix.tocsr(), rhs=rhs, form=form, gauge=gauge,
-        hodge_mode=hodge_mode, mesh=mesh, flux_operator=flux_op,
+        matrix=matrix, rhs=rhs, form=form, gauge=gauge, hodge_mode=hodge_mode, mesh=mesh,
     )
 
 
 def solve_mixed_poisson(system):
     """Direct sparse solve; reconstructs u and sigma and enforces the
-    gauge exactly. Raises SolveError on non-finite results."""
+    gauge exactly. Raises SolveError on a singular matrix or non-finite
+    results."""
     mesh = system.mesh
     num_vertices = mesh.num_simplices(0)
     num_edges = mesh.num_simplices(1)
-    raw = spsolve(system.matrix.tocsc(), system.rhs)
+    with warnings.catch_warnings():
+        # a singular matrix solves to NaNs, which raise SolveError below
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        raw = spsolve(system.matrix, system.rhs)
     if not np.isfinite(raw).all():
         raise SolveError(
             f"{system.form}/{system.hodge_mode} solve produced non-finite values "
@@ -244,7 +275,12 @@ def solve_mixed_poisson(system):
     u = raw[first:][:num_vertices]
     if system.gauge != "zero_mean":
         u = np.insert(u, system.gauge[1], 0.0)
-    sigma = raw[:first].copy() if system.form == "saddle" else -(system.flux_operator @ u)
+    if system.form == "saddle":
+        sigma = raw[:first].copy()
+    else:  # -d0 u, each row summed from 0.0 as a sparse product would: tail, then head
+        tails, heads = mesh.simplices[1].T
+        signs = mesh.orientations[1]
+        sigma = -((0.0 - signs * u[tails]) + signs * u[heads])
     u = u - (u.mean() if system.gauge == "zero_mean" else u[system.gauge[1]])
     return MixedPoissonSolution(
         u=u, sigma=sigma, residual_norm=residual,

@@ -8,12 +8,18 @@ rather than an implementation with itself.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from signeddec.complexes import build_complex
+from signeddec.complexes import boundary_operator, build_complex
+from signeddec.config import tolerance
+from signeddec.hodge import hodge_star
+from signeddec.signed_dual import _boundary_step_signs, _sweep
 
 
 def cayley_menger_volume(points):
@@ -153,6 +159,55 @@ def brute_incidence(top_cells):
     internal = [(f, (c[0][0], c[1][0])) for f, c in enumerate(cofaces[n - 1]) if len(c) == 2]
     boundary = [(f, c[0][0]) for f, c in enumerate(cofaces[n - 1]) if len(c) == 1]
     return simplices, [parity[top] for top in simplices[n]], cofaces, internal, boundary
+
+
+def sparse_algebra_poisson(mesh, source, flux, gauge, hodge_mode, form):
+    """The gauged mixed Poisson system and its solution by sparse algebra:
+    d0 = boundary_operator(mesh, 1).T, star1 by sparse.diags, the products
+    d0^T star1 d0 or star1 d0, sparse.bmat for the saddle blocks and the
+    zero-mean border, row and column slicing for a pin, and
+    sigma = -(d0 @ u). ``source`` is per vertex, ``flux`` per boundary facet.
+
+    Returns the CSR matrix, the rhs, the raw solution, u and sigma; the last
+    three are None when the solve is singular or not finite.
+    """
+    star0 = hodge_star(mesh, 0, mode=hodge_mode).entries
+    star1 = sparse.diags(hodge_star(mesh, 1, mode=hodge_mode).entries)
+    d0 = boundary_operator(mesh, 1).T.tocsr()
+    facets, sides = _boundary_step_signs(mesh)
+    seed = np.bincount(facets, flux * sides, mesh.num_simplices(mesh.n - 1))
+    *_, (_, (load,)) = _sweep(mesh, mesh.n - 1, seed[None], tolerance())
+    weighted_source = star0 * source
+    num_vertices, num_edges = mesh.num_simplices(0), mesh.num_simplices(1)
+    if form == "reduced":
+        first = 0
+        matrix = d0.T @ star1 @ d0
+        rhs = weighted_source - load
+    else:
+        coupling = star1 @ d0
+        first = num_edges
+        matrix = sparse.bmat([[star1, coupling], [coupling.T, None]])
+        rhs = np.concatenate([np.zeros(num_edges), load - weighted_source])
+    if gauge == "zero_mean":
+        ones = np.repeat([[0.0], [1.0]], [first, num_vertices], axis=0)
+        matrix = sparse.bmat([[matrix, ones], [ones.T, None]])
+        rhs = np.append(rhs, 0.0)
+    else:
+        keep = np.arange(first + num_vertices) != first + gauge[1]
+        matrix = matrix.tocsr()[keep][:, keep]
+        rhs = rhs[keep]
+    matrix = matrix.tocsr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        raw = spsolve(matrix.tocsc(), rhs)
+    if not np.isfinite(raw).all():
+        return matrix, rhs, None, None, None
+    u = raw[first:][:num_vertices]
+    if gauge != "zero_mean":
+        u = np.insert(u, gauge[1], 0.0)
+    sigma = raw[:first].copy() if form == "saddle" else -(d0 @ u)
+    u = u - (u.mean() if gauge == "zero_mean" else u[gauge[1]])
+    return matrix, rhs, raw, u, sigma
 
 
 def random_rotation(rng, n):

@@ -1,13 +1,16 @@
 """Mixed-form Poisson assembly and solves: patch test, gauges, forms,
 boundary handling."""
 
+import itertools
+import re
+import warnings
+
 import numpy as np
 import pytest
-from scipy import sparse
 
-from conftest import cotan_weights, voronoi_shares
+from conftest import cotan_weights, sparse_algebra_poisson, voronoi_shares
 from signeddec.complexes import build_complex
-from signeddec.errors import ProblemDefinitionError
+from signeddec.errors import ProblemDefinitionError, SolveError
 from signeddec.fixtures import generate_fixture
 from signeddec.hodge import hodge_star, validate_hodge
 from signeddec.poisson import (
@@ -160,6 +163,13 @@ def test_flux_dict_form(good_mesh):
     assert np.allclose(by_dict.u, by_callable.u, atol=1e-12)
     with pytest.raises(ProblemDefinitionError):
         _solve(good_mesh, flux=np.zeros(3))
+    # a key that is not a boundary facet index is named, not ignored
+    interior = next(f for f, _ in good_mesh.internal_faces())
+    for key in (interior, 10**6, "x"):
+        with pytest.raises(ProblemDefinitionError, match=re.escape(f"key {key!r} ")):
+            _solve(good_mesh, flux=table | {key: 5.0})
+    with pytest.raises(ProblemDefinitionError, match=f"key {interior} "):
+        _solve(good_mesh, flux={interior: 5.0, 10**6: 3.0, "x": 1.0})
 
 
 def test_non_finite_data_is_rejected_by_name(good_mesh):
@@ -282,6 +292,73 @@ def test_rejects_unknown_form(good_mesh):
         assemble_mixed_poisson(
             MixedPoissonProblem(mesh=good_mesh, boundary_flux=0.0), form="direct"
         )
+
+
+def _reversed_segment():
+    """Ten segments on [0, 1], the fourth given head first (o_e = -1)."""
+    inner = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 9))
+    points = np.concatenate([[0.0], inner, [1.0]])[:, None]
+    return build_complex(points, [(i + 1, i) if i == 3 else (i, i + 1) for i in range(10)])
+
+
+@pytest.mark.parametrize("name", [
+    "obtuse_delaunay_square", "structured_square", "delaunay_tet_cube", "reversed_segment",
+])
+def test_edge_table_assembly_is_the_sparse_algebra_bitwise(name):
+    # matrix, rhs, u and sigma are bitwise those of d0^T star1 d0 and the
+    # bmat blocks, signed zeros of the zero data included; the structured
+    # square has zero star entries, and the segment's reversed top pins the
+    # sign of sigma
+    if name == "reversed_segment":
+        mesh = _reversed_segment()
+        assert mesh.orientations[1].tolist().count(-1) == 1
+    else:
+        mesh = generate_fixture(name, divisions=2 if name == "delaunay_tet_cube" else 6)
+    facets = np.array([facet for facet, _ in mesh.boundary_faces()])
+    flux = np.random.default_rng(len(facets)).standard_normal(len(facets))
+    outflux = flux @ mesh.volumes(mesh.n - 1)[facets]
+    last = mesh.num_simplices(0) - 1
+    for mode in ("signed", "unsigned"):
+        star0 = hodge_star(mesh, 0, mode=mode).entries
+        balanced = (np.full(len(star0), outflux / star0.sum()), flux)
+        cases = itertools.product((balanced, (0.0 * star0, 0.0 * flux)), ("reduced", "saddle"))
+        for (source, data), form in cases:
+            for gauge in ("zero_mean", ("pin", 0), ("pin", last)):
+                problem = MixedPoissonProblem(mesh, source, data, gauge)
+                system = assemble_mixed_poisson(problem, hodge_mode=mode, form=form)
+                want, rhs, raw, u, sigma = sparse_algebra_poisson(
+                    mesh, source, data, gauge, mode, form
+                )
+                got = system.matrix.tocsr()
+                for matrix in (got, want):
+                    matrix.sort_indices()
+                assert got.shape == want.shape
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.data.tobytes() == want.data.tobytes()
+                assert system.rhs.tobytes() == rhs.tobytes()
+                if raw is None:  # the structured square's saddle systems
+                    with pytest.raises(SolveError):
+                        solve_mixed_poisson(system)
+                    continue
+                solution = solve_mixed_poisson(system)
+                assert solution.u.tobytes() == u.tobytes()
+                assert solution.sigma.tobytes() == sigma.tobytes()
+                residual = np.linalg.norm(want @ raw - rhs) / max(np.linalg.norm(rhs), 1e-300)
+                assert solution.residual_norm == residual
+
+
+@pytest.mark.parametrize("gauge", ["zero_mean", ("pin", 0)])
+@pytest.mark.parametrize("mode", ["signed", "unsigned"])
+def test_singular_system_raises_solve_error_and_no_warning(mode, gauge):
+    # the structured square's zero star entries make its saddle system singular
+    mesh = generate_fixture("structured_square", divisions=4)
+    problem = MixedPoissonProblem(mesh=mesh, boundary_flux=_side_flux(), gauge=gauge)
+    system = assemble_mixed_poisson(problem, hodge_mode=mode, form="saddle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveError, match="non-finite"):
+            solve_mixed_poisson(system)
 
 
 def test_boundary_outward_normals_on_square():
