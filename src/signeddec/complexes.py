@@ -22,7 +22,7 @@ from scipy import sparse
 
 from .config import DEGENERACY_FACTOR
 from .errors import ComplexError, DegeneracyError, NonManifoldError
-from .geometry import Circumdata, batched_circumcenters, batched_volumes
+from .geometry import Circumdata, batched_circumcenters
 
 __all__ = ["SimplicialComplex", "build_complex", "boundary_operator"]
 
@@ -131,7 +131,8 @@ class SimplicialComplex:
             raise ValueError(f"geometry needs 0 <= dim <= {self.n}, got {dim}")
         if self._geometry[dim] is None:
             stacked = self.points[self.simplices[dim]]
-            geometry = batched_volumes(stacked), *batched_circumcenters(stacked)
+            *circumdata, volumes = batched_circumcenters(stacked)
+            geometry = volumes, *circumdata
             for arr in geometry:
                 arr.setflags(write=False)
             self._geometry[dim] = geometry

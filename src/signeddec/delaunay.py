@@ -209,8 +209,11 @@ def is_one_sided(complex_, top_index, facet_index, tol=None):
     """One-sidedness status of a boundary facet against its coface.
 
     Identical to the chain step sign of facet -> coface, so the dual length
-    of the facet is positive exactly for SIDE_YES.
+    of the facet is positive exactly for SIDE_YES. Raises ValueError unless
+    the facet is a boundary facet of that top.
     """
+    if complex_.facet_cofaces[0][facet_index].tolist() != [top_index, -1]:
+        raise ValueError(f"facet {facet_index} is not a boundary facet of simplex {top_index}")
     sign = step_sign(complex_, complex_.n - 1, facet_index, top_index, tol=tol)
     return _SIDE_STATUS[sign].item()
 

@@ -2,9 +2,12 @@
 
 Everything here works on raw point arrays in R^N and knows nothing about
 complexes. Points within a call are rows of float arrays; a k-simplex is a
-(k+1, N) array of affinely independent rows. A circumcenter's barycentric
-coordinate j times vertex j's height is its signed distance from the face
-opposite vertex j; ``halfspace_sign`` finds that side by an explicit frame.
+(k+1, N) array of affinely independent rows. ``batched_circumcenters`` is
+the one producer of simplex geometry: volume, circumcenter, radius and the
+center's barycentric coordinates, from one QR factorisation of the scaled
+edges. A circumcenter's barycentric coordinate j times vertex j's height is
+its signed distance from the face opposite vertex j; ``halfspace_sign``
+finds that side by an explicit frame.
 """
 
 import math
@@ -51,6 +54,9 @@ class FlattenedPair:
     apex_right: np.ndarray
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _as_points(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -72,86 +78,68 @@ def simplex_volume(points):
 
 
 def batched_volumes(pts):
-    """Unsigned volumes of a (M, k+1, N) stack of simplices.
-
-    The low dimensions use direct determinant/cross-product formulas and
-    the general case the R diagonal of a QR factorization of the edge
-    matrix; both keep absolute accuracy ~eps * scale^k on nearly degenerate
-    simplices, where a Gram-determinant route would bottom out at
-    sqrt(eps).
-    """
-    m, kp1, ambient = pts.shape
-    k = kp1 - 1
-    if k == 0:
-        return np.ones(m)
-    if k > ambient:
-        return np.zeros(m)
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    if k == 1:
-        return np.linalg.norm(edges[:, 0, :], axis=1)
-    if k == 2 and ambient == 2:
-        return (
-            np.abs(
-                edges[:, 0, 0] * edges[:, 1, 1]
-                - edges[:, 0, 1] * edges[:, 1, 0]
-            )
-            / 2.0
-        )
-    if k == 2 and ambient == 3:
-        a, b = edges[:, 0, :], edges[:, 1, :]
-        cx = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-        cy = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-        cz = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        return np.sqrt(cx * cx + cy * cy + cz * cz) / 2.0
-    if k == 3 and ambient == 3:
-        a, b, c = edges[:, 0, :], edges[:, 1, :], edges[:, 2, :]
-        triple = (
-            a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
-            - a[:, 1] * (b[:, 0] * c[:, 2] - b[:, 2] * c[:, 0])
-            + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        )
-        return np.abs(triple) / 6.0
-    r = np.linalg.qr(edges.transpose(0, 2, 1), mode="r")
-    return np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)) / math.factorial(k)
+    """Unsigned volumes of a (M, k+1, N) stack of simplices: the last
+    column of :func:`batched_circumcenters`."""
+    return batched_circumcenters(pts)[4]
 
 
 def batched_circumcenters(pts, tol=None):
-    """Circumcenters and radii of a (M, k+1, N) stack of simplices.
+    """Circumcenters, radii and volumes of a (M, k+1, N) stack of simplices.
 
-    Solves each Gram system 2 (p_i - p_0) . (c - p_0) = |p_i - p_0|^2,
-    which keeps the center inside the affine hull of the vertices. Returns
-    (centers, radii, degenerate, barycentric): ``degenerate`` flags the
-    rows whose vertices are (nearly) affinely dependent, i.e. whose Gram
-    matrix is singular or whose center is not equidistant to relative
-    tolerance; their other values are meaningless. ``barycentric`` (M, k+1)
-    holds the centers' coordinates: the solution, after one minus its sum.
+    Each simplex's edges from vertex 0 are divided by the power of two at
+    most their largest component (exact), and the scaled edge matrix is
+    factorised once, E^T = QR, by modified Gram-Schmidt. The volume is
+    prod diag R * scale^k / k!. The center is p_0 + E^T coeff, where
+    R^T y = |e|^2 / 2 and R coeff = y: the Gram system E E^T coeff = |e|^2 / 2
+    without forming E E^T.
+
+    Returns (centers, radii, degenerate, barycentric, volumes).
+    ``degenerate`` flags the rows whose vertices are (nearly) affinely
+    dependent: their center is not finite or not equidistant to relative
+    tolerance, and their centers, radii and barycentric coordinates are
+    finite placeholders. ``barycentric`` (M, k+1) holds the centers'
+    coordinates: coeff, after one minus its sum.
     """
     eps = tolerance(tol)
-    m, kp1, ambient = pts.shape
+    m, kp1, _ = pts.shape
     k = kp1 - 1
     if k == 0:
-        return pts[:, 0, :].copy(), np.zeros(m), np.zeros(m, dtype=bool), np.ones((m, 1))
-    spokes = pts - pts[:, :1, :]  # vertex offsets to vertex 0
-    edges = spokes[:, 1:]
-    gram = edges @ edges.transpose(0, 2, 1)
-    rhs = 0.5 * np.einsum("mii->mi", gram)
-    singular = np.zeros(m, dtype=bool)
-    try:
-        coeff = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # an exactly singular Gram matrix stops the stacked solve: give
-        # those rows the identity and report them degenerate
-        singular = np.linalg.slogdet(gram)[0] == 0.0
-        gram[singular] = np.eye(k)
-        coeff = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    offset = np.einsum("mk,mkn->mn", coeff, edges)
-    # measured from offsets, so the check does not depend on where the simplex sits
-    dists = np.linalg.norm(spokes - offset[:, None], axis=2)
-    radii = dists.mean(axis=1)
-    spread = dists.max(axis=1) - dists.min(axis=1)
-    degenerate = singular | (radii == 0.0) | ~(spread <= max(eps, 1e-9) * radii)
-    barycentric = np.hstack([1.0 - coeff.sum(axis=1, keepdims=True), coeff])
-    return pts[:, 0, :] + offset, radii, degenerate, barycentric
+        centers = pts[:, 0, :].copy()
+        return centers, np.zeros(m), np.zeros(m, dtype=bool), np.ones((m, 1)), np.ones(m)
+    coords = np.ascontiguousarray(pts.transpose(1, 2, 0))  # (k+1, N, M): one row per coordinate
+    spokes = coords - coords[0]  # vertex offsets to vertex 0
+    # 0.5 for coincident vertices, whose R is zero and whose row is degenerate
+    scale = np.ldexp(0.5, np.frexp(np.abs(spokes).max(axis=(0, 1)))[1])
+    spokes /= scale
+    edges = spokes[1:]
+    q, r = list(edges), {}
+    for i in range(k):
+        r[i, i] = np.sqrt(np.einsum("nm,nm->m", q[i], q[i]))
+        # a zero column stays zero, so later diagonals and the volume stay finite
+        q[i] = q[i] / np.maximum(r[i, i], _TINY)
+        for j in range(i + 1, k):
+            r[i, j] = np.einsum("nm,nm->m", q[i], q[j])
+            q[j] = q[j] - r[i, j] * q[i]
+    volumes = math.prod(r[i, i] * scale for i in range(k)) / math.factorial(k)
+    # in the frame Q vertex i is column i of R, and the center y is as far
+    # from it as from vertex 0: R_i . (y - R_i / 2) = 0, one row of R^T y = |e|^2 / 2
+    y, coeff = [], [0.0] * k
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular R: NaN
+        for i in range(k):
+            y.append(r[i, i] / 2 + sum(r[j, i] * (r[j, i] / 2 - y[j]) for j in range(i)) / r[i, i])
+        for i in reversed(range(k)):  # back substitution, R coeff = y
+            coeff[i] = (y[i] - sum(r[i, j] * coeff[j] for j in range(i + 1, k))) / r[i, i]
+        coeff = np.array(coeff)
+        offset = np.einsum("km,knm->nm", coeff, edges)
+        # measured from offsets, so the check does not depend on where the simplex sits
+        spokes -= offset
+        dists = np.sqrt(np.einsum("knm,knm->km", spokes, spokes))
+        radii = dists.sum(axis=0) / kp1
+        spread = dists.max(axis=0) - dists.min(axis=0)
+        degenerate = ~(radii > 0.0) | ~(spread <= max(eps, 1e-9) * radii)
+    coeff[:, degenerate] = offset[:, degenerate] = radii[degenerate] = 0.0
+    barycentric = np.concatenate([1.0 - coeff.sum(axis=0, keepdims=True), coeff]).T.copy()
+    return (coords[0] + scale * offset).T.copy(), radii * scale, degenerate, barycentric, volumes
 
 
 def circumcenter(points, tol=None):
@@ -161,7 +149,7 @@ def circumcenter(points, tol=None):
     DegeneracyError when the vertices are (nearly) affinely dependent.
     """
     pts = _as_points(points)
-    centers, radii, degenerate, _ = batched_circumcenters(pts[np.newaxis], tol=tol)
+    centers, radii, degenerate, *_ = batched_circumcenters(pts[np.newaxis], tol=tol)
     if degenerate[0]:
         raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {pts.tolist()}")
     return Circumdata(centers[0], float(radii[0]))

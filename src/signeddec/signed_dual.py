@@ -268,9 +268,11 @@ def elementary_duals(complex_, dim, index, tol=None):
     simplex the single piece is its circumcenter with 0-volume 1 and empty
     chain.
     """
+    n, tol = complex_.n, tolerance(tol)
+    if not 0 <= dim <= n:
+        raise ValueError(f"dual pieces need 0 <= dim <= {n}, got {dim}")
     if not 0 <= index < complex_.num_simplices(dim):
         raise IndexError(f"no {dim}-simplex with index {index}")
-    n, tol = complex_.n, tolerance(tol)
     centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
     levels, positions = _chain_patterns(n, dim)
     tops, local = np.nonzero(complex_.face_of_top[dim] == index)

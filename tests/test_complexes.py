@@ -1,5 +1,6 @@
 """Complex construction, face closure, incidence and boundary operators."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ from signeddec.complexes import boundary_operator, build_complex
 from signeddec.delaunay import classify_complex
 from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
-from signeddec.geometry import batched_volumes
-from signeddec.signed_dual import dual_volumes
+from signeddec.geometry import batched_circumcenters
+from signeddec.signed_dual import dual_table, dual_volumes
 
 
 def _two_tets():
@@ -240,6 +241,34 @@ def test_degeneracy_gate_rejects_scales_outside_double_range(n, scale):
     assert build_complex(unit * scale ** 0.5, [top]).volumes(n)[0] > 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e100, 1e-100])
+def test_unit_simplex_builds_and_classifies_across_double_range(n, scale):
+    # the geometry squares only coordinates scaled to the simplex, so a unit
+    # simplex far out in double range keeps its volumes, statuses and
+    # duals, and nothing warns of an overflow or a division by zero
+    unit = np.vstack([np.zeros(n), np.eye(n)])
+    top = tuple(range(n + 1))
+    unit_mesh = build_complex(unit, [top])
+    reference = classify_complex(unit_mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = build_complex(unit * scale, [top])
+        report = classify_complex(mesh)
+        negatives = [dual_table(mesh, p).num_negative_pieces.tolist() for p in range(n + 1)]
+    for d in range(1, n + 1):
+        # a face through the origin is a unit right simplex, the other has
+        # sqrt(d + 1) times its volume
+        exact = [(1.0 if 0 in face else np.sqrt(d + 1.0)) / math.factorial(d) * scale**d
+                 for face in mesh.simplices[d].tolist()]
+        assert np.abs(mesh.volumes(d) / exact - 1.0).max() <= 1e-15
+    assert report.verdict == reference.verdict
+    assert report.pair_statuses == reference.pair_statuses
+    assert report.boundary_statuses == reference.boundary_statuses
+    expected = [dual_table(unit_mesh, p).num_negative_pieces.tolist() for p in range(n + 1)]
+    assert negatives == expected
+
+
 @pytest.mark.parametrize("dim, count", [(2, 300), (3, 60)])
 def test_fresh_build_and_classify_compute_volumes_once_per_dimension(dim, count, monkeypatch):
     # the build gate reads the cached top and edge volumes, which the
@@ -248,9 +277,9 @@ def test_fresh_build_and_classify_compute_volumes_once_per_dimension(dim, count,
 
     def counted(pts):
         calls.append(pts.shape[1] - 1)
-        return batched_volumes(pts)
+        return batched_circumcenters(pts)
 
-    monkeypatch.setattr(complexes, "batched_volumes", counted)
+    monkeypatch.setattr(complexes, "batched_circumcenters", counted)
     points = np.random.default_rng(3).random((count, dim))
     classify_complex(build_complex(points, Delaunay(points).simplices))
     assert sorted(calls) == list(range(dim + 1))

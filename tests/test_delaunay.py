@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from conftest import incircle_sign, random_rotation
+from signeddec import complexes
 from signeddec.complexes import build_complex
 from signeddec.delaunay import (
     PAIR_DEGENERATE,
@@ -25,7 +26,7 @@ from signeddec.delaunay import (
 )
 from signeddec.errors import DegeneracyError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
-from signeddec.geometry import flatten_pair
+from signeddec.geometry import batched_circumcenters, flatten_pair
 from signeddec.signed_dual import dual_table, dual_volumes
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -269,11 +270,37 @@ def test_folded_over_pair_same_status_in_plane_and_lifted():
         assert is_delaunay_pair(mesh, 0, 1, mesh.simplex_index(1, (0, 1))) == expected
 
 
-def test_degenerate_circumsphere_makes_every_pair_degenerate():
-    # a sliver whose circumcenter fails the equidistance check: the cached
-    # geometry names it, and classification reports the pair degenerate
-    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.6234567, 1e-9], [0.5, -1.0]])
-    for embedded in (points, np.hstack([points, np.zeros((4, 1))])):
+SLIVER = np.array([[0.0, 0.0], [1.0, 0.0], [0.6234567, 1e-9], [0.5, -1.0]])
+
+
+def _flagging(rows):
+    """``batched_circumcenters`` that also reports degenerate every simplex
+    whose vertex rows equal ``rows``: a circumcenter that fails its check,
+    which no simplex of a complex that builds is known to do."""
+
+    def flagged(pts, tol=None):
+        centers, radii, degenerate, barycentric, volumes = batched_circumcenters(pts, tol)
+        if pts.shape[1:] == rows.shape:
+            degenerate = degenerate | (pts == rows).all(axis=(1, 2))
+        return centers, radii, degenerate, barycentric, volumes
+
+    return flagged
+
+
+def test_degenerate_circumsphere_makes_every_pair_degenerate(monkeypatch):
+    # the 1e-9 sliver's circumcenter passes its check, and the pair is
+    # violated: the far apex lies inside the sliver's circumcircle
+    assert incircle_sign(*SLIVER) == 1
+    lifted = np.hstack([SLIVER, np.zeros((4, 1))])
+    for embedded in (SLIVER, lifted):
+        mesh = build_complex(embedded, [(0, 1, 2), (0, 1, 3)])
+        assert not mesh.geometry(2)[3].any()
+        report = classify_complex(mesh, check_duals=False)
+        assert [status for _, _, status in report.pair_statuses] == [PAIR_VIOLATED]
+    # a sliver whose circumcenter fails the check: the cached geometry
+    # names it, and classification reports the pair degenerate
+    for embedded in (SLIVER, lifted):
+        monkeypatch.setattr(complexes, "batched_circumcenters", _flagging(embedded[:3]))
         mesh = build_complex(embedded, [(0, 1, 2), (0, 1, 3)])
         with pytest.raises(DegeneracyError, match=r"2-simplex \(0, 1, 2\)"):
             mesh.circumcenters(2)
@@ -281,14 +308,16 @@ def test_degenerate_circumsphere_makes_every_pair_degenerate():
         assert [status for _, _, status in report.pair_statuses] == [PAIR_DEGENERATE]
 
 
-def test_degenerate_circumsphere_spoils_only_the_simplices_touching_it():
-    # 30 random points plus a disjoint copy of the sliver pair above: only
-    # the sliver's pair and boundary edges may lose their real status
+def test_degenerate_circumsphere_spoils_only_the_simplices_touching_it(monkeypatch):
+    # 30 random points plus a disjoint copy of the sliver pair above, its
+    # sliver flagged: only the sliver's pair and boundary edges may lose
+    # their real status
     from scipy.spatial import Delaunay
 
     points = np.random.default_rng(11).uniform(size=(30, 2))
     cells = Delaunay(points).simplices
-    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.6234567, 1e-9], [0.5, -1.0]]) + [5.0, 0.0]
+    sliver = SLIVER + [5.0, 0.0]
+    monkeypatch.setattr(complexes, "batched_circumcenters", _flagging(sliver[:3]))
     joined = build_complex(
         np.vstack([points, sliver]), np.vstack([cells, [(30, 31, 32), (30, 31, 33)]])
     )
@@ -482,6 +511,20 @@ def test_classify_complex_level_one_sidedness():
     assert is_one_sided(mesh, 0, mesh.simplex_index(1, (0, 1))) == SIDE_NO
     assert not report.is_qualifying
     assert report.as_dict()["verdict"] == "not qualifying"
+
+
+def test_is_one_sided_rejects_facets_that_are_not_boundary_facets_of_the_top():
+    # internal facet 3 is shared by tops 0 and 2, and once read "marginal"
+    # from one and "yes" from the other
+    mesh = generate_fixture("obtuse_delaunay_square")
+    assert mesh.facet_cofaces[0][3].tolist() == [0, 2]
+    for top in (0, 2, 1):
+        with pytest.raises(ValueError, match=r"^facet 3 is not a boundary facet of simplex"):
+            is_one_sided(mesh, top, 3)
+    facet, top = mesh.boundary_faces()[0]
+    assert is_one_sided(mesh, top, facet) == SIDE_YES
+    with pytest.raises(ValueError, match="not a boundary facet"):
+        is_one_sided(mesh, top + 1, facet)
 
 
 def test_classify_report_dict_shape():

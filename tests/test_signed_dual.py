@@ -392,6 +392,9 @@ def test_dual_table_rejects_dimensions_out_of_range():
     for dim in (-1, mesh.n + 1):
         with pytest.raises(ValueError):
             dual_table(mesh, dim)
+        for query in (elementary_duals, signed_dual_volume):
+            with pytest.raises(ValueError, match=r"0 <= dim <= 2"):
+                query(mesh, dim, 0)
 
 
 def test_step_signs_batch_matches_single_links():
