@@ -10,9 +10,11 @@ Eliminating sigma gives the reduced system
 a pure-flux (Neumann) problem, solvable only when total source matches
 total outflux and determined up to a constant fixed by a gauge. The saddle
 form keeps both cochains: [[star1, star1 d0], [(star1 d0)^T, 0]]. Either
-form gets one gauge step on its vertex block: "zero_mean" borders the
-matrix with a column of ones over it, ("pin", v) drops vertex v's row and
-column. The gauged matrix is one sparse construction (CSC) from the edge
+form is gauged by one pin on its vertex block: ("pin", v) drops vertex v's
+row and column; "zero_mean" pins vertex 0 once the load's vertex block is
+mean-free, as a multiplier on sum(u) = 0 would make it, and the solve
+projects u to zero mean, matching that bordered system to round-off.
+The gauged matrix is one sparse construction (CSC) from the edge
 table (tail, head, orientation) and the star entries, with no sparse
 products; the solve gathers the reduced form's sigma from the same table.
 figure1_columns runs the flux patch test (figure1_experiment) over
@@ -57,7 +59,8 @@ class MixedPoissonProblem:
     ``source``: scalar, per-vertex array, or callable on points.
     ``boundary_flux``: scalar, dict {boundary facet index: g}, array over
     boundary facets (in boundary_faces() order), or callable on the facet
-    centroid. ``gauge``: "zero_mean" or ("pin", vertex_index).
+    centroid. ``gauge``: "zero_mean" (u sums to zero, and the load's
+    mean is dropped) or ("pin", vertex_index) (u is 0 there).
     """
 
     mesh: object
@@ -69,8 +72,9 @@ class MixedPoissonProblem:
 @dataclass
 class LinearSystem:
     """Assembled gauged linear system, a CSC matrix built in one sparse
-    construction from the edge table, plus what solve needs to undo the
-    gauge bookkeeping and gather sigma from that table."""
+    construction from the edge table less the pinned vertex's row and
+    column (vertex 0 under zero_mean), plus what solve needs to put the
+    pinned 0 back and gather sigma from that table."""
 
     matrix: sparse.csc_matrix
     rhs: np.ndarray
@@ -153,6 +157,11 @@ def _check_gauge(gauge, num_vertices):
     raise ProblemDefinitionError(f"unrecognized gauge {gauge!r}")
 
 
+def _pinned_vertex(gauge):
+    """The vertex whose row and column the gauge drops: 0 under zero_mean."""
+    return 0 if gauge == "zero_mean" else gauge[1]
+
+
 def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_tol=1e-8):
     """Assemble the gauged linear system for a mixed Poisson problem.
 
@@ -227,19 +236,15 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
         cols = [edges, first + tails, first + heads, edges, edges]
         vals = [weights, -coupling, coupling, -coupling, coupling]
         rhs = np.concatenate([np.zeros(num_edges), b - weighted_source])
-    size = first + num_vertices
-    if gauge == "zero_mean":  # a last row and column of ones over the vertex block
-        border, last = np.arange(first, size), np.full(num_vertices, size)
-        rows, cols = np.concatenate(rows + [border, last]), np.concatenate(cols + [last, border])
-        vals = np.concatenate(vals + [np.ones(2 * num_vertices)])
-        rhs = np.append(rhs, 0.0)
-    else:  # the pinned row and column go, the later ones move up
-        pinned = first + gauge[1]
-        index = np.insert(np.arange(size - 1), pinned, -1)
-        rows, cols = index[np.concatenate(rows)], index[np.concatenate(cols)]
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, vals = rows[keep], cols[keep], np.concatenate(vals)[keep]
-        rhs = np.delete(rhs, pinned)
+    if gauge == "zero_mean":  # the vertex rows sum to zero, so a multiplier on
+        rhs[first:] -= rhs[first:].mean()  # sum(u) = 0 would absorb the mean
+    # the pinned row and column go, the later ones move up
+    pinned = first + _pinned_vertex(gauge)
+    index = np.insert(np.arange(first + num_vertices - 1), pinned, -1)
+    rows, cols = index[np.concatenate(rows)], index[np.concatenate(cols)]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols, vals = rows[keep], cols[keep], np.concatenate(vals)[keep]
+    rhs = np.delete(rhs, pinned)
     matrix = sparse.csc_matrix((vals, (rows, cols)), shape=(len(rhs), len(rhs)))
     matrix.eliminate_zeros()  # a zero star entry stores nothing, as in d0^T star1 d0
     return LinearSystem(
@@ -252,8 +257,6 @@ def solve_mixed_poisson(system):
     gauge exactly. Raises SolveError on a singular matrix or non-finite
     results."""
     mesh = system.mesh
-    num_vertices = mesh.num_simplices(0)
-    num_edges = mesh.num_simplices(1)
     with warnings.catch_warnings():
         # a singular matrix solves to NaNs, which raise SolveError below
         warnings.simplefilter("ignore", MatrixRankWarning)
@@ -268,20 +271,18 @@ def solve_mixed_poisson(system):
         / max(np.linalg.norm(system.rhs), 1e-300)
     )
 
-    # the vertex block starts after the edge block in the saddle form and
-    # ends before a zero_mean multiplier; a pinned vertex has no unknown
-    # and gets its 0 back
-    first = num_edges if system.form == "saddle" else 0
-    u = raw[first:][:num_vertices]
-    if system.gauge != "zero_mean":
-        u = np.insert(u, system.gauge[1], 0.0)
+    # the vertex block follows the edge block in the saddle form; the
+    # pinned vertex has no unknown and gets its 0 back
+    first = mesh.num_simplices(1) if system.form == "saddle" else 0
+    u = np.insert(raw[first:], _pinned_vertex(system.gauge), 0.0)
     if system.form == "saddle":
         sigma = raw[:first].copy()
     else:  # -d0 u, each row summed from 0.0 as a sparse product would: tail, then head
         tails, heads = mesh.simplices[1].T
         signs = mesh.orientations[1]
         sigma = -((0.0 - signs * u[tails]) + signs * u[heads])
-    u = u - (u.mean() if system.gauge == "zero_mean" else u[system.gauge[1]])
+    if system.gauge == "zero_mean":
+        u = u - u.mean()
     return MixedPoissonSolution(
         u=u, sigma=sigma, residual_norm=residual,
         form=system.form, hodge_mode=system.hodge_mode,
