@@ -100,10 +100,16 @@ def _cmd_report(args):
     return 0
 
 
-def _cmd_duals(args):
+def _load_at_dim(args):
+    """The complex of args.mesh, once --dim is checked against its dimension."""
     mesh = load_complex(args.mesh)
     if not 0 <= args.dim <= mesh.n:
         raise SignedDecError(f"--dim must be between 0 and {mesh.n}")
+    return mesh
+
+
+def _cmd_duals(args):
+    mesh = _load_at_dim(args)
     table = dual_table(mesh, args.dim)
     vertices = " ".join(["%d"] * (args.dim + 1))
     _write_out(args.output, _csv(
@@ -118,15 +124,7 @@ def _cmd_duals(args):
 
 
 def _cmd_hodge(args):
-    mesh = load_complex(args.mesh)
-    if not 0 <= args.dim <= mesh.n:
-        raise SignedDecError(f"--dim must be between 0 and {mesh.n}")
-    mode = args.mode or "signed"
-    if args.unsigned:
-        if args.mode == "signed":
-            raise SignedDecError("--unsigned conflicts with --mode signed")
-        mode = "unsigned"
-    star = hodge_star(mesh, args.dim, mode=mode)
+    star = hodge_star(_load_at_dim(args), args.dim, mode=args.mode)
     _write_out(args.output, _csv(
         "index,entry", "%d,%.17g", range(len(star.entries)), star.entries.tolist()
     ))
@@ -266,10 +264,8 @@ def _build_parser():
     p = sub.add_parser("hodge", help="CSV of diagonal Hodge star entries")
     p.add_argument("mesh")
     p.add_argument("-p", "--dim", type=int, required=True)
-    p.add_argument("--mode", choices=("signed", "unsigned"), default=None)
-    p.add_argument(
-        "--unsigned", action="store_true", help="same as --mode unsigned"
-    )
+    p.add_argument("--unsigned", dest="mode", action="store_const", const="unsigned",
+                   default="signed", help="use unsigned dual volumes (default: signed)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_hodge)
 

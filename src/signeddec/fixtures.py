@@ -19,7 +19,7 @@ grid cells.
 import logging
 
 import numpy as np
-from scipy.spatial import Delaunay as _QhullDelaunay
+from scipy.spatial import Delaunay as _QhullDelaunay, QhullError
 
 from .complexes import build_complex
 from .delaunay import classify_complex
@@ -78,6 +78,8 @@ def _box_grid(divisions, sides, jitter=0.0, rng=None, locked_columns=()):
     grid = np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, len(sides))
     if rng is None:
         return grid
+    if not np.isfinite(jitter):
+        raise FixtureError(f"jitter must be finite, got {jitter}")
     free = (grid > 0.0) & (grid < np.array(sides))
     free[:, 0] &= ~np.isin(grid[:, 0], axes[0][list(locked_columns)])
     shift = np.zeros_like(grid)
@@ -96,8 +98,11 @@ def _grid_cells(divisions):
 
 
 def _triangulate(points):
-    """Qhull Delaunay cells; DegeneracyError if any input point was dropped."""
-    cells = _QhullDelaunay(points).simplices
+    """Qhull Delaunay cells; DegeneracyError if Qhull fails or drops a point."""
+    try:
+        cells = _QhullDelaunay(points).simplices
+    except QhullError as exc:
+        raise DegeneracyError("Qhull cannot triangulate the points") from exc
     if len(np.unique(cells)) != len(points):
         raise DegeneracyError("Qhull dropped a coincident or coplanar point")
     return cells
@@ -286,26 +291,19 @@ def delaunay_tet_cube(divisions=3, jitter=0.2, seed=0, max_tries=400):
 
 
 def _point_in_polygon(point, polygon, tol=1e-9):
-    """Strict point-in-polygon by crossing count; None if the point is
-    within tol of the polygon boundary (ambiguous)."""
+    """Strict point-in-polygon (an (m, 2) array) by crossing count over all
+    edges at once; None if the point is within tol of the boundary (ambiguous)."""
     x, y = point
+    end = np.roll(polygon, -1, axis=0)
+    # distance to each edge, for the ambiguity guard
+    seg, rel = end - polygon, np.array([x, y]) - polygon
+    t = np.clip((rel * seg).sum(axis=1) / (seg * seg).sum(axis=1), 0.0, 1.0)
     scale = max(1.0, float(np.abs(polygon).max()))
-    crossings = 0
-    m = len(polygon)
-    for i in range(m):
-        ax, ay = polygon[i]
-        bx, by = polygon[(i + 1) % m]
-        # distance to the segment, for the ambiguity guard
-        seg = np.array([bx - ax, by - ay])
-        rel = np.array([x - ax, y - ay])
-        t = np.clip((rel @ seg) / (seg @ seg), 0.0, 1.0)
-        if np.linalg.norm(rel - t * seg) < tol * scale:
-            return None
-        if (ay > y) != (by > y):
-            x_cross = ax + (y - ay) / (by - ay) * (bx - ax)
-            if x_cross > x:
-                crossings += 1
-    return crossings % 2 == 1
+    if (np.linalg.norm(rel - t[:, None] * seg, axis=1) < tol * scale).any():
+        return None
+    straddle = (polygon[:, 1] > y) != (end[:, 1] > y)
+    (ax, ay), (bx, by) = polygon[straddle].T, end[straddle].T
+    return bool(np.count_nonzero(ax + (y - ay) / (by - ay) * (bx - ax) > x) % 2)
 
 
 _FAN_DEFAULT_OFFSET = {"crossing": 0.0, "missing": 0.6}

@@ -239,36 +239,24 @@ def format_rows(fmt, *columns):
     return "".join(map(fmt.__mod__, zip(*columns)))
 
 
-def write_mesh(path, points, cells, fmt=None):
+def write_mesh(path, points, cells):
     """Write a mesh; returns the list of paths written.
 
-    Planar triangles and tets go to a .node/.ele pair (1-based); triangle
-    surfaces in 3D go to a single OFF file. ``path`` is the base name; the
-    proper extensions are applied.
+    The shapes pick the format: triangle surfaces in 3-d go to one OFF
+    file; planar triangles (2-d points, 3 per cell) and tets (3-d, 4) go to
+    a .node/.ele pair (1-based); any other shape raises MeshFormatError.
+    ``path`` is the base name; the proper extensions are applied.
     """
     points = np.asarray(points, dtype=float)
     cells = np.asarray(cells, dtype=np.intp)
     if points.ndim != 2 or cells.ndim != 2:
         raise MeshFormatError("points and cells must be 2-d arrays")
-    ambient = points.shape[1]
-    per_cell = cells.shape[1]
-    if fmt is None:
-        if ambient == 3 and per_cell == 3:
-            fmt = FORMAT_OFF
-        elif per_cell == ambient + 1 and ambient in (2, 3):
-            fmt = FORMAT_NODE_ELE
-        else:
-            raise MeshFormatError(
-                f"no format for {ambient}-d points with {per_cell}-vertex cells"
-            )
-
+    (_, ambient), (_, per_cell) = points.shape, cells.shape
     base = Path(path)
     if base.suffix.lower() in (".node", ".ele", ".off"):
         base = base.with_suffix("")
     coordinates = " ".join(["%.17g"] * ambient) + "\n"
-    if fmt == FORMAT_OFF:
-        if ambient != 3 or per_cell != 3:
-            raise MeshFormatError("OFF needs 3-d points and triangle cells")
+    if ambient == 3 and per_cell == 3:
         target = base.with_suffix(".off")
         target.write_text(
             f"OFF\n{len(points)} {len(cells)} 0\n"
@@ -276,25 +264,20 @@ def write_mesh(path, points, cells, fmt=None):
             + format_rows("3 %d %d %d\n", *cells.T.tolist())
         )
         return [target]
-    if fmt == FORMAT_NODE_ELE:
-        if per_cell != ambient + 1 or ambient not in (2, 3):
-            raise MeshFormatError(
-                f".node/.ele needs n+1 vertices per cell in 2-d or 3-d, got "
-                f"{per_cell} vertices with {ambient}-d points"
-            )
-        node_path = base.with_suffix(".node")
-        ele_path = base.with_suffix(".ele")
-        node_path.write_text(
-            f"{len(points)} {ambient} 0 0\n"
-            + format_rows("%d " + coordinates, range(1, len(points) + 1), *points.T.tolist())
-        )
-        ele_path.write_text(
-            f"{len(cells)} {per_cell} 0\n"
-            + format_rows("%d" + " %d" * per_cell + "\n", range(1, len(cells) + 1),
-                          *(cells + 1).T.tolist())
-        )
-        return [node_path, ele_path]
-    raise MeshFormatError(f"unknown format {fmt!r}")
+    if per_cell != ambient + 1 or ambient not in (2, 3):
+        raise MeshFormatError(f"no format for {ambient}-d points with {per_cell}-vertex cells")
+    node_path = base.with_suffix(".node")
+    ele_path = base.with_suffix(".ele")
+    node_path.write_text(
+        f"{len(points)} {ambient} 0 0\n"
+        + format_rows("%d " + coordinates, range(1, len(points) + 1), *points.T.tolist())
+    )
+    ele_path.write_text(
+        f"{len(cells)} {per_cell} 0\n"
+        + format_rows("%d" + " %d" * per_cell + "\n", range(1, len(cells) + 1),
+                      *(cells + 1).T.tolist())
+    )
+    return [node_path, ele_path]
 
 
 def load_complex(path, fmt=None):

@@ -356,7 +356,6 @@ def figure1_experiment(
     height=1.0,
     influx=1.0,
     mesh=None,
-    gauge="zero_mean",
 ):
     """Flux patch test on one mesh family with one star mode.
 
@@ -365,7 +364,7 @@ def figure1_experiment(
     constant horizontal flux. Reports the relative max-norm deviation of u
     from that affine solution and of the reconstructed per-triangle flux
     vectors from (influx, 0), plus the mesh classification and any
-    nonpositive star entries.
+    nonpositive star entries. It solves the reduced form under zero_mean.
     """
     from .fixtures import generate_fixture
 
@@ -398,7 +397,7 @@ def figure1_experiment(
             return influx
         return 0.0
 
-    problem = MixedPoissonProblem(mesh=mesh, boundary_flux=flux, gauge=gauge)
+    problem = MixedPoissonProblem(mesh=mesh, boundary_flux=flux)
     system = assemble_mixed_poisson(problem, hodge_mode=hodge_mode, form="reduced")
     solution = solve_mixed_poisson(system)
 

@@ -276,3 +276,25 @@ def scalar_grid_3d(divisions, rng, jitter):
                         shift[k] = jitter * (1.0 / divisions) * rng.uniform(-1.0, 1.0)
                 points.append((a, b, c) + shift)
     return np.array(points)
+
+
+def scalar_point_in_polygon(point, polygon, tol=1e-9):
+    """Point-in-polygon one edge at a time, as the fan fixture once gated:
+    None within tol of any edge, else the parity of the crossings."""
+    x, y = point
+    scale = max(1.0, float(np.abs(polygon).max()))
+    crossings = 0
+    m = len(polygon)
+    for i in range(m):
+        ax, ay = polygon[i]
+        bx, by = polygon[(i + 1) % m]
+        seg = np.array([bx - ax, by - ay])
+        rel = np.array([x - ax, y - ay])
+        t = np.clip((rel @ seg) / (seg @ seg), 0.0, 1.0)
+        if np.linalg.norm(rel - t * seg) < tol * scale:
+            return None
+        if (ay > y) != (by > y):
+            x_cross = ax + (y - ay) / (by - ay) * (bx - ax)
+            if x_cross > x:
+                crossings += 1
+    return crossings % 2 == 1

@@ -119,8 +119,9 @@ def test_duals_csv_negative_entries(skew_mesh_path, tmp_path):
     assert (values < 0.0).any()
 
 
-def test_duals_dim_out_of_range(good_mesh_path, capsys):
-    assert main(["duals", str(good_mesh_path), "-p", "5"]) == 2
+@pytest.mark.parametrize("command", ["duals", "hodge"])
+def test_duals_dim_out_of_range(command, good_mesh_path, capsys):
+    assert main([command, str(good_mesh_path), "-p", "5"]) == 2
     assert "--dim" in capsys.readouterr().err
 
 
@@ -149,20 +150,8 @@ def test_hodge_modes_identical_on_well_centered(tmp_path):
     unsigned_path = tmp_path / "unsigned.csv"
     mesh_arg = str(tmp_path / "strip.node")
     assert main(["hodge", mesh_arg, "-p", "1", "-o", str(signed_path)]) == 0
-    assert (
-        main(
-            ["hodge", mesh_arg, "-p", "1", "--mode", "unsigned", "-o", str(unsigned_path)]
-        )
-        == 0
-    )
+    assert main(["hodge", mesh_arg, "-p", "1", "--unsigned", "-o", str(unsigned_path)]) == 0
     assert signed_path.read_text() == unsigned_path.read_text()
-    # --unsigned is shorthand for --mode unsigned, and contradictions fail
-    flag_path = tmp_path / "flag.csv"
-    assert main(["hodge", mesh_arg, "-p", "1", "--unsigned", "-o", str(flag_path)]) == 0
-    assert flag_path.read_text() == unsigned_path.read_text()
-    assert (
-        main(["hodge", mesh_arg, "-p", "1", "--mode", "signed", "--unsigned"]) == 2
-    )
     # duals accepts the flag too; the CSV schema is unchanged
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["duals", mesh_arg, "-p", "1", "-o", str(a)]) == 0
@@ -276,11 +265,14 @@ def test_negative_seed_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
 
 
-def test_fixture_failure_is_exit_2(tmp_path, capsys):
-    code = main(
-        ["fixture", "surface_pairwise_delaunay", "--divisions", "5",
-         "-o", str(tmp_path / "s")]
-    )
+@pytest.mark.parametrize("args", [
+    ["surface_pairwise_delaunay", "--divisions", "5"],
+    ["perturbed_delaunay_square", "--jitter", "nan"],
+    ["perturbed_delaunay_square", "--jitter", "inf"],
+    ["delaunay_tet_cube", "--jitter", "1e308"],
+])
+def test_fixture_failure_is_exit_2(args, tmp_path, capsys):
+    code = main(["fixture", *args, "-o", str(tmp_path / "s")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
@@ -372,8 +364,7 @@ def test_cached_parser_keeps_no_options_between_calls(tmp_path, capsys):
     capsys.readouterr()
     # the two modes differ on this mesh, so a leaked --unsigned would show
     assert not np.array_equal(hodge_star(mesh, 1).entries, hodge_star(mesh, 1, "unsigned").entries)
-    runs = [(["--unsigned"], "unsigned"), ([], "signed"), (["--mode", "unsigned"], "unsigned"),
-            ([], "signed")]
+    runs = [(["--unsigned"], "unsigned"), ([], "signed")]
     for flags, mode in runs:
         assert main(["hodge", str(mesh_path), "-p", "1", *flags]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -165,6 +165,40 @@ def test_fan_dual_polygon_regimes(mode):
     assert contains == (mode == "crossing")
 
 
+def test_point_in_polygon_matches_the_edge_loop():
+    # the fan gate's one array pass over the edges gives the per-edge loop's
+    # answer, None near an edge included, on star-shaped polygons at several
+    # scales with points anywhere, on an edge, about tol off one, or rounded
+    from conftest import scalar_point_in_polygon
+    from signeddec.fixtures import _point_in_polygon
+
+    rng = np.random.default_rng(5)
+    seen = set()
+    for case in range(800):
+        m = int(rng.integers(3, 12))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        radii = rng.uniform(0.3, 2.0, m)
+        polygon = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        polygon *= 10.0 ** float(rng.integers(-3, 4))
+        i, s = int(rng.integers(m)), rng.uniform()
+        edge = polygon[(i + 1) % m] - polygon[i]
+        normal = np.array([-edge[1], edge[0]]) / np.hypot(*edge)
+        scale = max(1.0, float(np.abs(polygon).max()))
+        point = [
+            rng.uniform(-2.0, 2.0, 2) * np.abs(polygon).max(),
+            polygon[i] + s * edge,
+            polygon[i] + s * edge + normal * 1e-9 * scale * rng.uniform(0.5, 1.5),
+            np.round(rng.uniform(-2.0, 2.0, 2), 1),
+        ][case % 4]
+        if case % 4 == 3:
+            polygon = np.round(polygon, 1)
+        with np.errstate(all="ignore"):  # rounding can repeat a vertex
+            expected = scalar_point_in_polygon(tuple(point), polygon)
+            assert _point_in_polygon(tuple(point), polygon) is expected
+        seen.add(expected)
+    assert seen == {None, True, False}
+
+
 def test_fan_rejects_bad_parameters():
     with pytest.raises(FixtureError):
         generate_fixture("fan_around_edge", mode="sideways")

@@ -169,9 +169,6 @@ def test_unknown_extension_needs_fmt(tmp_path):
 
 
 def test_write_shape_validation(tmp_path):
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(MeshFormatError):
-        write_mesh(tmp_path / "x", square, [(0, 1, 2)], fmt="off")
     with pytest.raises(MeshFormatError):
         write_mesh(tmp_path / "x", np.zeros((3, 4)), [(0, 1, 2)])
 
