@@ -107,9 +107,6 @@ class SimplicialComplex:
             self._face_tables[dim] = table
         return self._face_tables[dim]
 
-    def orientation(self, dim, index):
-        return int(self.orientations[dim][index])
-
     def apex_vertex(self, dim, face_index, coface_index):
         """The vertex of the coface not in the face (face dim = dim)."""
         column = self.face_table(dim + 1)[coface_index] == face_index

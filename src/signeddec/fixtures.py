@@ -154,16 +154,12 @@ def structured_square(divisions=4, width=1.0, height=1.0):
 
 def perturbed_delaunay_square(
     divisions=6, width=1.0, height=1.0, jitter=0.25, seed=0, max_tries=60,
-    require_obtuse=False,
 ):
     """Jittered-grid Delaunay triangulation of the rectangle, verified
     strict pairwise-Delaunay with fully one-sided boundary."""
 
     def attempt(rng):
-        complex_ = _qualifying(_box_grid(divisions, (width, height), jitter, rng))
-        if complex_ is not None and (not require_obtuse or _has_obtuse_triangle(complex_)):
-            return complex_
-        return None
+        return _qualifying(_box_grid(divisions, (width, height), jitter, rng))
 
     failure = f"no qualifying perturbed square in {max_tries} attempts (seed {seed})"
     return _first_accepted(attempt, seed, max_tries, failure)
@@ -174,10 +170,13 @@ def obtuse_delaunay_square(
 ):
     """Qualifying jittered square guaranteed to contain at least one
     obtuse triangle (so signed and unsigned duals genuinely differ)."""
-    return perturbed_delaunay_square(
-        divisions=divisions, width=width, height=height, jitter=jitter,
-        seed=seed, max_tries=max_tries, require_obtuse=True,
-    )
+
+    def attempt(rng):
+        complex_ = _qualifying(_box_grid(divisions, (width, height), jitter, rng))
+        return complex_ if complex_ is not None and _has_obtuse_triangle(complex_) else None
+
+    failure = f"no qualifying obtuse square in {max_tries} attempts (seed {seed})"
+    return _first_accepted(attempt, seed, max_tries, failure)
 
 
 def bad_boundary_square(
@@ -225,12 +224,13 @@ def non_delaunay_square(
     def attempt(rng):
         points = _box_grid(divisions, (width, height), jitter, rng)
         mid = (points[lo] + points[hi]) / 2.0
-        if not (_dots(points[apex] - mid) < _dots(points[hi] - mid)).any():
-            return None
-        a, b, c = points[cells].transpose(1, 2, 0)
-        doubled_area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if doubled_area.min() <= 1e-6 * (width / divisions) * (height / divisions):
-            return None
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge jitter overflows here
+            if not (_dots(points[apex] - mid) < _dots(points[hi] - mid)).any():
+                return None
+            a, b, c = points[cells].transpose(1, 2, 0)
+            doubled_area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            if doubled_area.min() <= 1e-6 * (width / divisions) * (height / divisions):
+                return None
         complex_ = build_complex(points, cells)
         report = classify_complex(complex_, check_duals=False)
         pairs, sides = report.pair_signs, report.boundary_signs

@@ -56,10 +56,11 @@ class MixedPoissonProblem:
     """Problem data: mesh, source density f, outward boundary flux density
     g, and the gauge fixing the additive constant in u.
 
-    ``source``: scalar, per-vertex array, or callable on points.
-    ``boundary_flux``: scalar, dict {boundary facet index: g}, array over
-    boundary facets (in boundary_faces() order), or callable on the facet
-    centroid. ``gauge``: "zero_mean" (u sums to zero, and the load's
+    ``source``: scalar, per-vertex array, or callable on the (V, N) vertex
+    points. ``boundary_flux``: scalar, array over boundary facets (in
+    boundary_faces() order), or callable on the (F, N) array of their
+    centroids in that order. A callable is called once and returns one
+    value per row. ``gauge``: "zero_mean" (u sums to zero, and the load's
     mean is dropped) or ("pin", vertex_index) (u is 0 there).
     """
 
@@ -93,50 +94,23 @@ class MixedPoissonSolution:
     hodge_mode: str
 
 
-def _source_values(mesh, source):
-    count = mesh.num_simplices(0)
-    if callable(source):
-        values = np.asarray(source(mesh.points), dtype=float)
-    elif np.isscalar(source):
-        values = np.full(count, float(source))
-    else:
-        values = np.asarray(source, dtype=float)
+def _values(data, points, name, per):
+    """One finite float per row of ``points`` from a scalar, an array, or a
+    callable called once on all the points. A NaN or infinite value is
+    rejected: it would pass the compatibility check (NaN compares false)
+    and fail only in the solve."""
+    count = len(points)
+    values = data(points) if callable(data) else data  # a callable's own error propagates
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemDefinitionError(f"{name} must convert to floats: {exc}") from None
+    if np.isscalar(data):
+        values = np.full(count, values)
     if values.shape != (count,):
         raise ProblemDefinitionError(
-            f"source must give one value per vertex ({count}), got shape {values.shape}"
+            f"{name} must give one value per {per} ({count}), got shape {values.shape}"
         )
-    return _finite(values, "source")
-
-
-def _flux_values(mesh, flux, facets):
-    count = len(facets)
-    if callable(flux):
-        midpoints = mesh.points[mesh.simplices[mesh.n - 1][facets]].mean(axis=1)
-        values = np.array([float(flux(midpoint)) for midpoint in midpoints])
-    elif np.isscalar(flux):
-        values = np.full(count, float(flux))
-    elif isinstance(flux, dict):
-        boundary = facets.tolist()
-        known = set(boundary)
-        for key in flux:  # else an interior or unknown key would be ignored
-            if isinstance(key, bool) or not isinstance(key, Integral) or key not in known:
-                raise ProblemDefinitionError(
-                    f"boundary flux key {key!r} is not a boundary facet index"
-                )
-        values = np.array([float(flux.get(facet, 0.0)) for facet in boundary])
-    else:
-        values = np.asarray(flux, dtype=float)
-    if values.shape != (count,):
-        raise ProblemDefinitionError(
-            f"boundary flux must give one value per boundary facet ({count}), "
-            f"got shape {values.shape}"
-        )
-    return _finite(values, "boundary flux")
-
-
-def _finite(values, name):
-    """values, unless one is NaN or infinite: such data would pass the
-    compatibility check (NaN compares false) and fail only in the solve."""
     for i in np.flatnonzero(~np.isfinite(values))[:1]:
         raise ProblemDefinitionError(f"{name} must be finite, got {values[i]} at entry {i}")
     return values
@@ -185,7 +159,8 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
 
     tol = tolerance()
     facets, sides = _boundary_step_signs(mesh, tol)
-    flux = _flux_values(mesh, problem.boundary_flux, facets)
+    centroids = mesh.points[mesh.simplices[mesh.n - 1][facets]].mean(axis=1)
+    flux = _values(problem.boundary_flux, centroids, "boundary flux", "boundary facet")
     num_vertices = mesh.num_simplices(0)
     num_edges = mesh.num_simplices(1)
     # Prescribed flux integrated over the boundary portions of the dual
@@ -199,7 +174,7 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     seed = np.bincount(facets, flux * sides, mesh.num_simplices(mesh.n - 1))  # 0 off the boundary
     *_, (_, (b,)) = _sweep(mesh, mesh.n - 1, seed[None], tol)  # its last step, at dimension 0
 
-    source = _source_values(mesh, problem.source)
+    source = _values(problem.source, mesh.points, "source", "vertex")
     weighted_source = star0.entries * source
     # Solvability is a property of the data, checked with plain arc-length
     # quadrature; the assembled load b may differ from it on meshes whose
@@ -390,12 +365,9 @@ def figure1_experiment(
             divisions=divisions, seed=seed, width=width, height=height,
         )
 
-    def flux(midpoint):
-        if abs(midpoint[0]) < 1e-9 * max(width, 1.0):
-            return -influx
-        if abs(midpoint[0] - width) < 1e-9 * max(width, 1.0):
-            return influx
-        return 0.0
+    def flux(centroids):  # influx in on the left side, out on the right
+        x, near = centroids[:, 0], 1e-9 * max(width, 1.0)
+        return np.where(np.abs(x) < near, -influx, np.where(np.abs(x - width) < near, influx, 0.0))
 
     problem = MixedPoissonProblem(mesh=mesh, boundary_flux=flux)
     system = assemble_mixed_poisson(problem, hodge_mode=hodge_mode, form="reduced")

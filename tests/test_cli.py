@@ -270,11 +270,15 @@ def test_negative_seed_is_input_error(tmp_path, capsys):
     ["perturbed_delaunay_square", "--jitter", "nan"],
     ["perturbed_delaunay_square", "--jitter", "inf"],
     ["delaunay_tet_cube", "--jitter", "1e308"],
+    ["non_delaunay_square", "--jitter", "1e308"],
 ])
 def test_fixture_failure_is_exit_2(args, tmp_path, capsys):
+    # stderr is the error line alone: a huge jitter overflows the cheap
+    # gates of an attempt, which reject it without a numpy warning
     code = main(["fixture", *args, "-o", str(tmp_path / "s")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def _csv_module_text(header, rows):

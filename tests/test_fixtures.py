@@ -85,6 +85,12 @@ def test_obtuse_square_qualifies_with_obtuse_triangle():
     assert _has_obtuse(mesh)
 
 
+def test_obtuse_square_names_itself_when_it_fails():
+    message = r"^no qualifying obtuse square in 1 attempts \(seed 0\)$"
+    with pytest.raises(FixtureError, match=message):
+        generate_fixture("obtuse_delaunay_square", divisions=1, max_tries=1)
+
+
 def test_obtuse_gate_reads_barycentric_coordinates():
     # a circumcenter outside its triangle (a negative barycentric
     # coordinate) marks an obtuse angle; right angles are not obtuse
