@@ -235,6 +235,8 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     has one or two cofaces (else NonManifoldError), no duplicate top cells,
     and no (near-)zero-volume top cell (else DegeneracyError).
     """
+    if np.iscomplexobj(points):  # numpy would only warn and drop the imaginary part
+        raise ComplexError("points must be real, got complex values")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ComplexError(f"points must be a nonempty (P, N) array, got {pts.shape}")

@@ -61,7 +61,7 @@ class CircumcenterOrder:
 
     All offsets are coordinates along the line through the shared facet's
     circumcenter, perpendicular to the facet within the flattening plane,
-    oriented by ``positive_toward`` ("right" or "left" apex).
+    positive toward the right apex.
     center_offset_left/right locate the two simplices' circumcenters,
     apex_offset locates the right apex, apex_radial_distance is that apex's
     distance to the axis, facet_radius is the facet's circumradius.
@@ -72,7 +72,6 @@ class CircumcenterOrder:
     apex_offset: float
     apex_radial_distance: float
     facet_radius: float
-    positive_toward: str
 
 
 def _status_signs(margins, eps):
@@ -89,7 +88,7 @@ def _flat_circumdata(facet_points, apex_left, apex_right, tol, facet=False):
     ``facet``), left and right simplex, computed in that order."""
     flat = flatten_pair(facet_points, apex_left, apex_right, tol=tol)
     tails = [[]] * facet + [[flat.apex_left], [flat.apex_right]]
-    return flat, *(circumcenter(np.vstack([flat.facet, *tail]), tol=tol) for tail in tails)
+    return flat, *(circumcenter(np.vstack([flat.facet, *tail])) for tail in tails)
 
 
 def pair_status_points(facet_points, apex_left, apex_right, tol=None):
@@ -113,40 +112,28 @@ def one_sided_status_points(facet_points, apex, tol=None):
     circumcenter of facet+apex strictly on the apex side of the facet?
     """
     full = np.vstack([np.asarray(facet_points, dtype=float), np.asarray(apex, dtype=float)])
-    center = circumcenter(full, tol=tol).center
+    center = circumcenter(full).center
     return _SIDE_STATUS[halfspace_sign(facet_points, apex, center, tol=tol)].item()
 
 
-def circumcenter_order_points(
-    facet_points, apex_left, apex_right, positive_toward="right", tol=None
-):
+def circumcenter_order_points(facet_points, apex_left, apex_right, tol=None):
     """Axis offsets of the two circumcenters for a flattened pair, plus
     whether they are correctly ordered (each center strictly toward its
     own simplex's side of the other).
 
-    Returns (CircumcenterOrder, order_correct). Correct order means the
-    right simplex's center offset exceeds the left one's when the positive
-    axis direction points toward the right apex, and the reverse for
-    "left"; the boolean is the same either way.
+    Returns (CircumcenterOrder, order_correct). The axis points toward the
+    right apex, and correct order means the right simplex's center offset
+    exceeds the left one's.
     """
-    if positive_toward not in ("right", "left"):
-        raise ValueError(f"positive_toward must be 'right' or 'left', got {positive_toward!r}")
     flat, facet, left, right = _flat_circumdata(facet_points, apex_left, apex_right, tol, True)
     # the flattened facet spans {x_n = 0}, so the axis is the last coordinate
-    sign = 1.0 if positive_toward == "right" else -1.0
-    rise_left, rise_right, apex_rise = (
-        float(point[-1] - facet.center[-1])
-        for point in (left.center, right.center, flat.apex_right)
-    )
+    rises = (p[-1] - facet.center[-1] for p in (left.center, right.center, flat.apex_right))
     data = CircumcenterOrder(
-        center_offset_left=sign * rise_left,
-        center_offset_right=sign * rise_right,
-        apex_offset=sign * apex_rise,
+        *map(float, rises),
         apex_radial_distance=float(np.linalg.norm((flat.apex_right - facet.center)[:-1])),
         facet_radius=facet.radius,
-        positive_toward=positive_toward,
     )
-    return data, rise_right > rise_left
+    return data, data.center_offset_right > data.center_offset_left
 
 
 def _pair_columns(complex_, left_top, right_top, facet_index):
@@ -158,7 +145,7 @@ def _pair_columns(complex_, left_top, right_top, facet_index):
     return columns[facet_index][[row.index(left_top), row.index(right_top)]]
 
 
-def _pair_signs(complex_, facets, tops, columns, tol=None):
+def _pair_signs(complex_, facets, tops, columns, eps):
     """Status signs (+1 strict, 0 degenerate, -1 violated) of internal
     pairs in any ambient dimension N >= n, from cached volumes, radii and
     barycentric coordinates; row i holds a facet, its two tops and the
@@ -170,8 +157,8 @@ def _pair_signs(complex_, facets, tops, columns, tol=None):
     power 2 h_b (s_T + s_T') with respect to T's circumsphere, and
     relative margin (sqrt(r_T^2 + power) - r_T) / r_T. Column k of each
     array below belongs to top k; the far apex is the other column's.
+    ``eps`` is the resolved tolerance.
     """
-    eps = tolerance(tol)
     n = complex_.n
     facet_volumes, _, _, facet_flags, _ = complex_.geometry(n - 1)
     volumes, _, radii, flags, barycentric = complex_.geometry(n)
@@ -189,19 +176,18 @@ def _pair_signs(complex_, facets, tops, columns, tol=None):
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     """Delaunay status of the pair of top simplices sharing a facet."""
     columns = _pair_columns(complex_, left_top, right_top, facet_index)
-    signs = _pair_signs(complex_, [facet_index], [[left_top, right_top]], columns[None], tol=tol)
+    signs = _pair_signs(
+        complex_, [facet_index], [[left_top, right_top]], columns[None], tolerance(tol)
+    )
     return _PAIR_STATUS[signs[0]].item()
 
 
-def circumcenter_order(
-    complex_, left_top, right_top, facet_index, positive_toward="right", tol=None
-):
+def circumcenter_order(complex_, left_top, right_top, facet_index, tol=None):
     """CircumcenterOrder data for an internal facet of the complex."""
     columns = _pair_columns(complex_, left_top, right_top, facet_index)
     apexes = complex_.simplices[complex_.n][[left_top, right_top], columns]
     return circumcenter_order_points(
-        complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes],
-        positive_toward=positive_toward, tol=tol,
+        complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes], tol=tol
     )
 
 
@@ -319,16 +305,17 @@ def classify_complex(complex_, tol=None, check_duals=True):
     dimension are then a theorem, and any nonpositive ones found are
     reported for diagnosis.
     """
+    tol = tolerance(tol)  # resolved once, for every predicate below
     tops, columns = complex_.facet_cofaces
     pairs = np.flatnonzero(tops[:, 1] >= 0)
-    boundary, sides = _boundary_step_signs(complex_, tol=tol)
+    boundary, sides = _boundary_step_signs(complex_, tol)
     dims = range(complex_.n + 1) if check_duals else ()
     signed = [dual_volumes(complex_, dim, tol=tol)[0] for dim in dims]
     found = [np.flatnonzero(volumes <= 0.0) for volumes in signed]
     return MeshReport(
         pair_facets=pairs,
         pair_tops=tops[pairs],
-        pair_signs=_pair_signs(complex_, pairs, tops[pairs], columns[pairs], tol=tol),
+        pair_signs=_pair_signs(complex_, pairs, tops[pairs], columns[pairs], tol),
         boundary_facets=boundary,
         boundary_tops=tops[boundary, 0],
         boundary_signs=sides,

@@ -58,6 +58,8 @@ _TINY = np.finfo(float).tiny
 
 
 def _as_points(points):
+    if np.iscomplexobj(points):
+        raise ValueError("points must be real, got complex values")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
@@ -83,7 +85,7 @@ def batched_volumes(pts):
     return batched_circumcenters(pts)[4]
 
 
-def batched_circumcenters(pts, tol=None):
+def batched_circumcenters(pts):
     """Circumcenters, radii and volumes of a (M, k+1, N) stack of simplices.
 
     Each simplex's edges from vertex 0 are divided by the power of two at
@@ -95,12 +97,12 @@ def batched_circumcenters(pts, tol=None):
 
     Returns (centers, radii, degenerate, barycentric, volumes).
     ``degenerate`` flags the rows whose vertices are (nearly) affinely
-    dependent: their center is not finite or not equidistant to relative
-    tolerance, and their centers, radii and barycentric coordinates are
-    finite placeholders. ``barycentric`` (M, k+1) holds the centers'
-    coordinates: coeff, after one minus its sum.
+    dependent: their center is not finite or not equidistant from the
+    vertices to 1e-9 relative, a fixed bound that no tolerance moves, and
+    their centers, radii and barycentric coordinates are finite
+    placeholders. ``barycentric`` (M, k+1) holds the centers' coordinates:
+    coeff, after one minus its sum.
     """
-    eps = tolerance(tol)
     m, kp1, _ = pts.shape
     k = kp1 - 1
     if k == 0:
@@ -136,20 +138,21 @@ def batched_circumcenters(pts, tol=None):
         dists = np.sqrt(np.einsum("knm,knm->km", spokes, spokes))
         radii = dists.sum(axis=0) / kp1
         spread = dists.max(axis=0) - dists.min(axis=0)
-        degenerate = ~(radii > 0.0) | ~(spread <= max(eps, 1e-9) * radii)
+        degenerate = ~(radii > 0.0) | ~(spread <= 1e-9 * radii)
     coeff[:, degenerate] = offset[:, degenerate] = radii[degenerate] = 0.0
     barycentric = np.concatenate([1.0 - coeff.sum(axis=0, keepdims=True), coeff]).T.copy()
     return (coords[0] + scale * offset).T.copy(), radii * scale, degenerate, barycentric, volumes
 
 
-def circumcenter(points, tol=None):
+def circumcenter(points):
     """Circumcenter and circumradius of a k-simplex in R^N.
 
-    A one-row call of :func:`batched_circumcenters`. Raises
-    DegeneracyError when the vertices are (nearly) affinely dependent.
+    A one-row call of :func:`batched_circumcenters`, so it takes no
+    tolerance. Raises DegeneracyError when the vertices are (nearly)
+    affinely dependent.
     """
     pts = _as_points(points)
-    centers, radii, degenerate, *_ = batched_circumcenters(pts[np.newaxis], tol=tol)
+    centers, radii, degenerate, *_ = batched_circumcenters(pts[np.newaxis])
     if degenerate[0]:
         raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {pts.tolist()}")
     return Circumdata(centers[0], float(radii[0]))

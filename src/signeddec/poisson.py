@@ -102,6 +102,8 @@ def _values(data, points, name, per):
     count = len(points)
     values = data(points) if callable(data) else data  # a callable's own error propagates
     try:
+        if np.iscomplexobj(values):  # numpy would only warn and drop the imaginary part
+            raise TypeError("complex values are not real")
         values = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemDefinitionError(f"{name} must convert to floats: {exc}") from None
@@ -136,14 +138,15 @@ def _pinned_vertex(gauge):
     return 0 if gauge == "zero_mean" else gauge[1]
 
 
-def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_tol=1e-8):
+def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced"):
     """Assemble the gauged linear system for a mixed Poisson problem.
 
     ``form`` "reduced" eliminates sigma (vertex unknowns only); "saddle"
     keeps both cochains in a symmetric block system. Verifies the
     compatibility condition (total source equals total outflux under the
     requested star's quadrature) and raises ProblemDefinitionError if it
-    fails beyond compat_tol.
+    fails beyond 1e-8 relative to the gross source and flux. The predicate
+    tolerance is read once, for both stars and the boundary load.
     """
     mesh = problem.mesh
     if mesh.n != mesh.N:
@@ -154,10 +157,9 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
         raise ProblemDefinitionError(f"form must be 'reduced' or 'saddle', got {form!r}")
     gauge = _check_gauge(problem.gauge, mesh.num_simplices(0))
 
-    star0 = hodge_star(mesh, 0, mode=hodge_mode)
-    star1 = hodge_star(mesh, 1, mode=hodge_mode)
-
     tol = tolerance()
+    star0 = hodge_star(mesh, 0, mode=hodge_mode, tol=tol)
+    star1 = hodge_star(mesh, 1, mode=hodge_mode, tol=tol)
     facets, sides = _boundary_step_signs(mesh, tol)
     centroids = mesh.points[mesh.simplices[mesh.n - 1][facets]].mean(axis=1)
     flux = _values(problem.boundary_flux, centroids, "boundary flux", "boundary facet")
@@ -181,7 +183,7 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced", compat_
     # boundary traces are not all positive.
     budget = float(weighted_source.sum() - outflux)
     scale = float(np.abs(weighted_source).sum() + gross_flux)
-    if abs(budget) > compat_tol * max(scale, 1e-300):
+    if abs(budget) > 1e-8 * max(scale, 1e-300):
         raise ProblemDefinitionError(
             "incompatible data for a pure-flux problem: total source "
             f"{weighted_source.sum():.6e} vs total outflux {outflux:.6e}"

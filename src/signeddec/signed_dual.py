@@ -139,13 +139,14 @@ def step_signs(complex_, dim, face_indices, coface_indices, tol=None):
     return signs[cofaces, match.argmax(axis=1)]
 
 
-def _boundary_step_signs(complex_, tol=None):
+def _boundary_step_signs(complex_, tol):
     """(facets, signs): the boundary facets in ``boundary_faces()`` order
     and the step sign of the link from each to its one top, read from the
-    link table at the column that ``facet_cofaces`` holds."""
+    link table at the column that ``facet_cofaces`` holds, under the
+    resolved tolerance ``tol``."""
     tops, columns = complex_.facet_cofaces
     facets = np.flatnonzero(tops[:, 1] < 0)
-    signs = _link_table(complex_, complex_.n, tolerance(tol))[0]
+    signs = _link_table(complex_, complex_.n, tol)[0]
     return facets, signs[tops[facets, 0], columns[facets, 0]]
 
 
@@ -334,10 +335,16 @@ def _sign_of_det(matrix):
     return 1 if det > 0 else -1
 
 
-def _reference_sign(reference, cells, tol):
-    """Determinant sign of the reference frame of a chain given as local
-    vertex tuples (base first); raises ValueError unless the reference is
-    well-centered along the chain (all step signs +1)."""
+@functools.lru_cache(maxsize=None)
+def _reference_sign(n, det_top, cells, tol):
+    """Determinant sign of the chain frame of the reference, a regular
+    n-simplex reflected if needed so that its orientation is ``det_top``,
+    for a chain given as local vertex tuples (base first). It depends only
+    on these arguments, so it is memoized. Raises ValueError unless the
+    reference is well-centered along the chain (all step signs +1)."""
+    reference = regular_simplex(n)
+    if _sign_of_det(_edge_frame(reference)) != det_top:
+        reference = reference[list(range(n - 1)) + [n, n - 1]]
     centers = [circumcenter(reference[list(cell)]).center for cell in cells]
     for face, coface, center in zip(cells, cells[1:], centers[1:]):
         apex = next(v for v in coface if v not in face)
@@ -346,27 +353,18 @@ def _reference_sign(reference, cells, tol):
     return _sign_of_det(_chain_frame(reference[list(cells[0])], centers))
 
 
-@functools.lru_cache(maxsize=None)
-def _regular_reference_sign(n, det_top, cells, tol):
-    """:func:`_reference_sign` for the default regular reference, which
-    depends only on n, the top's orientation and the chain's local pattern."""
-    reference = regular_simplex(n)
-    if _sign_of_det(_edge_frame(reference)) != det_top:
-        reference = reference[list(range(n - 1)) + [n, n - 1]]
-    return _reference_sign(reference, cells, tol)
-
-
-def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol=None):
+def orientation_sign_via_determinant(complex_, piece, tol=None):
     """Recompute an elementary dual's sign by determinant comparison.
 
     Builds the n-frame [base-simplex edges, successive circumcenter
-    differences] for the piece, builds the same frame for a well-centered
-    reference simplex under the vertex bijection given by sorted vertex
-    order, and returns the product of the two determinant signs. Requires a
-    full-dimensional complex (N == n). With the default reference (a
-    regular simplex, reflected if needed so the bijection preserves
-    orientation) this equals the piece's step-sign product whenever no step
-    is marginal; its half of the product is memoized per local pattern.
+    differences] for the piece, builds the same frame for the reference,
+    a regular n-simplex reflected if needed so that the vertex bijection
+    given by sorted vertex order preserves orientation, and returns the
+    product of the two determinant signs. The reference is fixed: any
+    well-centered one gives the same sign. Requires a full-dimensional
+    complex (N == n). This equals the piece's step-sign product whenever no
+    step is marginal; the reference's half of the product is memoized per
+    local pattern.
     """
     n = complex_.n
     if complex_.N != n:
@@ -387,18 +385,5 @@ def orientation_sign_via_determinant(complex_, piece, reference_points=None, tol
     )
     local = tuple(tuple(position[v] for v in cell) for cell in cells)
 
-    if reference_points is None:
-        ref_sign = _regular_reference_sign(n, det_top, local, tolerance(tol))
-    else:
-        reference = np.asarray(reference_points, dtype=float)
-        if reference.shape != (n + 1, n):
-            raise ValueError(
-                f"reference must have shape {(n + 1, n)}, got {reference.shape}"
-            )
-        if _sign_of_det(_edge_frame(reference)) != det_top:
-            raise ValueError(
-                "vertex bijection to the reference does not preserve orientation"
-            )
-        ref_sign = _reference_sign(reference, local, tol)
-
+    ref_sign = _reference_sign(n, det_top, local, tolerance(tol))
     return _sign_of_det(_chain_frame(complex_.points[list(cells[0])], piece.vertices)) * ref_sign

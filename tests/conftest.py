@@ -174,7 +174,7 @@ def sparse_algebra_poisson(mesh, source, flux, gauge, hodge_mode, form):
     star0 = hodge_star(mesh, 0, mode=hodge_mode).entries
     star1 = sparse.diags(hodge_star(mesh, 1, mode=hodge_mode).entries)
     d0 = boundary_operator(mesh, 1).T.tocsr()
-    facets, sides = _boundary_step_signs(mesh)
+    facets, sides = _boundary_step_signs(mesh, tolerance())
     seed = np.bincount(facets, flux * sides, mesh.num_simplices(mesh.n - 1))
     *_, (_, (load,)) = _sweep(mesh, mesh.n - 1, seed[None], tolerance())
     weighted_source = star0 * source

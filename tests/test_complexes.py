@@ -11,7 +11,7 @@ from conftest import brute_face_count, brute_incidence
 from signeddec import complexes
 from signeddec.complexes import boundary_operator, build_complex
 from signeddec.delaunay import classify_complex
-from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError
+from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError, ToleranceError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
 from signeddec.geometry import batched_circumcenters
 from signeddec.signed_dual import dual_table, dual_volumes
@@ -130,6 +130,29 @@ def test_incidence_matches_brute_force(name):
     assert mesh.cofaces == cofaces
     assert mesh.internal_faces() == internal
     assert mesh.boundary_faces() == boundary
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_geometry_cache_does_not_read_the_tolerance(name, monkeypatch):
+    # build and geometry take no tolerance, so a mesh built under any
+    # SIGNED_DEC_EPS, even one that is not a float, caches the same bits;
+    # classification still reads the variable
+    fixture = generate_fixture(name)
+    builds = []
+    for raw in ("abc", "1e-3", None):
+        if raw is None:
+            monkeypatch.delenv("SIGNED_DEC_EPS", raising=False)
+        else:
+            monkeypatch.setenv("SIGNED_DEC_EPS", raw)
+        mesh = build_complex(fixture.points, fixture.simplices[fixture.n])
+        builds.append([array for d in range(mesh.n + 1) for array in mesh.geometry(d)])
+        if raw == "abc":
+            with pytest.raises(ToleranceError):
+                classify_complex(mesh)
+    for build in builds[1:]:
+        assert [(a.dtype, a.shape, a.tobytes()) for a in build] == [
+            (a.dtype, a.shape, a.tobytes()) for a in builds[0]
+        ]
 
 
 def test_apex_vertex():

@@ -194,23 +194,6 @@ def test_order_wrong_on_violated_pair():
     assert not order_correct
 
 
-def test_order_direction_choice_is_cosmetic():
-    data_r, ok_r = circumcenter_order_points(
-        EDGE, np.array([0.4, 0.9]), np.array([0.6, -0.5])
-    )
-    data_l, ok_l = circumcenter_order_points(
-        EDGE, np.array([0.4, 0.9]), np.array([0.6, -0.5]), positive_toward="left"
-    )
-    assert ok_r == ok_l
-    assert np.isclose(data_l.center_offset_right, -data_r.center_offset_right)
-    assert np.isclose(data_l.center_offset_left, -data_r.center_offset_left)
-    assert np.isclose(data_l.apex_offset, -data_r.apex_offset)
-    with pytest.raises(ValueError):
-        circumcenter_order_points(
-            EDGE, np.array([0.4, 0.9]), np.array([0.6, -0.5]), positive_toward="up"
-        )
-
-
 @settings(max_examples=150, deadline=None)
 @given(planar_pair())
 def test_order_identity_and_equivalence(pair):
@@ -278,8 +261,8 @@ def _flagging(rows):
     whose vertex rows equal ``rows``: a circumcenter that fails its check,
     which no simplex of a complex that builds is known to do."""
 
-    def flagged(pts, tol=None):
-        centers, radii, degenerate, barycentric, volumes = batched_circumcenters(pts, tol)
+    def flagged(pts):
+        centers, radii, degenerate, barycentric, volumes = batched_circumcenters(pts)
         if pts.shape[1:] == rows.shape:
             degenerate = degenerate | (pts == rows).all(axis=(1, 2))
         return centers, radii, degenerate, barycentric, volumes
@@ -543,4 +526,3 @@ def test_circumcenter_order_on_complex():
     facet, (left, right) = mesh.internal_faces()[0]
     data, order_correct = circumcenter_order(mesh, left, right, facet)
     assert order_correct
-    assert data.positive_toward == "right"

@@ -11,9 +11,11 @@ from scipy.spatial import Delaunay
 
 from conftest import cotan_weights, sparse_algebra_poisson, voronoi_shares
 from signeddec.complexes import build_complex
+from signeddec.config import tolerance
 from signeddec.delaunay import classify_complex
-from signeddec.errors import ProblemDefinitionError, SolveError
+from signeddec.errors import ComplexError, ProblemDefinitionError, SolveError
 from signeddec.fixtures import generate_fixture
+from signeddec.geometry import circumcenter, simplex_volume
 from signeddec.hodge import hodge_star, validate_hodge
 from signeddec.poisson import (
     FIGURE1_COLUMNS,
@@ -205,6 +207,30 @@ def test_non_numeric_data_is_rejected_by_name(good_mesh, data, name):
         assemble_mixed_poisson(MixedPoissonProblem(mesh=good_mesh, **data))
 
 
+_COMPLEX_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0 + 1j]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mesh: build_complex(_COMPLEX_TRIANGLE, [(0, 1, 2)]), ComplexError, "points"),
+    (lambda mesh: simplex_volume(_COMPLEX_TRIANGLE), ValueError, "points"),
+    (lambda mesh: circumcenter(np.array(_COMPLEX_TRIANGLE)), ValueError, "points"),
+    (lambda mesh: MixedPoissonProblem(mesh, source=np.full(mesh.num_simplices(0), 1j)),
+     ProblemDefinitionError, "source"),
+    (lambda mesh: MixedPoissonProblem(mesh, source=lambda points: points[:, 0] * 1j),
+     ProblemDefinitionError, "source"),
+    (lambda mesh: MixedPoissonProblem(mesh, boundary_flux=lambda centroids: 0j * centroids[:, 0]),
+     ProblemDefinitionError, "boundary flux"),
+])
+def test_complex_input_is_rejected_not_truncated(good_mesh, call, error, message):
+    # numpy casts complex to float with only a ComplexWarning and drops the
+    # imaginary part: the triangle would build on (0, 1), its volume would
+    # be 0.5, and a source of 1j everywhere would load as zero
+    with pytest.raises(error, match=f"^{message} must"):
+        result = call(good_mesh)
+        if isinstance(result, MixedPoissonProblem):
+            assemble_mixed_poisson(result)
+
+
 def test_error_inside_a_data_callable_propagates(good_mesh):
     # a per-point callable sees the whole (F, N) array; its own error is
     # the user's to read, not one about the values it never returned
@@ -280,7 +306,7 @@ def _half_edge_load(mesh, flux):
     """The planar boundary load by the half-edge rule: boundary edge e puts
     g_e s_e |e| / 2 on each of its ends, s_e the step sign of e -> its
     triangle."""
-    facets, sides = _boundary_step_signs(mesh)
+    facets, sides = _boundary_step_signs(mesh, tolerance())
     b = np.zeros(mesh.num_simplices(0))
     lengths = mesh.volumes(1)[facets]
     np.add.at(b, mesh.simplices[1][facets], (flux * sides * lengths / 2.0)[:, None])
@@ -415,7 +441,7 @@ def test_edge_table_assembly_is_the_sparse_algebra_bitwise(name):
 def test_zero_mean_matches_the_bordered_system_on_random_delaunay_meshes(dim, count):
     # random Delaunay meshes are not qualifying (their hull facets are not
     # all one-sided), so the signed stars are ill-conditioned; the data
-    # balance, or miss by half of compat_tol, which the gauge drops
+    # balance, or miss by half of the compatibility bound, which the gauge drops
     points = np.random.default_rng(0).random((count, dim))
     mesh = build_complex(points, Delaunay(points).simplices)
     assert not classify_complex(mesh).is_qualifying
@@ -433,7 +459,7 @@ def test_zero_mean_matches_the_bordered_system_on_random_delaunay_meshes(dim, co
             for form in ("reduced", "saddle"):
                 problem = MixedPoissonProblem(mesh, source, flux)
                 solution = solve_mixed_poisson(
-                    assemble_mixed_poisson(problem, hodge_mode=mode, form=form, compat_tol=1e-8)
+                    assemble_mixed_poisson(problem, hodge_mode=mode, form=form)
                 )
                 *_, u, sigma = sparse_algebra_poisson(mesh, source, flux, "zero_mean", mode, form)
                 assert _within(solution.u, u, 1e-10)

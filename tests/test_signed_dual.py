@@ -191,27 +191,6 @@ def test_determinant_orientation_matches_step_signs():
     assert {0, 1, 2} <= seen
 
 
-def test_determinant_orientation_explicit_reference():
-    mesh = _rhombus()
-    piece = elementary_duals(mesh, 0, 0)[0]
-    reference = regular_simplex(2)
-    top_cell = mesh.simplex_vertices(2, piece.top_index)
-    base = mesh.points[list(top_cell)]
-    det = np.linalg.det((base[1:] - base[0]).T)
-    ref_det = np.linalg.det((reference[1:] - reference[0]).T)
-    if det * ref_det < 0:
-        reference = reference[[0, 2, 1]]
-    assert (
-        orientation_sign_via_determinant(mesh, piece, reference_points=reference)
-        == piece.sign
-    )
-    # orientation-reversing bijections are rejected
-    with pytest.raises(ValueError):
-        orientation_sign_via_determinant(
-            mesh, piece, reference_points=reference[[0, 2, 1]]
-        )
-
-
 def test_determinant_orientation_needs_full_dimension():
     points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.1], [0.0, 1.0, 0.0]])
     mesh = build_complex(points, [(0, 1, 2)])
