@@ -83,10 +83,10 @@ def _status_signs(margins, eps):
     ).astype(np.int8)
 
 
-def _flat_circumdata(facet_points, apex_left, apex_right, tol, facet=False):
+def _flat_circumdata(facet_points, apex_left, apex_right, facet=False):
     """The pair flattened into R^n, then the circumdata of its facet (if
     ``facet``), left and right simplex, computed in that order."""
-    flat = flatten_pair(facet_points, apex_left, apex_right, tol=tol)
+    flat = flatten_pair(facet_points, apex_left, apex_right)
     tails = [[]] * facet + [[flat.apex_left], [flat.apex_right]]
     return flat, *(circumcenter(np.vstack([flat.facet, *tail])) for tail in tails)
 
@@ -97,9 +97,11 @@ def pair_status_points(facet_points, apex_left, apex_right, tol=None):
     Flattens the pair into R^n and compares each apex against the other
     simplex's circumsphere: "strict" if outside beyond relative tolerance,
     "violated" if inside beyond tolerance, "degenerate" near the sphere.
+    The tolerance decides only the status; the flattening's degeneracy
+    guards are fixed (see :func:`flatten_pair`).
     """
     eps = tolerance(tol)
-    flat, left, right = _flat_circumdata(facet_points, apex_left, apex_right, tol)
+    flat, left, right = _flat_circumdata(facet_points, apex_left, apex_right)
     margins = [
         (float(np.linalg.norm(apex - circ.center)) - circ.radius) / circ.radius
         for apex, circ in ((flat.apex_right, left), (flat.apex_left, right))
@@ -110,22 +112,23 @@ def pair_status_points(facet_points, apex_left, apex_right, tol=None):
 def one_sided_status_points(facet_points, apex, tol=None):
     """One-sidedness of a boundary facet given raw coordinates: is the
     circumcenter of facet+apex strictly on the apex side of the facet?
+    Complex or non-finite coordinates raise ValueError.
     """
-    full = np.vstack([np.asarray(facet_points, dtype=float), np.asarray(apex, dtype=float)])
-    center = circumcenter(full).center
+    center = circumcenter(np.vstack([facet_points, apex])).center
     return _SIDE_STATUS[halfspace_sign(facet_points, apex, center, tol=tol)].item()
 
 
-def circumcenter_order_points(facet_points, apex_left, apex_right, tol=None):
+def circumcenter_order_points(facet_points, apex_left, apex_right):
     """Axis offsets of the two circumcenters for a flattened pair, plus
     whether they are correctly ordered (each center strictly toward its
     own simplex's side of the other).
 
     Returns (CircumcenterOrder, order_correct). The axis points toward the
     right apex, and correct order means the right simplex's center offset
-    exceeds the left one's.
+    exceeds the left one's. Like :func:`flatten_pair`, it takes no
+    tolerance.
     """
-    flat, facet, left, right = _flat_circumdata(facet_points, apex_left, apex_right, tol, True)
+    flat, facet, left, right = _flat_circumdata(facet_points, apex_left, apex_right, True)
     # the flattened facet spans {x_n = 0}, so the axis is the last coordinate
     rises = (p[-1] - facet.center[-1] for p in (left.center, right.center, flat.apex_right))
     data = CircumcenterOrder(
@@ -182,12 +185,13 @@ def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     return _PAIR_STATUS[signs[0]].item()
 
 
-def circumcenter_order(complex_, left_top, right_top, facet_index, tol=None):
-    """CircumcenterOrder data for an internal facet of the complex."""
+def circumcenter_order(complex_, left_top, right_top, facet_index):
+    """CircumcenterOrder data for an internal facet of the complex, from
+    :func:`circumcenter_order_points`; it takes no tolerance."""
     columns = _pair_columns(complex_, left_top, right_top, facet_index)
     apexes = complex_.simplices[complex_.n][[left_top, right_top], columns]
     return circumcenter_order_points(
-        complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes], tol=tol
+        complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes]
     )
 
 

@@ -57,12 +57,14 @@ class FlattenedPair:
 _TINY = np.finfo(float).tiny
 
 
-def _as_points(points):
+def _as_points(points, ndim=2):
+    """Points as a real, finite float array of ``ndim`` dimensions (2 for
+    rows of points, 1 for one point); ValueError otherwise."""
     if np.iscomplexobj(points):
         raise ValueError("points must be real, got complex values")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
+    if pts.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts
@@ -181,11 +183,12 @@ def halfspace_sign(facet_points, apex, query, tol=None):
     ``facet_points`` spans a (k-1)-dimensional hull (k rows); apex must be
     affinely independent of it (else DegeneracyError), and query must lie
     in the combined affine hull within tolerance (else AffineHullError).
+    Complex or non-finite coordinates raise ValueError.
     """
     eps = tolerance(tol)
     facet, origin, basis = _facet_frame(facet_points, eps)
-    apex_vec = np.asarray(apex, dtype=float) - origin
-    query_vec = np.asarray(query, dtype=float) - origin
+    apex_vec = _as_points(apex, 1) - origin
+    query_vec = _as_points(query, 1) - origin
     scale = max(
         float(np.linalg.norm(apex_vec)),
         float(np.linalg.norm(query_vec)),
@@ -210,7 +213,7 @@ def halfspace_sign(facet_points, apex, query, tol=None):
     return 1 if offset > 0 else -1
 
 
-def flatten_pair(facet_points, apex_left, apex_right, tol=None):
+def flatten_pair(facet_points, apex_left, apex_right):
     """Lay out two n-simplices sharing an (n-1)-facet isometrically in R^n.
 
     The facet (n rows in R^N) maps into {x_n = 0}; each apex keeps its
@@ -218,15 +221,17 @@ def flatten_pair(facet_points, apex_left, apex_right, tol=None):
     (right), where h is its distance to the facet's affine hull. Each
     simplex is mapped isometrically, so volumes, circumcenters and
     circumradii are preserved; the two apexes end up in opposite open
-    half-spaces.
+    half-spaces. It takes no tolerance: a facet whose edges, or an apex
+    whose height, fall below a fixed 1e-10 relative raise DegeneracyError,
+    and complex or non-finite coordinates raise ValueError.
     """
-    eps = tolerance(tol)
+    eps = 1e-10
     facet, origin, basis = _facet_frame(facet_points, eps)
     flat_facet = np.zeros((len(facet), len(facet)))
     flat_facet[1:, :-1] = (facet[1:] - origin) @ basis
 
     def place(apex, side):
-        vec = np.asarray(apex, dtype=float) - origin
+        vec = _as_points(apex, 1) - origin
         tang = basis.T @ vec
         height = float(np.linalg.norm(vec - basis @ tang))
         if height <= eps * max(float(np.linalg.norm(vec)), 1.0e-300):

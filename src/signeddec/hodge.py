@@ -31,7 +31,10 @@ class HodgeStar:
         return sparse.diags(self.entries)
 
     def inner_product(self, a, b):
-        """Cochain inner product a^T (star) b."""
+        """Cochain inner product a^T (star) b; complex cochains raise
+        ValueError."""
+        if np.iscomplexobj(a) or np.iscomplexobj(b):
+            raise ValueError("cochains must be real, got complex values")
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         return float(a @ (self.entries * b))

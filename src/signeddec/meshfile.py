@@ -206,31 +206,21 @@ def _read_off(path):
     return points, cells
 
 
-def read_mesh(path, fmt=None):
+def read_mesh(path):
     """Read a mesh from a .node/.ele pair (pass either path) or an OFF
-    file; ``fmt`` ("node_ele"/"off") overrides extension detection."""
+    file. The suffix decides the format; any other suffix raises
+    MeshFormatError."""
     path = Path(path)
-    if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix in (".node", ".ele"):
-            fmt = FORMAT_NODE_ELE
-        elif suffix == ".off":
-            fmt = FORMAT_OFF
-        else:
-            raise MeshFormatError(
-                f"cannot infer format from {path.name!r}; pass fmt='node_ele' or 'off'"
-            )
-    if fmt == FORMAT_OFF:
+    suffix = path.suffix.lower()
+    if suffix == ".off":
         points, cells = _read_off(path)
         return MeshFile(format=FORMAT_OFF, points=points, cells=cells)
-    if fmt == FORMAT_NODE_ELE:
+    if suffix in (".node", ".ele"):
         base_path = path.with_suffix("")
-        node_path = base_path.with_suffix(".node")
-        ele_path = base_path.with_suffix(".ele")
-        points, base = _read_node(node_path)
-        cells = _read_ele(ele_path, len(points), base, points.shape[1])
+        points, base = _read_node(base_path.with_suffix(".node"))
+        cells = _read_ele(base_path.with_suffix(".ele"), len(points), base, points.shape[1])
         return MeshFile(format=FORMAT_NODE_ELE, points=points, cells=cells)
-    raise MeshFormatError(f"unknown format {fmt!r}")
+    raise MeshFormatError(f"cannot infer format from {path.name!r}: expected .node, .ele or .off")
 
 
 def format_rows(fmt, *columns):
@@ -244,13 +234,18 @@ def write_mesh(path, points, cells):
 
     The shapes pick the format: triangle surfaces in 3-d go to one OFF
     file; planar triangles (2-d points, 3 per cell) and tets (3-d, 4) go to
-    a .node/.ele pair (1-based); any other shape raises MeshFormatError.
+    a .node/.ele pair (1-based); any other shape raises MeshFormatError,
+    as do complex or non-finite coordinates, which no reader accepts.
     ``path`` is the base name; the proper extensions are applied.
     """
+    if np.iscomplexobj(points):
+        raise MeshFormatError("points must be real, got complex values")
     points = np.asarray(points, dtype=float)
     cells = np.asarray(cells, dtype=np.intp)
     if points.ndim != 2 or cells.ndim != 2:
         raise MeshFormatError("points and cells must be 2-d arrays")
+    if not np.isfinite(points).all():
+        raise MeshFormatError("points must be finite")
     (_, ambient), (_, per_cell) = points.shape, cells.shape
     base = Path(path)
     if base.suffix.lower() in (".node", ".ele", ".off"):
@@ -280,7 +275,8 @@ def write_mesh(path, points, cells):
     return [node_path, ele_path]
 
 
-def load_complex(path, fmt=None):
-    """Read a mesh file and build the simplicial complex."""
-    mesh_file = read_mesh(path, fmt=fmt)
+def load_complex(path):
+    """Read a mesh file (see :func:`read_mesh`) and build the simplicial
+    complex."""
+    mesh_file = read_mesh(path)
     return build_complex(mesh_file.points, mesh_file.cells)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import ComplexError, DegeneracyError
-from .geometry import _facet_frame, circumcenter, halfspace_sign
+from .geometry import _facet_frame
 
 __all__ = [
     "ElementaryDual",
@@ -205,14 +205,15 @@ def dual_table(complex_, dim, tol=None):
     For p = n every simplex has one piece of volume 1 (point measure).
     One sweep from n down to dim computes the tables of all dimensions in
     between; each is memoized on the complex per (dim, resolved tolerance),
-    and the geometry is immutable so the memo never goes stale.
+    and the geometry is immutable so the memo never goes stale. Its keys
+    are resolved tolerances, so a hit needs no check.
     """
-    tol = tolerance(tol)
     cache, n = complex_._dual_volume_cache, complex_.n
-    if not 0 <= dim <= n:
-        raise ValueError(f"dual tables need 0 <= dim <= {n}, got {dim}")
     if (dim, tol) in cache:
         return cache[dim, tol]
+    tol = tolerance(tol)
+    if not 0 <= dim <= n:
+        raise ValueError(f"dual tables need 0 <= dim <= {n}, got {dim}")
     for d in range(dim, n + 1):
         complex_.circumcenters(d)  # raises on the lowest degenerate dimension
     # per simplex: signed and unsigned dual volume, signed and nonzero chain count
@@ -335,36 +336,17 @@ def _sign_of_det(matrix):
     return 1 if det > 0 else -1
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_sign(n, det_top, cells, tol):
-    """Determinant sign of the chain frame of the reference, a regular
-    n-simplex reflected if needed so that its orientation is ``det_top``,
-    for a chain given as local vertex tuples (base first). It depends only
-    on these arguments, so it is memoized. Raises ValueError unless the
-    reference is well-centered along the chain (all step signs +1)."""
-    reference = regular_simplex(n)
-    if _sign_of_det(_edge_frame(reference)) != det_top:
-        reference = reference[list(range(n - 1)) + [n, n - 1]]
-    centers = [circumcenter(reference[list(cell)]).center for cell in cells]
-    for face, coface, center in zip(cells, cells[1:], centers[1:]):
-        apex = next(v for v in coface if v not in face)
-        if halfspace_sign(reference[list(face)], reference[apex], center, tol=tol) <= 0:
-            raise ValueError("reference simplex is not well-centered")
-    return _sign_of_det(_chain_frame(reference[list(cells[0])], centers))
-
-
-def orientation_sign_via_determinant(complex_, piece, tol=None):
+def orientation_sign_via_determinant(complex_, piece):
     """Recompute an elementary dual's sign by determinant comparison.
 
-    Builds the n-frame [base-simplex edges, successive circumcenter
-    differences] for the piece, builds the same frame for the reference,
-    a regular n-simplex reflected if needed so that the vertex bijection
-    given by sorted vertex order preserves orientation, and returns the
-    product of the two determinant signs. The reference is fixed: any
-    well-centered one gives the same sign. Requires a full-dimensional
-    complex (N == n). This equals the piece's step-sign product whenever no
-    step is marginal; the reference's half of the product is memoized per
-    local pattern.
+    Returns sign det of the piece's chain frame [base-simplex edges,
+    successive circumcenter differences] times sign det of the top's
+    vertex frame in chain order: the base's vertices, then the vertex each
+    link adds. Each circumcenter step is the added vertex's offset from the
+    face's hull scaled by the step's signed length, so the two frames agree
+    exactly when the step signs multiply to +1; this equals the piece's
+    step-sign product whenever no step is marginal. Requires a
+    full-dimensional complex (N == n).
     """
     n = complex_.n
     if complex_.N != n:
@@ -372,18 +354,14 @@ def orientation_sign_via_determinant(complex_, piece, tol=None):
             "determinant orientation check needs a full-dimensional complex "
             f"(N == n), got N={complex_.N}, n={n}"
         )
-    top_cell = complex_.simplex_vertices(n, piece.top_index)
-    det_top = _sign_of_det(_edge_frame(complex_.points[list(top_cell)]))
+    cells = [
+        complex_.simplex_vertices(piece.base_dim + k, index)
+        for k, index in enumerate((piece.base_index, *piece.chain))
+    ]
+    order = list(cells[0])
+    for cell in cells[1:]:
+        order += set(cell).difference(order)
+    det_top = _sign_of_det(_edge_frame(complex_.points[order]))
     if det_top == 0:
         raise DegeneracyError("top simplex of the piece is degenerate")
-
-    position = {v: k for k, v in enumerate(top_cell)}
-    cells = [complex_.simplex_vertices(piece.base_dim, piece.base_index)]
-    cells.extend(
-        complex_.simplex_vertices(piece.base_dim + 1 + k, ci)
-        for k, ci in enumerate(piece.chain)
-    )
-    local = tuple(tuple(position[v] for v in cell) for cell in cells)
-
-    ref_sign = _reference_sign(n, det_top, local, tolerance(tol))
-    return _sign_of_det(_chain_frame(complex_.points[list(cells[0])], piece.vertices)) * ref_sign
+    return _sign_of_det(_chain_frame(complex_.points[list(cells[0])], piece.vertices)) * det_top

@@ -8,6 +8,7 @@ from signeddec.config import DEFAULT_EPS, tolerance
 from signeddec.delaunay import classify_complex
 from signeddec.errors import SignedDecError, ToleranceError
 from signeddec.fixtures import generate_fixture
+from signeddec.signed_dual import dual_table
 
 
 def test_default_then_environment_then_override(monkeypatch):
@@ -52,3 +53,21 @@ def test_classify_rejects_nan_tolerance():
     mesh = generate_fixture("perturbed_delaunay_square", divisions=4)
     with pytest.raises(ToleranceError):
         classify_complex(mesh, tol=np.nan)
+
+
+@pytest.mark.parametrize("tol, raw", [
+    (-1.0, None), (np.nan, None), (np.inf, None), (None, "abc"), (None, "-1"),
+])
+def test_warm_dual_table_still_checks_the_tolerance(tol, raw, monkeypatch):
+    # the memo is looked up before the tolerance is resolved; its keys are
+    # resolved floats, so no invalid value may hit it
+    monkeypatch.delenv("SIGNED_DEC_EPS", raising=False)
+    mesh = generate_fixture("perturbed_delaunay_square", divisions=4)
+    for dim in range(3):
+        dual_table(mesh, dim)
+        dual_table(mesh, dim, tol=DEFAULT_EPS)
+    if raw is not None:
+        monkeypatch.setenv("SIGNED_DEC_EPS", raw)
+    for dim in range(3):
+        with pytest.raises(ToleranceError):
+            dual_table(mesh, dim, tol=tol)

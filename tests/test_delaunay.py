@@ -66,6 +66,38 @@ def test_polyline_one_point_facets():
         assert status == is_one_sided(mesh, top, end) == SIDE_YES
 
 
+def _flat_pairs(rng, n, count):
+    """(mesh, facet, left, right) of ``count`` buildable pairs in R^n whose
+    apex heights over a standard-normal facet range from 1e-6 to 1."""
+    pairs = []
+    while len(pairs) < count:
+        facet = rng.standard_normal((n, n))
+        normal = np.linalg.qr((facet[1:] - facet[0]).T, mode="complete")[0][:, -1]
+        weights = rng.dirichlet(np.ones(n), 2) + 0.3 * rng.standard_normal((2, n))
+        feet = (weights / weights.sum(axis=1, keepdims=True)) @ facet
+        left, right = feet + np.outer([-1.0, 1.0] * 10.0 ** rng.uniform(-6, 0, 2), normal)
+        try:
+            mesh = build_complex(
+                np.vstack([facet, left, right]), [tuple(range(n + 1)), (*range(n), n + 1)]
+            )
+        except DegeneracyError:
+            continue
+        pairs.append((mesh, facet, left, right))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_routes_agree_on_flat_pairs(n):
+    # the tolerance decides only the status: no flat pair that the complex
+    # route classifies makes the point routes raise, at the default or at 1e-3
+    for mesh, facet, left, right in _flat_pairs(np.random.default_rng(20 + n), n, 150):
+        index = mesh.simplex_index(n - 1, range(n))
+        for tol in (None, 1e-3):
+            expected = is_delaunay_pair(mesh, 0, 1, index, tol=tol)
+            assert pair_status_points(facet, left, right, tol=tol) == expected
+        circumcenter_order_points(facet, left, right)
+
+
 @st.composite
 def planar_pair(draw):
     """Random facet with apexes on opposite sides, generic position."""

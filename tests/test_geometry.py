@@ -8,7 +8,8 @@ from scipy.stats import special_ortho_group
 
 from conftest import cayley_menger_volume, exact_barycentric, random_rotation
 from signeddec.complexes import build_complex
-from signeddec.errors import AffineHullError, DegeneracyError
+from signeddec.delaunay import one_sided_status_points
+from signeddec.errors import AffineHullError, DegeneracyError, MeshFormatError
 from signeddec.geometry import (
     batched_circumcenters,
     circumcenter,
@@ -16,6 +17,8 @@ from signeddec.geometry import (
     halfspace_sign,
     simplex_volume,
 )
+from signeddec.hodge import HodgeStar
+from signeddec.meshfile import write_mesh
 
 
 @st.composite
@@ -192,6 +195,30 @@ def test_halfspace_sign_query_off_hull():
     apex = np.array([0.0, 1.0, 0.0])
     with pytest.raises(AffineHullError):
         halfspace_sign(facet, apex, np.array([0.5, 0.5, 1.0]))
+
+
+EDGE = [[0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda _: halfspace_sign(EDGE, [0.5, 1.0], [np.nan, np.nan]), ValueError),
+    (lambda _: halfspace_sign(EDGE, [np.nan, np.nan], [0.5, -1.0]), ValueError),
+    (lambda _: halfspace_sign(EDGE, [0.5, 1.0], np.array([0.5, 1j])), ValueError),
+    (lambda _: flatten_pair(EDGE, [0.5, np.nan], [0.5, -1.0]), ValueError),
+    (lambda _: one_sided_status_points(EDGE, np.array([0.5, 1.0 + 1j])), ValueError),
+    (lambda path: write_mesh(path / "c", [[0, 0], [1, 0], [0, 1 + 1j]], [(0, 1, 2)]),
+     MeshFormatError),
+    (lambda path: write_mesh(path / "n", [[0, 0], [1, 0], [0, np.nan]], [(0, 1, 2)]),
+     MeshFormatError),
+    (lambda _: HodgeStar(0, "signed", np.ones(2)).inner_product([1.0, 1j], [1.0, 1.0]), ValueError),
+], ids=["nan-query", "nan-apex", "complex-query", "flatten-nan-apex", "one-sided-complex-apex",
+        "write-complex", "write-nan", "inner-product-complex"])
+def test_point_routes_reject_complex_and_non_finite_input(call, error, tmp_path):
+    # each once answered: a sign, NaN coordinates, a truncated value or a
+    # written file that the reader rejects
+    with pytest.raises(error, match="real|finite"):
+        call(tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_flatten_pair_folded_equilateral():

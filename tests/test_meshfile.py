@@ -159,13 +159,13 @@ def test_off_rejects_non_triangles(tmp_path):
         read_mesh(tmp_path / "q.off")
 
 
-def test_unknown_extension_needs_fmt(tmp_path):
+def test_unknown_extension_is_rejected(tmp_path):
+    # the suffix decides the format: a valid OFF body under .txt is refused
     target = tmp_path / "mesh.txt"
     target.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-    with pytest.raises(MeshFormatError, match="infer"):
-        read_mesh(target)
-    mesh = read_mesh(target, fmt="off")
-    assert mesh.points.shape == (3, 3)
+    for loader in (read_mesh, load_complex):
+        with pytest.raises(MeshFormatError, match=r"infer.*\.node, \.ele or \.off"):
+            loader(target)
 
 
 def test_write_shape_validation(tmp_path):
