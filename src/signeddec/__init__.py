@@ -7,7 +7,6 @@ from .config import DEFAULT_EPS, tolerance
 from .delaunay import (
     CircumcenterOrder,
     MeshReport,
-    circumcenter_order,
     circumcenter_order_points,
     classify_complex,
     is_delaunay_pair,
@@ -53,7 +52,6 @@ from .signed_dual import (
     dual_volumes,
     elementary_duals,
     orientation_sign_via_determinant,
-    regular_simplex,
     signed_dual_volume,
     step_sign,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "boundary_operator",
     "build_complex",
     "circumcenter",
-    "circumcenter_order",
     "circumcenter_order_points",
     "classify_complex",
     "dual_volumes",
@@ -107,7 +104,6 @@ __all__ = [
     "orientation_sign_via_determinant",
     "pair_status_points",
     "read_mesh",
-    "regular_simplex",
     "signed_dual_volume",
     "simplex_volume",
     "solve_mixed_poisson",

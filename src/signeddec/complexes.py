@@ -107,15 +107,6 @@ class SimplicialComplex:
             self._face_tables[dim] = table
         return self._face_tables[dim]
 
-    def apex_vertex(self, dim, face_index, coface_index):
-        """The vertex of the coface not in the face (face dim = dim)."""
-        column = self.face_table(dim + 1)[coface_index] == face_index
-        if not column.any():
-            raise ComplexError(
-                f"{dim + 1}-simplex {self.simplex_vertices(dim + 1, coface_index)} does not "
-                f"extend {dim}-simplex {self.simplex_vertices(dim, face_index)}")
-        return int(self.simplices[dim + 1][coface_index, column.argmax()])
-
     # -- cached geometry -----------------------------------------------
 
     def geometry(self, dim):

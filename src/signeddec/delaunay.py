@@ -37,7 +37,6 @@ __all__ = [
     "circumcenter_order_points",
     "is_delaunay_pair",
     "is_one_sided",
-    "circumcenter_order",
     "classify_complex",
 ]
 
@@ -139,15 +138,6 @@ def circumcenter_order_points(facet_points, apex_left, apex_right):
     return data, data.center_offset_right > data.center_offset_left
 
 
-def _pair_columns(complex_, left_top, right_top, facet_index):
-    """The columns of the two tops' vertex rows that their shared facet omits."""
-    tops, columns = complex_.facet_cofaces
-    row = tops[facet_index].tolist()
-    if sorted((left_top, right_top)) != row:
-        raise ValueError(f"simplices {left_top}, {right_top} do not share facet {facet_index}")
-    return columns[facet_index][[row.index(left_top), row.index(right_top)]]
-
-
 def _pair_signs(complex_, facets, tops, columns, eps):
     """Status signs (+1 strict, 0 degenerate, -1 violated) of internal
     pairs in any ambient dimension N >= n, from cached volumes, radii and
@@ -178,21 +168,16 @@ def _pair_signs(complex_, facets, tops, columns, eps):
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     """Delaunay status of the pair of top simplices sharing a facet."""
-    columns = _pair_columns(complex_, left_top, right_top, facet_index)
+    cofaces, omitted = complex_.facet_cofaces
+    row = cofaces[facet_index].tolist()
+    if sorted((left_top, right_top)) != row:
+        raise ValueError(f"simplices {left_top}, {right_top} do not share facet {facet_index}")
+    # the columns of the two tops' vertex rows that their shared facet omits
+    columns = omitted[facet_index][[row.index(left_top), row.index(right_top)]]
     signs = _pair_signs(
         complex_, [facet_index], [[left_top, right_top]], columns[None], tolerance(tol)
     )
     return _PAIR_STATUS[signs[0]].item()
-
-
-def circumcenter_order(complex_, left_top, right_top, facet_index):
-    """CircumcenterOrder data for an internal facet of the complex, from
-    :func:`circumcenter_order_points`; it takes no tolerance."""
-    columns = _pair_columns(complex_, left_top, right_top, facet_index)
-    apexes = complex_.simplices[complex_.n][[left_top, right_top], columns]
-    return circumcenter_order_points(
-        complex_.simplex_points(complex_.n - 1, facet_index), *complex_.points[apexes]
-    )
 
 
 def is_one_sided(complex_, top_index, facet_index, tol=None):

@@ -209,16 +209,16 @@ def _read_off(path):
 def read_mesh(path):
     """Read a mesh from a .node/.ele pair (pass either path) or an OFF
     file. The suffix decides the format; any other suffix raises
-    MeshFormatError."""
+    MeshFormatError. Only that suffix is replaced, so ``mesh.1.ele``
+    pairs with ``mesh.1.node``."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".off":
         points, cells = _read_off(path)
         return MeshFile(format=FORMAT_OFF, points=points, cells=cells)
     if suffix in (".node", ".ele"):
-        base_path = path.with_suffix("")
-        points, base = _read_node(base_path.with_suffix(".node"))
-        cells = _read_ele(base_path.with_suffix(".ele"), len(points), base, points.shape[1])
+        points, base = _read_node(path.with_suffix(".node"))
+        cells = _read_ele(path.with_suffix(".ele"), len(points), base, points.shape[1])
         return MeshFile(format=FORMAT_NODE_ELE, points=points, cells=cells)
     raise MeshFormatError(f"cannot infer format from {path.name!r}: expected .node, .ele or .off")
 
@@ -235,8 +235,11 @@ def write_mesh(path, points, cells):
     The shapes pick the format: triangle surfaces in 3-d go to one OFF
     file; planar triangles (2-d points, 3 per cell) and tets (3-d, 4) go to
     a .node/.ele pair (1-based); any other shape raises MeshFormatError,
-    as do complex or non-finite coordinates, which no reader accepts.
-    ``path`` is the base name; the proper extensions are applied.
+    as do complex or non-finite coordinates, no points or cells, and cell
+    indices outside [0, P), which no reader accepts; nothing is written
+    then. ``path`` is the base name: a trailing .node, .ele or .off is
+    dropped and the proper extensions are appended, so ``mesh.1`` writes
+    ``mesh.1.node`` and ``mesh.1.ele``.
     """
     if np.iscomplexobj(points):
         raise MeshFormatError("points must be real, got complex values")
@@ -247,22 +250,26 @@ def write_mesh(path, points, cells):
     if not np.isfinite(points).all():
         raise MeshFormatError("points must be finite")
     (_, ambient), (_, per_cell) = points.shape, cells.shape
+    surface = ambient == 3 and per_cell == 3
+    if not surface and (per_cell != ambient + 1 or ambient not in (2, 3)):
+        raise MeshFormatError(f"no format for {ambient}-d points with {per_cell}-vertex cells")
+    if not len(points) or not len(cells):
+        raise MeshFormatError("a mesh needs at least one point and one cell")
+    if cells.min() < 0 or cells.max() >= len(points):
+        raise MeshFormatError(f"cell vertex indices must lie in [0, {len(points)})")
     base = Path(path)
     if base.suffix.lower() in (".node", ".ele", ".off"):
         base = base.with_suffix("")
     coordinates = " ".join(["%.17g"] * ambient) + "\n"
-    if ambient == 3 and per_cell == 3:
-        target = base.with_suffix(".off")
+    if surface:
+        target = Path(f"{base}.off")
         target.write_text(
             f"OFF\n{len(points)} {len(cells)} 0\n"
             + format_rows(coordinates, *points.T.tolist())
             + format_rows("3 %d %d %d\n", *cells.T.tolist())
         )
         return [target]
-    if per_cell != ambient + 1 or ambient not in (2, 3):
-        raise MeshFormatError(f"no format for {ambient}-d points with {per_cell}-vertex cells")
-    node_path = base.with_suffix(".node")
-    ele_path = base.with_suffix(".ele")
+    node_path, ele_path = Path(f"{base}.node"), Path(f"{base}.ele")
     node_path.write_text(
         f"{len(points)} {ambient} 0 0\n"
         + format_rows("%d " + coordinates, range(1, len(points) + 1), *points.T.tolist())

@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentResult",
     "assemble_mixed_poisson",
     "solve_mixed_poisson",
-    "boundary_outward_normals",
     "sigma_vectors",
     "figure1_experiment",
     "figure1_columns",
@@ -264,19 +263,6 @@ def solve_mixed_poisson(system):
         u=u, sigma=sigma, residual_norm=residual,
         form=system.form, hodge_mode=system.hodge_mode,
     )
-
-
-def boundary_outward_normals(mesh):
-    """Outward unit normal per boundary facet, in boundary_faces() order: the
-    apex offset's part orthogonal to the facet's hull, negated and normalised."""
-    tops, columns = mesh.facet_cofaces
-    facets = np.flatnonzero(tops[:, 1] < 0)
-    apexes = mesh.simplices[mesh.n][tops[facets, 0], columns[facets, 0]]
-    corners = mesh.points[mesh.simplices[mesh.n - 1][facets]]
-    basis = np.linalg.qr((corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1))[0]
-    offsets = (mesh.points[apexes] - corners[:, 0])[:, :, None]
-    inward = offsets - basis @ (basis.transpose(0, 2, 1) @ offsets)
-    return -(inward / np.sqrt(inward.transpose(0, 2, 1) @ inward))[:, :, 0]
 
 
 def sigma_vectors(mesh, sigma):

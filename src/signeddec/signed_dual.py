@@ -30,13 +30,13 @@ memoized on the complex per (dim, tolerance).
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import tolerance
 from .errors import ComplexError, DegeneracyError
-from .geometry import _facet_frame
 
 __all__ = [
     "ElementaryDual",
@@ -49,7 +49,6 @@ __all__ = [
     "dual_table",
     "dual_volumes",
     "orientation_sign_via_determinant",
-    "regular_simplex",
 ]
 
 
@@ -100,14 +99,6 @@ class DualCell:
     @property
     def num_negative_pieces(self):
         return sum(1 for p in self.pieces if p.sign < 0)
-
-    @property
-    def has_marginal_piece(self):
-        return any(p.sign == 0 for p in self.pieces)
-
-    def restricted_signed_volume(self, top_index):
-        """Signed volume of the pieces inside one top simplex."""
-        return float(sum(p.signed_volume for p in self.pieces if p.top_index == top_index))
 
 
 @dataclass(frozen=True)
@@ -268,9 +259,9 @@ def elementary_duals(complex_, dim, index, tol=None):
     (lexicographic) order of their chains, gathered from the tops that
     contain it with signs and lengths from the link tables. For a top
     simplex the single piece is its circumcenter with 0-volume 1 and empty
-    chain.
+    chain. A non-integer index raises TypeError.
     """
-    n, tol = complex_.n, tolerance(tol)
+    n, tol, index = complex_.n, tolerance(tol), operator.index(index)
     if not 0 <= dim <= n:
         raise ValueError(f"dual pieces need 0 <= dim <= {n}, got {dim}")
     if not 0 <= index < complex_.num_simplices(dim):
@@ -305,18 +296,6 @@ def signed_dual_volume(complex_, dim, index, tol=None):
         base_dim=dim, base_index=index,
         pieces=elementary_duals(complex_, dim, index, tol=tol),
     )
-
-
-def regular_simplex(n):
-    """Vertices of a regular n-simplex in R^n (edge length sqrt(2)).
-
-    Isometric image of the standard-basis simplex in R^(n+1); regular, so
-    every face of every dimension contains its circumcenter.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    corners, origin, basis = _facet_frame(np.eye(n + 1), 0.0)
-    return np.vstack([np.zeros(n), (corners[1:] - origin) @ basis])
 
 
 def _edge_frame(points):

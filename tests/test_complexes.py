@@ -155,19 +155,6 @@ def test_geometry_cache_does_not_read_the_tolerance(name, monkeypatch):
         ]
 
 
-def test_apex_vertex():
-    complex_ = _square()
-    diag = complex_.simplex_index(1, (0, 2))
-    cofs = [c for c, _ in complex_.cofaces[1][diag]]
-    apexes = {complex_.apex_vertex(1, diag, c) for c in cofs}
-    assert apexes == {1, 3}
-    # edge (1, 2) is a face of top (0, 1, 2) but not of top (0, 2, 3)
-    edge = complex_.simplex_index(1, (1, 2))
-    assert complex_.apex_vertex(1, edge, 0) == 0
-    with pytest.raises(ComplexError):
-        complex_.apex_vertex(1, edge, 1)
-
-
 def test_boundary_and_internal_faces():
     complex_ = _square()
     boundary = {complex_.simplex_vertices(1, f) for f, _ in complex_.boundary_faces()}

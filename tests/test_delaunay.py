@@ -16,7 +16,6 @@ from signeddec.delaunay import (
     SIDE_MARGINAL,
     SIDE_NO,
     SIDE_YES,
-    circumcenter_order,
     circumcenter_order_points,
     classify_complex,
     is_delaunay_pair,
@@ -30,6 +29,15 @@ from signeddec.geometry import batched_circumcenters, flatten_pair
 from signeddec.signed_dual import dual_table, dual_volumes
 
 EDGE = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
+def _apex(mesh, facet, top):
+    """The vertex of a top that one of its facets omits, found from the two
+    vertex rows alone."""
+    (apex,) = set(mesh.simplices[mesh.n][top].tolist()) - set(
+        mesh.simplices[mesh.n - 1][facet].tolist()
+    )
+    return apex
 
 
 def _equilateral_strip():
@@ -260,9 +268,7 @@ def test_pair_predicates_on_complex_match_point_route():
     ):
         for facet, (left, right) in mesh.internal_faces():
             facet_pts = mesh.simplex_points(1, facet)
-            apexes = {
-                top: mesh.points[mesh.apex_vertex(1, facet, top)] for top in (left, right)
-            }
+            apexes = {top: mesh.points[_apex(mesh, facet, top)] for top in (left, right)}
             assert is_delaunay_pair(mesh, left, right, facet) == pair_status_points(
                 facet_pts, apexes[left], apexes[right]
             )
@@ -369,7 +375,7 @@ def test_boundary_statuses_match_per_facet_one_sidedness(name):
         assert len(report.boundary_statuses) == len(mesh.boundary_faces())
         for facet, top, status in report.boundary_statuses:
             assert status == is_one_sided(mesh, top, facet, tol=tol)
-            apex = mesh.points[mesh.apex_vertex(mesh.n - 1, facet, top)]
+            apex = mesh.points[_apex(mesh, facet, top)]
             facet_points = mesh.simplex_points(mesh.n - 1, facet)
             assert status == one_sided_status_points(facet_points, apex, tol=tol)
 
@@ -472,7 +478,7 @@ def test_near_tie_grids_match_point_route_and_stay_positive():
             mesh = build_complex(points, cells)
             report = classify_complex(mesh)
             for facet, (left, right), status in report.pair_statuses:
-                apexes = [mesh.apex_vertex(1, facet, top) for top in (left, right)]
+                apexes = [_apex(mesh, facet, top) for top in (left, right)]
                 flat = pair_status_points(mesh.simplex_points(1, facet), *mesh.points[apexes])
                 assert status == flat
                 seen.add(status)
@@ -556,5 +562,8 @@ def test_classify_report_dict_shape():
 def test_circumcenter_order_on_complex():
     mesh = _equilateral_strip()
     facet, (left, right) = mesh.internal_faces()[0]
-    data, order_correct = circumcenter_order(mesh, left, right, facet)
+    apexes = [_apex(mesh, facet, top) for top in (left, right)]
+    data, order_correct = circumcenter_order_points(
+        mesh.simplex_points(1, facet), *mesh.points[apexes]
+    )
     assert order_correct

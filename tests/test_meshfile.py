@@ -173,6 +173,44 @@ def test_write_shape_validation(tmp_path):
         write_mesh(tmp_path / "x", np.zeros((3, 4)), [(0, 1, 2)])
 
 
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("points, cells, message", [
+    (np.zeros((0, 2)), np.zeros((1, 3), dtype=int), "at least one point"),
+    (TRIANGLE, np.zeros((0, 3), dtype=int), "one cell"),
+    (np.zeros((0, 3)), np.zeros((0, 3), dtype=int), "at least one point"),
+    (OCTAHEDRON_POINTS, np.zeros((0, 3), dtype=int), "one cell"),
+    (TRIANGLE, [(-1, 1, 2)], r"\[0, 3\)"),
+    (TRIANGLE, [(0, 1, 3)], r"\[0, 3\)"),
+    (OCTAHEDRON_POINTS, [(0, 2, -1)], r"\[0, 6\)"),
+    (OCTAHEDRON_POINTS, [(0, 2, 6)], r"\[0, 6\)"),
+], ids=["no-points", "no-cells", "off-no-points", "off-no-cells",
+        "negative", "past-end", "off-negative", "off-past-end"])
+def test_write_rejects_what_no_reader_accepts(tmp_path, points, cells, message):
+    # empty meshes and out-of-range cell indices are refused before any
+    # file is written
+    with pytest.raises(MeshFormatError, match=message):
+        write_mesh(tmp_path / "bad", points, cells)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dotted_base_names_keep_their_dots(tmp_path):
+    # Triangle names its refinements mesh.1.node, mesh.2.node, ...; only a
+    # trailing .node, .ele or .off is a suffix
+    for name in ("mesh.1", "mesh.1.node", "mesh.1.ele"):
+        paths = write_mesh(tmp_path / name, TRIANGLE, [(0, 1, 2)])
+        assert [p.name for p in paths] == ["mesh.1.node", "mesh.1.ele"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh.1.ele", "mesh.1.node"]
+    for path in paths:
+        back = read_mesh(path)
+        assert back.points.tolist() == TRIANGLE.tolist()
+        assert back.cells.tolist() == [[0, 1, 2]]
+    (surface,) = write_mesh(tmp_path / "oct.v2", OCTAHEDRON_POINTS, OCTAHEDRON_FACES)
+    assert surface.name == "oct.v2.off"
+    assert read_mesh(surface).cells.tolist() == [list(face) for face in OCTAHEDRON_FACES]
+
+
 GOOD_NODE = "4 2 0 0\n1 0 0\n2 1 0\n3 0 1\n4 1 1\n"
 GOOD_ELE = "2 3 0\n1 1 2 3\n2 2 4 3\n"
 

@@ -21,7 +21,6 @@ from signeddec.poisson import (
     FIGURE1_COLUMNS,
     MixedPoissonProblem,
     assemble_mixed_poisson,
-    boundary_outward_normals,
     figure1_columns,
     figure1_experiment,
     sigma_vectors,
@@ -299,7 +298,6 @@ def test_segment_flux_patch_test():
         solution = _solve(mesh, form=form)
         assert np.abs(solution.u - exact).max() < 1e-12
         assert np.abs(sigma_vectors(mesh, solution.sigma) - 1.0).max() < 1e-12
-    assert boundary_outward_normals(mesh).tolist() == [[-1.0], [1.0]]
 
 
 def _half_edge_load(mesh, flux):
@@ -485,28 +483,6 @@ def test_singular_system_raises_solve_error_and_no_warning(mode, gauge):
         warnings.simplefilter("error")
         with pytest.raises(SolveError, match="non-finite"):
             solve_mixed_poisson(system)
-
-
-def test_boundary_outward_normals_on_square():
-    mesh = generate_fixture("structured_square", divisions=2)
-    normals = boundary_outward_normals(mesh)
-    center = mesh.points.mean(axis=0)
-    for (facet, _), normal in zip(mesh.boundary_faces(), normals):
-        assert np.isclose(np.linalg.norm(normal), 1.0)
-        mid = mesh.simplex_points(1, facet).mean(axis=0)
-        assert normal @ (mid - center) > 0.0
-
-
-def test_boundary_outward_normals_on_tet_cube():
-    # each boundary triangle lies in one side of the cube, whose axis its
-    # centroid is farthest from the centre along
-    mesh = generate_fixture("delaunay_tet_cube", divisions=3)
-    facets = [facet for facet, _ in mesh.boundary_faces()]
-    offsets = mesh.points[mesh.simplices[2][facets]].mean(axis=1) - 0.5
-    rows, axes = np.arange(len(facets)), np.abs(offsets).argmax(axis=1)
-    want = np.zeros_like(offsets)
-    want[rows, axes] = np.sign(offsets[rows, axes])
-    assert np.abs(boundary_outward_normals(mesh) - want).max() < 1e-12
 
 
 def test_sigma_vectors_reconstruct_linear_field(good_mesh):

@@ -17,7 +17,6 @@ from signeddec.signed_dual import (
     dual_volumes,
     elementary_duals,
     orientation_sign_via_determinant,
-    regular_simplex,
     signed_dual_volume,
     step_sign,
     step_signs,
@@ -93,6 +92,17 @@ def test_piece_shapes(obtuse_triangle):
     assert top_piece.sign == 1
 
 
+def test_non_integer_index_is_rejected(obtuse_triangle):
+    # a float in range would match no face and give an empty, zero-volume cell
+    for query in (elementary_duals, signed_dual_volume):
+        for index in (1.5, 1.0):
+            with pytest.raises(TypeError):
+                query(obtuse_triangle, 0, index)
+    pieces = elementary_duals(obtuse_triangle, 0, 1)
+    numpy_index = elementary_duals(obtuse_triangle, 0, np.int64(1))
+    assert [p.chain for p in numpy_index] == [p.chain for p in pieces]
+
+
 def test_duals_deterministic(obtuse_triangle):
     first = elementary_duals(obtuse_triangle, 0, 1)
     second = elementary_duals(obtuse_triangle, 0, 1)
@@ -113,7 +123,7 @@ def test_split_square_marginal_duals(split_square):
     cell = signed_dual_volume(split_square, 1, diag)
     # both triangle circumcenters sit on the diagonal's midpoint
     assert cell.signed_volume == 0.0
-    assert cell.has_marginal_piece
+    assert any(p.sign == 0 for p in cell.pieces)
     signed, _ = dual_volumes(split_square, 0)
     assert np.allclose(signed, 0.25, atol=1e-15)
 
@@ -143,19 +153,11 @@ def test_dual_volumes_cached_and_frozen(obtuse_triangle):
         unsigned_a[0] = 0.0
 
 
-def test_regular_simplex_geometry():
-    for n in (2, 3, 4):
-        pts = regular_simplex(n)
-        assert pts.shape == (n + 1, n)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                assert np.isclose(
-                    np.linalg.norm(pts[i] - pts[j]), np.sqrt(2.0), rtol=1e-12
-                )
-
-
 def test_regular_simplex_well_centered():
-    mesh = build_complex(regular_simplex(3), [(0, 1, 2, 3)])
+    # alternate corners of a cube: a regular tet, every face of which
+    # contains its circumcenter
+    points = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    mesh = build_complex(np.array(points, dtype=float), [(0, 1, 2, 3)])
     for dim in range(3):
         for i in range(mesh.num_simplices(dim)):
             for piece in elementary_duals(mesh, dim, i):
@@ -170,7 +172,9 @@ def test_vertex_pieces_tile_each_top(split_square, single_tet):
     for mesh in (split_square, single_tet, _skinny_tet()):
         cells = [signed_dual_volume(mesh, 0, v) for v in range(len(mesh.points))]
         for top in range(mesh.num_simplices(mesh.n)):
-            total = sum(c.restricted_signed_volume(top) for c in cells)
+            total = sum(
+                p.signed_volume for c in cells for p in c.pieces if p.top_index == top
+            )
             assert np.isclose(total, mesh.volume_of(mesh.n, top), rtol=1e-10)
 
 
