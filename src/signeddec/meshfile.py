@@ -5,11 +5,16 @@ tetrahedral meshes (3D nodes, 4 per cell); OFF carries triangle surfaces
 embedded in 3D. Vertex numbering in .node/.ele may start at 0 or 1; the
 base is detected from the first data row and normalized to 0 on read.
 Writes are 1-based with 17 significant digits, so coordinates round-trip
-exactly. Readers convert each column of all rows in one call and validate
-by masks over the rows, reporting the first faulty row in file order;
-writers format each row with one %-format string and write once.
+exactly. Readers convert each block of rows with one C call (``np.loadtxt``)
+and validate by masks over the rows, reporting the first faulty row in file
+order. Only when that call refuses a block are its rows split and converted
+token by token with Python's ``int``/``float``, which finds the faulty rows
+and accepts what only Python reads (``1_0``, non-ASCII digits); the values
+are the same either way. Writers format each row with one %-format string
+and write once.
 """
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,16 +41,17 @@ class MeshFile:
 
 
 def _data_rows(path, what):
-    """(line number, tokens) of every non-comment, non-blank line."""
+    """(line number, text) of every line that holds data once its ``#``
+    comment is dropped."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
-    rows = [
-        (lineno, tokens)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if (tokens := line.split("#", 1)[0].split())
-    ]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    lines = list(map(str.strip, lines))
+    rows = list(zip(itertools.compress(itertools.count(1), lines), filter(None, lines)))
     if not rows:
         raise MeshFormatError(f"{path}: empty {what} file")
     return rows
@@ -60,6 +66,11 @@ def _parse_ints(tokens, count, path, lineno, what):
         raise MeshFormatError(f"{path}:{lineno}: bad integer in {what}") from exc
 
 
+def _field(rows, row, column):
+    """The integer in field ``column`` of ``rows[row]``, for a message."""
+    return int(rows[row][1].split()[column])
+
+
 def _number(kind, token):
     """kind(token), ints clipped into int64, or None if kind rejects it."""
     try:
@@ -70,21 +81,33 @@ def _number(kind, token):
 
 
 def _table(rows, kind, stop, start=0):
-    """Tokens start..stop-1 of each row (short rows padded with "0") as an
-    array converted by one ``kind`` call (int or float), the rows' token
-    counts, and a mask of the rows holding a token that ``kind`` rejects."""
-    pad = ["0"] * stop
-    flat = [t for _, tokens in rows for t in (tokens + pad)[start:stop]]
+    """Fields start..stop-1 of each row as an array of ``kind`` (int or
+    float), a mask of the rows with fewer than ``stop`` fields and a mask of
+    the rows holding a field in that range that ``kind`` rejects.
+
+    One ``np.loadtxt`` call converts the block. It splits fields as
+    ``str.split`` does, and its parsers accept a subset of what ``int`` and
+    ``float`` accept and read it the same way. Only when it refuses are the
+    rows split and converted token by token (short rows padded with "0"),
+    which finds the faulty rows.
+    """
     dtype = np.intp if kind is int else np.float64
-    try:
-        values, bad = np.array(list(map(kind, flat)), dtype=dtype), np.zeros(len(flat), bool)
-    except (ValueError, OverflowError):  # find the rejected tokens one by one
-        numbers = [_number(kind, t) for t in flat]
-        bad = np.array([v is None for v in numbers], dtype=bool)
-        values = np.array([0 if v is None else v for v in numbers], dtype=dtype)
+    if rows:  # np.loadtxt warns on no rows; the token path gives empty arrays
+        try:
+            values = np.loadtxt([line for _, line in rows], dtype,
+                                usecols=range(start, stop), ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            return values, np.zeros(len(rows), bool), np.zeros(len(rows), bool)
+    fields = [line.split() for _, line in rows]
+    pad = ["0"] * stop
+    numbers = [_number(kind, t) for tokens in fields for t in (tokens + pad)[start:stop]]
     shape = (len(rows), stop - start)
-    widths = np.array([len(tokens) for _, tokens in rows], dtype=np.intp)
-    return values.reshape(shape), widths, bad.reshape(shape).any(axis=1)
+    values = np.array([0 if v is None else v for v in numbers], dtype=dtype).reshape(shape)
+    bad = np.array([v is None for v in numbers], dtype=bool).reshape(shape).any(axis=1)
+    short = np.array([len(tokens) < stop for tokens in fields], dtype=bool)
+    return values, short, bad
 
 
 def _raise_first(path, rows, checks):
@@ -110,8 +133,8 @@ def _check_count(path, rows, count, what):
 
 
 def _read_node(path):
-    (lineno, tokens), *rows = _data_rows(path, "node")
-    count, dim = _parse_ints(tokens, 2, path, lineno, "node header")
+    (lineno, header), *rows = _data_rows(path, "node")
+    count, dim = _parse_ints(header.split(), 2, path, lineno, "node header")
     if dim not in (2, 3):
         raise MeshFormatError(f"{path}:{lineno}: node dimension must be 2 or 3, got {dim}")
     if count < 1:
@@ -119,7 +142,7 @@ def _read_node(path):
 
     data = rows[:count]
     ids, _, bad_ids = _table(data, int, 1)
-    coords, widths, bad_coords = _table(data, float, 1 + dim, start=1)
+    coords, short, bad_coords = _table(data, float, 1 + dim, start=1)
     base = int(ids[0, 0]) if data else 0
     index = ids[:, 0] - base
     first_seen = np.zeros(len(data), dtype=bool)
@@ -127,11 +150,11 @@ def _read_node(path):
     _raise_first(path, data, [
         (bad_ids, "bad integer in node index"),
         ((np.arange(len(data)) == 0) & (base not in (0, 1)),
-         lambda row: f"first node index must be 0 or 1, got {int(data[row][1][0])}"),
+         lambda row: f"first node index must be 0 or 1, got {_field(data, row, 0)}"),
         ((index < 0) | (index >= count),
-         lambda row: f"node index {int(data[row][1][0])} out of range"),
-        (~first_seen, lambda row: f"duplicate node index {int(data[row][1][0])}"),
-        (widths < 1 + dim, f"expected {dim} coordinates"),
+         lambda row: f"node index {_field(data, row, 0)} out of range"),
+        (~first_seen, lambda row: f"duplicate node index {_field(data, row, 0)}"),
+        (short, f"expected {dim} coordinates"),
         (bad_coords, "bad coordinate"),
     ])
     _check_count(path, rows, count, "node")
@@ -143,8 +166,8 @@ def _read_node(path):
 
 
 def _read_ele(path, num_points, node_base, dim):
-    (lineno, tokens), *rows = _data_rows(path, "element")
-    count, per_cell = _parse_ints(tokens, 2, path, lineno, "element header")
+    (lineno, header), *rows = _data_rows(path, "element")
+    count, per_cell = _parse_ints(header.split(), 2, path, lineno, "element header")
     if per_cell != dim + 1:
         raise MeshFormatError(
             f"{path}:{lineno}: expected {dim + 1} vertices per cell for "
@@ -154,50 +177,53 @@ def _read_ele(path, num_points, node_base, dim):
         raise MeshFormatError(f"{path}:{lineno}: element count must be positive")
 
     data = rows[:count]
-    values, widths, bad = _table(data, int, 1 + per_cell)
+    values, short, bad = _table(data, int, 1 + per_cell)
     cells = values[:, 1:] - node_base
     outside = (cells < 0) | (cells >= num_points)
     _raise_first(path, data, [
-        (widths < 1 + per_cell, f"expected {1 + per_cell} fields for element row"),
+        (short, f"expected {1 + per_cell} fields for element row"),
         (bad, "bad integer in element row"),
         (outside.any(axis=1), lambda row: "vertex reference "
-         f"{int(data[row][1][1 + outside[row].argmax()])} out of range"),
+         f"{_field(data, row, 1 + outside[row].argmax())} out of range"),
     ])
     _check_count(path, rows, count, "element")
     return cells
 
 
 def _read_off(path):
-    (lineno, tokens), *rows = _data_rows(path, "OFF")
+    (lineno, header), *rows = _data_rows(path, "OFF")
+    tokens = header.split()
     if tokens[0].upper() == "OFF":
         tokens = tokens[1:]
         if not tokens:
             if not rows:
                 raise MeshFormatError(f"{path}: missing OFF counts")
-            (lineno, tokens), *rows = rows
+            (lineno, header), *rows = rows
+            tokens = header.split()
     num_vertices, num_faces = _parse_ints(tokens, 2, path, lineno, "OFF counts")
     if num_vertices < 1 or num_faces < 1:
         raise MeshFormatError(f"{path}:{lineno}: OFF needs positive vertex/face counts")
 
     vertex_rows = rows[:num_vertices]
-    points, widths, bad = _table(vertex_rows, float, 3)
+    points, short, bad = _table(vertex_rows, float, 3)
     _raise_first(path, vertex_rows, [
-        (widths < 3, "expected 3 coordinates"), (bad, "bad coordinate"),
+        (short, "expected 3 coordinates"), (bad, "bad coordinate"),
     ])
     if len(vertex_rows) < num_vertices:
         raise MeshFormatError(f"{path}: truncated vertex list")
 
     face_rows = rows[num_vertices:num_vertices + num_faces]
-    values, widths, bad = _table(face_rows, int, max([4, *(len(t) for _, t in face_rows)]))
-    cells = values[:, 1:4].copy()
+    # the count and three indices; fields after them (a colour) are not read
+    values, short, bad = _table(face_rows, int, 4)
+    cells = values[:, 1:].copy()
     outside = (cells < 0) | (cells >= num_vertices)
     _raise_first(path, face_rows, [
         (bad, "bad integer in face row"),
         (values[:, 0] != 3, lambda row: "only triangle faces supported, got "
-         f"{int(face_rows[row][1][0])} vertices"),
-        (widths < 4, "truncated face row"),
+         f"{_field(face_rows, row, 0)} vertices"),
+        (short, "truncated face row"),
         (outside.any(axis=1), lambda row: "vertex reference "
-         f"{int(face_rows[row][1][1 + outside[row].argmax()])} out of range"),
+         f"{_field(face_rows, row, 1 + outside[row].argmax())} out of range"),
     ])
     if len(face_rows) < num_faces:
         raise MeshFormatError(f"{path}: truncated face list")
@@ -208,17 +234,23 @@ def _read_off(path):
 
 def read_mesh(path):
     """Read a mesh from a .node/.ele pair (pass either path) or an OFF
-    file. The suffix decides the format; any other suffix raises
-    MeshFormatError. Only that suffix is replaced, so ``mesh.1.ele``
-    pairs with ``mesh.1.node``."""
+    file. The suffix, in any case, decides the format; any other suffix
+    raises MeshFormatError. The given file is read under its own name and
+    only its suffix is replaced to find the partner, so ``mesh.1.ele``
+    pairs with ``mesh.1.node``; an upper-case suffix pairs with an
+    upper-case one (``V.NODE`` with ``V.ELE``), any other with a lower-case
+    one."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".off":
         points, cells = _read_off(path)
         return MeshFile(format=FORMAT_OFF, points=points, cells=cells)
     if suffix in (".node", ".ele"):
-        points, base = _read_node(path.with_suffix(".node"))
-        cells = _read_ele(path.with_suffix(".ele"), len(points), base, points.shape[1])
+        partner = ".ele" if suffix == ".node" else ".node"
+        partner = path.with_suffix(partner.upper() if path.suffix.isupper() else partner)
+        node_path, ele_path = (path, partner) if suffix == ".node" else (partner, path)
+        points, base = _read_node(node_path)
+        cells = _read_ele(ele_path, len(points), base, points.shape[1])
         return MeshFile(format=FORMAT_NODE_ELE, points=points, cells=cells)
     raise MeshFormatError(f"cannot infer format from {path.name!r}: expected .node, .ele or .off")
 
@@ -236,15 +268,22 @@ def write_mesh(path, points, cells):
     file; planar triangles (2-d points, 3 per cell) and tets (3-d, 4) go to
     a .node/.ele pair (1-based); any other shape raises MeshFormatError,
     as do complex or non-finite coordinates, no points or cells, and cell
-    indices outside [0, P), which no reader accepts; nothing is written
-    then. ``path`` is the base name: a trailing .node, .ele or .off is
-    dropped and the proper extensions are appended, so ``mesh.1`` writes
-    ``mesh.1.node`` and ``mesh.1.ele``.
+    indices that are not integers (float arrays of integral values pass) or
+    lie outside [0, P), which no reader accepts; nothing is written then.
+    ``path`` is the base name: a trailing .node, .ele or .off is dropped and
+    the proper extensions are appended, so ``mesh.1`` writes ``mesh.1.node``
+    and ``mesh.1.ele``.
     """
     if np.iscomplexobj(points):
         raise MeshFormatError("points must be real, got complex values")
     points = np.asarray(points, dtype=float)
-    cells = np.asarray(cells, dtype=np.intp)
+    cells = np.asarray(cells)
+    # a float array passes if every value is integral; inf passes here and
+    # fails the range check below
+    integral = cells.dtype.kind in "iu" or (
+        cells.dtype.kind == "f" and (np.floor(cells) == cells).all())
+    if not integral:
+        raise MeshFormatError(f"cell vertex indices must be integers, got {cells.dtype} values")
     if points.ndim != 2 or cells.ndim != 2:
         raise MeshFormatError("points and cells must be 2-d arrays")
     if not np.isfinite(points).all():
@@ -257,6 +296,7 @@ def write_mesh(path, points, cells):
         raise MeshFormatError("a mesh needs at least one point and one cell")
     if cells.min() < 0 or cells.max() >= len(points):
         raise MeshFormatError(f"cell vertex indices must lie in [0, {len(points)})")
+    cells = cells.astype(np.intp)
     base = Path(path)
     if base.suffix.lower() in (".node", ".ele", ".off"):
         base = base.with_suffix("")

@@ -1,7 +1,12 @@
 """Reading and writing .node/.ele pairs and OFF files."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signeddec.errors import MeshFormatError
 from signeddec.fixtures import generate_fixture
@@ -185,11 +190,19 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     (TRIANGLE, [(0, 1, 3)], r"\[0, 3\)"),
     (OCTAHEDRON_POINTS, [(0, 2, -1)], r"\[0, 6\)"),
     (OCTAHEDRON_POINTS, [(0, 2, 6)], r"\[0, 6\)"),
+    (TRIANGLE, [[0.7, 1.2, 2.9]], "integers, got float64"),
+    (TRIANGLE, [[0.0, 1.0, np.nan]], "integers, got float64"),
+    (TRIANGLE, [["0", "1", "2"]], "integers, got <U1"),
+    (TRIANGLE, [[True, False, True]], "integers, got bool"),
+    (TRIANGLE, [[0, 1, 2j]], "integers, got complex128"),
+    (TRIANGLE, [[0.0, 1.0, np.inf]], r"\[0, 3\)"),
 ], ids=["no-points", "no-cells", "off-no-points", "off-no-cells",
-        "negative", "past-end", "off-negative", "off-past-end"])
+        "negative", "past-end", "off-negative", "off-past-end",
+        "fractional", "nan", "strings", "bools", "complex", "inf"])
 def test_write_rejects_what_no_reader_accepts(tmp_path, points, cells, message):
     # empty meshes and out-of-range cell indices are refused before any
-    # file is written
+    # file is written; so are cell indices that are not integers, which
+    # would otherwise be truncated or parsed and read back as another mesh
     with pytest.raises(MeshFormatError, match=message):
         write_mesh(tmp_path / "bad", points, cells)
     assert list(tmp_path.iterdir()) == []
@@ -236,6 +249,8 @@ GOOD_ELE = "2 3 0\n1 1 2 3\n2 2 4 3\n"
          "bad integer in node index"),
         (GOOD_NODE, "2 3 0\n1 1 2 9\n2 2 x 3\n", "ele:2", "vertex reference 9 out of range"),
         (GOOD_NODE, "2 3 0\n1 1 2\n2 2 4 9\n", "ele:2", "expected 4 fields for element row"),
+        # a header with no rows under it: the block is empty
+        (GOOD_NODE, "2 3 0\n# none\n", "ele", "declared 2 elements, found 0"),
     ],
 )
 def test_malformed_rows_exact_message(tmp_path, node, ele, where, message):
@@ -277,3 +292,147 @@ def test_counts_past_int64_are_format_errors(tmp_path):
     with pytest.raises(MeshFormatError) as info:
         read_mesh(tmp_path / "h.off")
     assert str(info.value) == f"{tmp_path / 'h.off'}:6: vertex reference {huge} out of range"
+
+
+def test_write_accepts_integral_float_cells(tmp_path):
+    paths = write_mesh(tmp_path / "f", TRIANGLE, np.array([[0.0, 1.0, 2.0]]))
+    assert read_mesh(paths[0]).cells.tolist() == [[0, 1, 2]]
+    assert paths[1].read_text() == "1 3 0\n1 1 2 3\n"
+
+
+def test_upper_case_suffixes_pair_with_upper_case(tmp_path):
+    # the given file is read under its own name, and its partner is looked
+    # for with the suffix in the same case
+    (tmp_path / "V.NODE").write_text("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
+    (tmp_path / "V.ELE").write_text("1 3 0\n1 1 2 3\n")
+    for name in ("V.NODE", "V.ELE"):
+        mesh = read_mesh(tmp_path / name)
+        assert mesh.points.tolist() == TRIANGLE.tolist()
+        assert mesh.cells.tolist() == [[0, 1, 2]]
+    (tmp_path / "S.OFF").write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    assert read_mesh(tmp_path / "S.OFF").cells.tolist() == [[0, 1, 2]]
+    (tmp_path / "W.NODE").write_text("3 2 0 0\n1 0 0\n2 1 0\n3 0 1\n")
+    (tmp_path / "W.ele").write_text("1 3 0\n1 1 2 3\n")
+    with pytest.raises(MeshFormatError, match="W.ELE"):
+        read_mesh(tmp_path / "W.NODE")
+
+
+SQUARE_OFF = "OFF\n4 {count} 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize("faces, message", [
+    ("3 0 1 2 0.5 0.5 0.5\n3 0 2 3 1 0 0 0.75\n", None),
+    ("4 0 1 2 3 0.5 0.5 0.5\n", "only triangle faces supported, got 4 vertices"),
+    ("3 0 1 x 0.5 0.5 0.5\n", "bad integer in face row"),
+    ("3 0 1 2.0 0.5 0.5 0.5\n", "bad integer in face row"),
+    ("3 0 1\n", "truncated face row"),
+], ids=["colours", "quad-with-colour", "bad-index", "float-index", "truncated"])
+def test_off_face_colours(tmp_path, faces, message):
+    # a face row may carry a colour after its three indices; only the count
+    # and the indices are read
+    target = tmp_path / "c.off"
+    target.write_text(SQUARE_OFF.format(count=faces.count("\n")) + faces)
+    if message is None:
+        assert read_mesh(target).cells.tolist() == [[0, 1, 2], [0, 2, 3]]
+        return
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(target)
+    assert str(info.value) == f"{target}:7: {message}"
+
+
+def test_valid_files_are_converted_by_loadtxt(tmp_path):
+    # one call per converted column range: node ids, node coordinates and
+    # element rows; OFF vertices and OFF faces
+    paths = write_mesh(tmp_path / "t", TRIANGLE, [(0, 1, 2)]) + write_mesh(
+        tmp_path / "o", OCTAHEDRON_POINTS, OCTAHEDRON_FACES)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        read_mesh(paths[0])
+        assert spy.call_count == 3
+        read_mesh(paths[2])
+        assert spy.call_count == 5
+
+
+NUMBER_TOKENS = ["0", "-0", "+2", "1e3", ".5", "5.", "1E-2", "007", "-1.25e+2"]
+BAD_TOKENS = ["x", "1.5", "1_0", "\u0663", "nan", "-inf", "1e999", "0x1", "--1",
+              str(2**70), str(-2**63), str(2**63), "-1", "1j", "1d5"]
+
+
+@st.composite
+def mesh_text(draw):
+    """Rows of tokens for a valid .node/.ele pair or OFF file, then at most
+    one mutation; returns {suffix: text}."""
+    off = draw(st.booleans())
+    dim = 3 if off else draw(st.sampled_from([2, 3]))
+    per_cell = 3 if off else dim + 1
+    num_points = draw(st.integers(per_cell, 6))
+    num_cells = draw(st.integers(1, 3))
+    base = 0 if off else draw(st.sampled_from([0, 1]))
+    coordinate = st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False).map(repr), st.sampled_from(NUMBER_TOKENS))
+    extras = st.lists(st.one_of(coordinate, st.integers(-9, 99).map(str)), max_size=2)
+    coords = [draw(st.lists(coordinate, min_size=dim, max_size=dim)) for _ in range(num_points)]
+    cells = [[str(v + base) for v in draw(st.permutations(range(num_points)))[:per_cell]]
+             for _ in range(num_cells)]
+    if off:
+        blocks = {".off": [["OFF"], [str(num_points), str(num_cells), "0"]] + coords
+                  + [["3", *cell, *draw(extras)] for cell in cells]}
+    else:
+        # the first row fixes the base; the others may come in any order
+        order = [0, *draw(st.permutations(range(1, num_points)))]
+        blocks = {
+            ".node": [[str(num_points), str(dim), "0", "0"]]
+            + [[str(i + base), *coords[i], *draw(extras)] for i in order],
+            ".ele": [[str(num_cells), str(per_cell), "0"]]
+            + [[str(i + base), *cell, *draw(extras)] for i, cell in enumerate(cells)],
+        }
+    rows = blocks[draw(st.sampled_from(sorted(blocks)))]
+    row = draw(st.integers(0, len(rows) - 1))
+    column = draw(st.integers(0, len(rows[row]) - 1))
+    mutation = draw(st.sampled_from(["none", "drop", "extra", "bad", "duplicate",
+                                     "outside", "extra row", "drop row"]))
+    if mutation == "drop":
+        del rows[row][column]
+    elif mutation == "extra":
+        rows[row].insert(column, draw(st.sampled_from(NUMBER_TOKENS + BAD_TOKENS)))
+    elif mutation == "bad":
+        rows[row][column] = draw(st.sampled_from(BAD_TOKENS))
+    elif mutation == "duplicate":
+        rows[row][0] = rows[draw(st.integers(1, len(rows) - 1))][0]
+    elif mutation == "outside":
+        rows[row][column] = str(draw(st.sampled_from([-1, base - 1, num_points + base])))
+    elif mutation == "extra row":
+        rows.append(list(rows[row]))
+    elif mutation == "drop row":
+        del rows[row]
+    texts = {}
+    for suffix, rows in blocks.items():
+        lines = [draw(st.sampled_from(["", "  ", "\t"]))
+                 + draw(st.sampled_from([" ", "\t", "  "])).join(r)
+                 + draw(st.sampled_from(["", "  # comment", "#"])) for r in rows]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", "# note", "   "])))
+        texts[suffix] = "\n".join(lines) + "\n"
+    return texts
+
+
+def _outcome(path):
+    try:
+        mesh = read_mesh(path)
+    except MeshFormatError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (mesh.points, mesh.cells)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh_text())
+def test_loadtxt_and_token_paths_agree(texts):
+    # the per-token path alone (np.loadtxt refusing every block) gives the
+    # same arrays, bitwise and in dtype, or the same message
+    with tempfile.TemporaryDirectory() as folder:
+        for suffix, text in texts.items():
+            (Path(folder) / f"m{suffix}").write_text(text)
+        path = Path(folder) / f"m{min(texts)}"
+        fast = _outcome(path)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            assert _outcome(path) == fast
