@@ -12,13 +12,14 @@ j of row i the face of d-simplex i that omits its vertex j; the boundary
 operators read it, and the signed incidences ``cofaces`` are read from
 those. Volumes, circumcenters and barycentric coordinates are cached per
 dimension. Instances are immutable after build; all queries are read-only.
+scipy is imported by the one function that calls it, boundary_operator, so
+building and querying a complex loads numpy alone.
 """
 
 import itertools
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .config import DEGENERACY_FACTOR
 from .errors import ComplexError, DegeneracyError, NonManifoldError
@@ -183,21 +184,45 @@ class SimplicialComplex:
         return list(zip(facets.tolist(), map(tuple, tops[facets].tolist())))
 
 
+def _non_index_dtype(values, array):
+    """The dtype to name when ``array``, numpy's reading of ``values``, is
+    not vertex indices, else None. Integer arrays pass, and so do float
+    arrays whose values are all integral (inf passes, for the range check to
+    refuse); a bool among the ints or floats of a list fails, as numpy
+    would read it as 0 or 1."""
+    kind = array.dtype.kind
+    if kind not in "iuf" or kind == "f" and not (np.floor(array) == array).all():
+        return array.dtype
+    if isinstance(values, np.ndarray) or not any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        return None
+    return "bool"
+
+
 def _top_array(top_simplices, n, num_points):
     """The validated top cells as a (T, n + 1) int array in input order, and
     the permutation sorting them by their sorted rows. The first invalid cell
     raises ComplexError naming its first fault: vertex count, repeated
-    vertex, vertex out of range, or duplicate of an earlier cell."""
+    vertex, vertex out of range, or duplicate of an earlier cell. Entries
+    that are not integers (float arrays of integral values pass) raise it
+    first, naming their dtype."""
     try:
-        cells = np.asarray(top_simplices, dtype=np.intp).reshape(len(top_simplices), n + 1)
-    except ValueError:  # ragged cells, or entries that are not integers
+        cells = np.asarray(top_simplices)
+    except ValueError:  # ragged cells
+        cells = None
+    if cells is None or cells.shape != (len(top_simplices), n + 1):
         for cell_num, cell in enumerate(top_simplices):
             if len(cell) != n + 1:
                 _top_array(top_simplices[:cell_num], n, num_points)  # earlier faults first
                 raise ComplexError(
                     f"top simplex {cell_num} has {len(cell)} vertices, expected {n + 1}"
-                ) from None
-        raise
+                )
+        raise ComplexError(f"top simplices must be rows of {n + 1} vertex indices")
+    bad = _non_index_dtype(top_simplices, cells)
+    if bad is not None:
+        raise ComplexError(f"top simplex vertex indices must be integers, got {bad} values")
+    # checked in the input's dtype, so a float too large for an int is out of range
     ordered = np.sort(cells, axis=1)
     repeats = (np.diff(ordered, axis=1) == 0).any(axis=1)
     outside = (cells < 0) | (cells >= num_points)
@@ -213,7 +238,7 @@ def _top_array(top_simplices, n, num_points):
             vertex = cell[outside[i].argmax()]
             raise ComplexError(f"vertex {vertex} out of range in top simplex {i}")
         raise ComplexError(f"duplicate top simplex {tuple(ordered[i].tolist())}")
-    return cells, order
+    return cells.astype(np.intp), order
 
 
 def build_complex(points, top_simplices: Sequence[Sequence[int]]):
@@ -226,9 +251,13 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     has one or two cofaces (else NonManifoldError), no duplicate top cells,
     and no (near-)zero-volume top cell (else DegeneracyError).
     """
-    if np.iscomplexobj(points):  # numpy would only warn and drop the imaginary part
+    try:
+        pts = np.asarray(points)
+    except ValueError:  # ragged rows
+        raise ComplexError("points must be a nonempty (P, N) array, got ragged rows") from None
+    if np.iscomplexobj(pts):  # numpy would only warn and drop the imaginary part
         raise ComplexError("points must be real, got complex values")
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ComplexError(f"points must be a nonempty (P, N) array, got {pts.shape}")
     if not np.isfinite(pts).all():
@@ -317,6 +346,8 @@ def boundary_operator(complex_, dim):
     entries +-1: column j holds the boundary chain of simplex j, including
     its stored orientation. Composing two successive operators gives zero.
     """
+    from scipy import sparse
+
     faces = complex_.face_table(dim)  # raises ValueError unless 1 <= dim <= n
     cols = np.repeat(np.arange(len(faces)), dim + 1)
     vals = np.outer(complex_.orientations[dim], (-1.0) ** np.arange(dim + 1)).ravel()

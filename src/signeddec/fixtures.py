@@ -13,13 +13,14 @@ same mesh. Qhull does the raw triangulations; all property checks go
 through this package's own predicates, and the cheap geometric gates
 before them are array passes over all cells. The grid families share one
 checked axis (``divisions`` >= 1), one box-grid builder and one array of
-grid cells.
+grid cells. scipy is imported by the one function that calls it,
+``_triangulate``, so structured_square, non_delaunay_square and
+fan_around_edge never load it.
 """
 
 import logging
 
 import numpy as np
-from scipy.spatial import Delaunay as _QhullDelaunay, QhullError
 
 from .complexes import build_complex
 from .delaunay import classify_complex
@@ -99,8 +100,10 @@ def _grid_cells(divisions):
 
 def _triangulate(points):
     """Qhull Delaunay cells; DegeneracyError if Qhull fails or drops a point."""
+    from scipy.spatial import Delaunay, QhullError
+
     try:
-        cells = _QhullDelaunay(points).simplices
+        cells = Delaunay(points).simplices
     except QhullError as exc:
         raise DegeneracyError("Qhull cannot triangulate the points") from exc
     if len(np.unique(cells)) != len(points):

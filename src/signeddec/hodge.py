@@ -3,13 +3,14 @@
 The signed mode uses signed circumcentric dual volumes and is the star
 whose positivity is guaranteed on qualifying meshes; the unsigned mode
 (absolute piece volumes) is kept for comparison, as the historically
-common variant that miscomputes on non-well-centered meshes.
+common variant that miscomputes on non-well-centered meshes. scipy is
+imported by the one method that calls it, HodgeStar.as_matrix, so computing
+a star loads numpy alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .signed_dual import dual_volumes
 
@@ -28,6 +29,8 @@ class HodgeStar:
 
     def as_matrix(self):
         """The star as a sparse diagonal matrix."""
+        from scipy import sparse
+
         return sparse.diags(self.entries)
 
     def inner_product(self, a, b):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import build_complex
+from .complexes import _non_index_dtype, build_complex
 from .errors import MeshFormatError
 
 __all__ = ["MeshFile", "read_mesh", "write_mesh", "load_complex"]
@@ -274,16 +274,17 @@ def write_mesh(path, points, cells):
     the proper extensions are appended, so ``mesh.1`` writes ``mesh.1.node``
     and ``mesh.1.ele``.
     """
+    try:
+        points, array = np.asarray(points), np.asarray(cells)
+    except ValueError:  # ragged rows
+        raise MeshFormatError("points and cells must be 2-d arrays") from None
     if np.iscomplexobj(points):
         raise MeshFormatError("points must be real, got complex values")
     points = np.asarray(points, dtype=float)
-    cells = np.asarray(cells)
-    # a float array passes if every value is integral; inf passes here and
-    # fails the range check below
-    integral = cells.dtype.kind in "iu" or (
-        cells.dtype.kind == "f" and (np.floor(cells) == cells).all())
-    if not integral:
-        raise MeshFormatError(f"cell vertex indices must be integers, got {cells.dtype} values")
+    bad = _non_index_dtype(cells, array)
+    if bad is not None:
+        raise MeshFormatError(f"cell vertex indices must be integers, got {bad} values")
+    cells = array
     if points.ndim != 2 or cells.ndim != 2:
         raise MeshFormatError("points and cells must be 2-d arrays")
     if not np.isfinite(points).all():

@@ -19,6 +19,8 @@ table (tail, head, orientation) and the star entries, with no sparse
 products; the solve gathers the reduced form's sigma from the same table.
 figure1_columns runs the flux patch test (figure1_experiment) over
 a list of (family, hodge_mode) columns, generating one mesh per family.
+scipy.sparse is imported by the functions that call it, assemble and solve,
+so importing this module loads numpy alone.
 """
 
 import time
@@ -27,8 +29,6 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .config import tolerance
 from .delaunay import classify_complex
@@ -76,7 +76,7 @@ class LinearSystem:
     column (vertex 0 under zero_mean), plus what solve needs to put the
     pinned 0 back and gather sigma from that table."""
 
-    matrix: sparse.csc_matrix
+    matrix: "scipy.sparse.csc_matrix"
     rhs: np.ndarray
     form: str
     gauge: object
@@ -147,6 +147,8 @@ def assemble_mixed_poisson(problem, hodge_mode="signed", form="reduced"):
     fails beyond 1e-8 relative to the gross source and flux. The predicate
     tolerance is read once, for both stars and the boundary load.
     """
+    from scipy import sparse
+
     mesh = problem.mesh
     if mesh.n != mesh.N:
         raise ProblemDefinitionError(
@@ -232,6 +234,8 @@ def solve_mixed_poisson(system):
     """Direct sparse solve; reconstructs u and sigma and enforces the
     gauge exactly. Raises SolveError on a singular matrix or non-finite
     results."""
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
     mesh = system.mesh
     with warnings.catch_warnings():
         # a singular matrix solves to NaNs, which raise SolveError below

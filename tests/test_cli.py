@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,39 @@ def skew_mesh_path(tmp_path_factory):
     code = main(["fixture", "non_delaunay_square", "-o", str(root / "skew")])
     assert code == 0
     return root / "skew.node"
+
+
+# Run in a fresh interpreter: the mesh commands and the grid fixtures must
+# not import scipy; the Qhull fixtures and poisson import it on first call.
+_SCIPY_FREE_COMMANDS = """
+import contextlib, io, json, sys
+import signeddec, signeddec.cli
+from signeddec.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["fixture", "structured_square", "-o", "square"]) == 0
+    assert main(["check", "square.node"]) in (0, 1)
+    assert main(["report", "square.node", "-o", "report.json"]) in (0, 1)
+    for p in range(3):
+        assert main(["duals", "square.node", "-p", str(p), "-o", f"duals{p}.csv"]) == 0
+        for mode in ([], ["--unsigned"]):
+            assert main(["hodge", "square.node", "-p", str(p), *mode, "-o", "star.csv"]) == 0
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not scipy, f"{len(scipy)} scipy modules loaded, first {scipy[:3]}"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["fixture", "obtuse_delaunay_square", "-o", "obtuse"]) == 0
+    with open("config.json", "w") as handle:
+        json.dump({"divisions": 4, "output_dir": "poisson_out"}, handle)
+    assert main(["poisson", "config.json"]) == 0
+"""
+
+
+def test_mesh_commands_never_import_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_COMMANDS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_fixture_writes_pair(good_mesh_path, capsys):

@@ -318,6 +318,34 @@ def test_rejects_bad_vertex_references():
         build_complex(points, [(0, 1, 1)])
 
 
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("points, cells, message", [
+    (TRIANGLE, [[0.7, 1.2, 2.9]], "must be integers, got float64 values"),
+    (TRIANGLE, [[0.0, 1.0, np.nan]], "must be integers, got float64 values"),
+    (TRIANGLE, [["0", "1", "2"]], "must be integers, got <U1 values"),
+    (TRIANGLE, [[True, 1, 2]], "must be integers, got bool values"),
+    (TRIANGLE, [[True, False, True]], "must be integers, got bool values"),
+    (TRIANGLE, [[0, 1, 2 + 0j]], "must be integers, got complex128 values"),
+    (TRIANGLE, [[0.0, 1.0, np.inf]], "vertex inf out of range in top simplex 0"),
+    (TRIANGLE, [[0.0, 1e30, 2e30]], r"vertex 1e\+30 out of range in top simplex 0"),
+    (TRIANGLE, [[0, 1, 1], [0.5, 1, 2]], "must be integers, got float64 values"),
+    (TRIANGLE, [[0, 1, 1], [0, 1]], r"top simplex 0 repeats a vertex: \(0, 1, 1\)"),
+    (TRIANGLE, [[0, 1, 2], [0.5, 1]], "top simplex 1 has 2 vertices, expected 3"),
+    (TRIANGLE, [[[0], [1], [2]]], "rows of 3 vertex indices"),
+    ([[0, 0], [1, 0], [0]], [[0, 1, 2]], "got ragged rows"),
+], ids=["fractional", "nan", "strings", "bool-among-ints", "bools", "complex", "inf",
+        "huge", "dtype-first", "earlier-fault-first", "ragged-cells", "nested",
+        "ragged-points"])
+def test_rejects_cells_that_are_not_vertex_indices(points, cells, message):
+    # a cell is built from what it says, never from a truncated or
+    # coerced copy of it; integral floats are indices
+    with pytest.raises(ComplexError, match=message):
+        build_complex(points, cells)
+    assert build_complex(TRIANGLE, [[0.0, 2.0, 1.0]]).simplices[2].tolist() == [[0, 1, 2]]
+
+
 def test_rejects_mixed_dimension_tops():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ComplexError):
