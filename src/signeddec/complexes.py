@@ -5,15 +5,15 @@ A complex holds its topology in index arrays. Per dimension p,
 lexicographic order; ``orientations[p]`` holds +-1 per simplex, for top
 simplices the parity of the user's vertex ordering; ``face_of_top[p]``
 holds, per top and local p-face (in ``itertools.combinations`` order),
-that face's index in ``simplices[p]``. ``facet_cofaces`` lists the tops of
-each codim-1 simplex and the vertex column each omits. The face table of
-dimension d >= 1, built from ``face_of_top`` on first use, holds in column
-j of row i the face of d-simplex i that omits its vertex j; the boundary
-operators read it, and the signed incidences ``cofaces`` are read from
-those. Volumes, circumcenters and barycentric coordinates are cached per
-dimension. Instances are immutable after build; all queries are read-only.
-scipy is imported by the one function that calls it, boundary_operator, so
-building and querying a complex loads numpy alone.
+that face's index in ``simplices[p]``. The face table of dimension d >= 1
+holds in column j of row i the face of d-simplex i that omits its vertex j;
+its inverse, the coface index, lists each (d-1)-simplex's cofaces. The
+signed incidences ``cofaces`` are its rows, and ``facet_cofaces`` its d = n
+case. Both tables are built on first use; volumes, circumcenters and
+barycentric coordinates are cached per dimension. Instances are immutable
+after build; all queries are read-only. scipy is imported by the one
+function that calls it, boundary_operator, so building and querying a
+complex loads numpy alone.
 """
 
 import itertools
@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEGENERACY_FACTOR
 from .errors import ComplexError, DegeneracyError, NonManifoldError
-from .geometry import Circumdata, batched_circumcenters
+from .geometry import Circumdata, _real_floats, batched_circumcenters
 
 __all__ = ["SimplicialComplex", "build_complex", "boundary_operator"]
 
@@ -44,6 +44,7 @@ class SimplicialComplex:
         self.N = points.shape[1]
         self._geometry = [None] * (self.n + 1)  # see geometry()
         self._face_tables = [None] * (self.n + 1)  # see face_table()
+        self._coface_indices = [None] * (self.n + 1)  # see coface_index()
         self._cofaces = None
         # signed_dual's link-table and DualTable memos, keyed by (dim, tolerance)
         self._link_cache = {}
@@ -108,6 +109,16 @@ class SimplicialComplex:
             self._face_tables[dim] = table
         return self._face_tables[dim]
 
+    def coface_index(self, dim):
+        """Read-only (offsets, cofaces, columns), the inverse of
+        ``face_table(dim)``: (dim-1)-simplex i is entry (cofaces[k], columns[k])
+        of the face table for k in offsets[i]:offsets[i + 1], cofaces ascending."""
+        if not 1 <= dim <= self.n:
+            raise ValueError(f"coface indices need 1 <= dim <= {self.n}, got {dim}")
+        if self._coface_indices[dim] is None:
+            self._coface_indices[dim] = _invert(self.face_table(dim))
+        return self._coface_indices[dim]
+
     # -- cached geometry -----------------------------------------------
 
     def geometry(self, dim):
@@ -164,11 +175,10 @@ class SimplicialComplex:
         if self._cofaces is None:
             self._cofaces = []
             for dim in range(1, self.n + 1):
-                op = boundary_operator(self, dim)
-                op.sort_indices()
-                pairs = list(zip(op.indices.tolist(), op.data.astype(int).tolist()))
-                rows = itertools.pairwise(op.indptr.tolist())
-                self._cofaces.append([pairs[a:b] for a, b in rows])
+                offsets, cofaces, columns = self.coface_index(dim)
+                signs = self.orientations[dim][cofaces] * (-1) ** columns
+                pairs = list(zip(cofaces.tolist(), signs.tolist()))
+                self._cofaces.append([pairs[a:b] for a, b in itertools.pairwise(offsets.tolist())])
         return self._cofaces
 
     def boundary_faces(self):
@@ -182,6 +192,17 @@ class SimplicialComplex:
         tops, _ = self.facet_cofaces
         facets = np.flatnonzero(tops[:, 1] >= 0)
         return list(zip(facets.tolist(), map(tuple, tops[facets].tolist())))
+
+
+def _invert(table):
+    """Read-only (offsets, rows, columns) of a table holding 0..max: value i
+    is at (rows[k], columns[k]) for k in offsets[i]:offsets[i + 1], rows ascending."""
+    flat = table.ravel()
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(flat))])
+    index = offsets, *np.divmod(np.argsort(flat, kind="stable"), table.shape[1])
+    for arr in index:
+        arr.setflags(write=False)
+    return index
 
 
 def _non_index_dtype(values, array):
@@ -252,12 +273,9 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     and no (near-)zero-volume top cell (else DegeneracyError).
     """
     try:
-        pts = np.asarray(points)
+        pts = _real_floats(points, ComplexError)
     except ValueError:  # ragged rows
         raise ComplexError("points must be a nonempty (P, N) array, got ragged rows") from None
-    if np.iscomplexobj(pts):  # numpy would only warn and drop the imaginary part
-        raise ComplexError("points must be real, got complex values")
-    pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ComplexError(f"points must be a nonempty (P, N) array, got {pts.shape}")
     if not np.isfinite(pts).all():
@@ -296,18 +314,16 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     orientations = [np.ones(len(rows), dtype=np.int8) for rows in simplices[:-1]]
     orientations.append(np.where(inversions[order] % 2, -1, 1).astype(np.int8))
 
-    # Each codim-1 simplex's tops, from its slots top * (n + 1) + local facet
-    # in ascending order; local facet k of a top omits its vertex n - k.
-    slots = face_of_top[n - 1].ravel()
-    counts = np.bincount(slots)
+    # The coface index of dimension n, read from face_of_top[n - 1] so that no
+    # face table is kept: local facet k of a top omits its vertex n - k.
+    offsets, holders, local = _invert(face_of_top[n - 1])
+    counts = np.diff(offsets)
     for i in np.flatnonzero(counts > 2)[:1]:
         raise NonManifoldError(
             f"codim-1 simplex {tuple(simplices[n - 1][i].tolist())} has {counts[i]} cofaces"
         )
-    first = np.cumsum(counts) - counts
-    by_facet = np.argsort(slots, kind="stable")[np.stack([first, first + counts - 1], axis=1)]
-    facet_tops, local = np.divmod(by_facet, n + 1)
-    facet_columns = n - local
+    ends = np.stack([offsets[:-1], offsets[1:] - 1], axis=1)
+    facet_tops, facet_columns = holders[ends], n - local[ends]
     facet_tops[counts == 1, 1] = facet_columns[counts == 1, 1] = -1
     for arr in (*simplices, *face_of_top, *codes, *orientations, facet_tops, facet_columns):
         arr.setflags(write=False)

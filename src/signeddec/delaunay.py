@@ -9,8 +9,8 @@ facet's signed dual length, read from cached barycentric coordinates and
 volumes (see ``_pair_signs``); ``pair_status_points`` flattens one pair
 explicitly and is the reference route. A boundary facet is one-sided when
 its coface's circumcenter lies strictly on the apex side of the facet's
-hyperplane: its step sign in the link table, with
-``one_sided_status_points`` as the reference route. A mesh whose internal
+hyperplane: its step sign in the link table, which
+``one_sided_status_points`` reads from raw coordinates. A mesh whose internal
 pairs are all strict and whose boundary facets are all one-sided is
 "qualifying": its signed dual volumes are positive in every dimension.
 """
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import tolerance
-from .geometry import circumcenter, flatten_pair, halfspace_sign
+from .errors import DegeneracyError
+from .geometry import _as_points, batched_circumcenters, circumcenter, flatten_pair
 from .signed_dual import _boundary_step_signs, dual_volumes, step_sign
 
 __all__ = [
@@ -109,12 +110,20 @@ def pair_status_points(facet_points, apex_left, apex_right, tol=None):
 
 
 def one_sided_status_points(facet_points, apex, tol=None):
-    """One-sidedness of a boundary facet given raw coordinates: is the
-    circumcenter of facet+apex strictly on the apex side of the facet?
-    Complex or non-finite coordinates raise ValueError.
+    """One-sidedness of a boundary facet given raw coordinates, read as the
+    link table reads it: the sign of the apex's barycentric coordinate of the
+    circumcenter of facet+apex (DegeneracyError if it has none). Complex or
+    non-finite coordinates raise ValueError.
     """
-    center = circumcenter(np.vstack([facet_points, apex])).center
-    return _SIDE_STATUS[halfspace_sign(facet_points, apex, center, tol=tol)].item()
+    eps = max(tolerance(tol), 1e-14)
+    simplex = _as_points(np.vstack([facet_points, apex]))
+    _, _, degenerate, barycentric, _ = batched_circumcenters(simplex[None])
+    if degenerate[0]:
+        raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {simplex.tolist()}")
+    coordinate = barycentric[0, -1]  # the apex's
+    if abs(coordinate) <= eps or batched_circumcenters(simplex[None, :-1])[2][0]:
+        return SIDE_MARGINAL
+    return SIDE_YES if coordinate > 0 else SIDE_NO
 
 
 def circumcenter_order_points(facet_points, apex_left, apex_right):

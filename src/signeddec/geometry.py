@@ -57,12 +57,23 @@ class FlattenedPair:
 _TINY = np.finfo(float).tiny
 
 
+def _real_floats(points, error=ValueError):
+    """Points as a float array; ``error`` if they are complex (numpy would
+    only warn and drop the imaginary part) or not numbers. Ragged rows raise
+    numpy's ValueError."""
+    array = np.asarray(points)
+    if np.iscomplexobj(array):
+        raise error("points must be real, got complex values")
+    try:
+        return np.asarray(array, dtype=float)
+    except (TypeError, ValueError):  # text, say
+        raise error(f"points must be real numbers, got {array.dtype} values") from None
+
+
 def _as_points(points, ndim=2):
     """Points as a real, finite float array of ``ndim`` dimensions (2 for
     rows of points, 1 for one point); ValueError otherwise."""
-    if np.iscomplexobj(points):
-        raise ValueError("points must be real, got complex values")
-    pts = np.asarray(points, dtype=float)
+    pts = _real_floats(points)
     if pts.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():

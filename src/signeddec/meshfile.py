@@ -22,6 +22,7 @@ import numpy as np
 
 from .complexes import _non_index_dtype, build_complex
 from .errors import MeshFormatError
+from .geometry import _real_floats
 
 __all__ = ["MeshFile", "read_mesh", "write_mesh", "load_complex"]
 
@@ -267,20 +268,18 @@ def write_mesh(path, points, cells):
     The shapes pick the format: triangle surfaces in 3-d go to one OFF
     file; planar triangles (2-d points, 3 per cell) and tets (3-d, 4) go to
     a .node/.ele pair (1-based); any other shape raises MeshFormatError,
-    as do complex or non-finite coordinates, no points or cells, and cell
-    indices that are not integers (float arrays of integral values pass) or
-    lie outside [0, P), which no reader accepts; nothing is written then.
+    as do complex, non-numeric or non-finite coordinates, no points or
+    cells, and cell indices that are not integers (float arrays of integral
+    values pass) or lie outside [0, P), which no reader accepts; nothing is
+    written then.
     ``path`` is the base name: a trailing .node, .ele or .off is dropped and
     the proper extensions are appended, so ``mesh.1`` writes ``mesh.1.node``
     and ``mesh.1.ele``.
     """
-    try:
-        points, array = np.asarray(points), np.asarray(cells)
+    try:  # ragged cells are reported before complex points
+        array, points = np.asarray(cells), _real_floats(points, MeshFormatError)
     except ValueError:  # ragged rows
         raise MeshFormatError("points and cells must be 2-d arrays") from None
-    if np.iscomplexobj(points):
-        raise MeshFormatError("points must be real, got complex values")
-    points = np.asarray(points, dtype=float)
     bad = _non_index_dtype(cells, array)
     if bad is not None:
         raise MeshFormatError(f"cell vertex indices must be integers, got {bad} values")

@@ -23,12 +23,12 @@ volumes; every step sign is read from it. One sweep from n down to p applies
 the recursion with ``np.bincount`` to signed and unsigned volumes and to
 signed and nonzero chain counts, whose difference counts the negative
 pieces; run from n-1 on per-facet weights, it gives the Poisson load.
-Pieces are gathered per simplex on request. Link tables and DualTables are
-memoized on the complex per (dim, tolerance).
+Pieces are gathered per simplex on request, by growing its chains upward
+through the complex's coface index, so a call reads only the simplex's
+star. Link tables and DualTables are memoized on the complex per (dim,
+tolerance).
 """
 
-import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -231,35 +231,14 @@ def dual_volumes(complex_, dim, tol=None):
     return table.signed_volume, table.unsigned_volume
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_patterns(n, p):
-    """Chains of a top with sorted local vertices 0..n, from a p-face.
-
-    Returns (levels, positions): levels[c, k] is the column of chain c's
-    (p+k)-face in ``face_of_top[p+k]`` (local faces in lexicographic order)
-    and positions[c, k] that of its link k in the link table: the position
-    of the vertex the link adds within the sorted (p+k+1)-face.
-    """
-    faces = [list(itertools.combinations(range(n + 1), d + 1)) for d in range(p, n + 1)]
-    levels, positions = [], []
-    for base in faces[0]:
-        for order in itertools.permutations(sorted(set(range(n + 1)) - set(base))):
-            cells = [tuple(sorted(base + order[:k])) for k in range(n - p + 1)]
-            levels.append([faces[k].index(cell) for k, cell in enumerate(cells)])
-            positions.append([cell.index(vertex) for cell, vertex in zip(cells[1:], order)])
-    levels = np.array(levels)
-    positions = np.array(positions, dtype=np.intp).reshape(len(levels), n - p)
-    for arr in (levels, positions):  # shared by every caller of the cache
-        arr.setflags(write=False)
-    return levels, positions
-
-
 def elementary_duals(complex_, dim, index, tol=None):
     """All elementary dual pieces of the given p-simplex, in depth-first
-    (lexicographic) order of their chains, gathered from the tops that
-    contain it with signs and lengths from the link tables. For a top
-    simplex the single piece is its circumcenter with 0-volume 1 and empty
-    chain. A non-integer index raises TypeError.
+    (lexicographic) order of their chains. The chains grow upward from the
+    simplex: each level extends every chain by the cofaces of its last
+    simplex, ascending, read from the coface index with the column of each
+    link's sign and length in the link tables. For a top simplex the single
+    piece is its circumcenter with 0-volume 1 and empty chain. A non-integer
+    index raises TypeError.
     """
     n, tol, index = complex_.n, tolerance(tol), operator.index(index)
     if not 0 <= dim <= n:
@@ -267,27 +246,27 @@ def elementary_duals(complex_, dim, index, tol=None):
     if not 0 <= index < complex_.num_simplices(dim):
         raise IndexError(f"no {dim}-simplex with index {index}")
     centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]
-    levels, positions = _chain_patterns(n, dim)
-    tops, local = np.nonzero(complex_.face_of_top[dim] == index)
-    holder, pattern = np.nonzero(local[:, None] == levels[:, 0])
-    # simplex index of every level of every chain, base first
-    chain = np.stack([
-        complex_.face_of_top[dim + k][tops[holder], levels[pattern, k]]
-        for k in range(n - dim + 1)
-    ], axis=1)
-    steps, lengths = np.ones((2, len(chain), n - dim))
-    for k in range(n - dim):
-        signs, length = _link_table(complex_, dim + k + 1, tol)
-        link = chain[:, k + 1], positions[pattern, k]
-        steps[:, k], lengths[:, k] = signs[link], length[link]
+    # simplex index of every level of every chain, base first, and each link's sign and length
+    chain, steps, lengths = np.array([[index]]), np.ones((1, 0), np.int8), np.ones((1, 0))
+    for d in range(dim + 1, n + 1):
+        offsets, cofaces, columns = complex_.coface_index(d)
+        first = offsets[chain[:, -1]]
+        counts = offsets[chain[:, -1] + 1] - first
+        # each chain, once per coface of its last simplex s: entries offsets[s] + 0, 1, ...
+        parent = np.arange(len(chain)).repeat(counts)
+        entry = (first - counts.cumsum() + counts).repeat(counts) + np.arange(len(parent))
+        signs, length = _link_table(complex_, d, tol)
+        link = cofaces[entry], columns[entry]
+        chain = np.concatenate((chain[parent], link[0][:, None]), axis=1)
+        steps = np.concatenate((steps[parent], signs[link][:, None]), axis=1)
+        lengths = np.concatenate((lengths[parent], length[link][:, None]), axis=1)
     volumes = lengths.prod(axis=1) / math.factorial(n - dim)
     vertices = np.stack([c[chain[:, k]] for k, c in enumerate(centers)], axis=1)
-    pieces = zip(chain[:, 1:].tolist(), vertices, steps.astype(int).tolist(), volumes.tolist())
-    return sorted(
-        (ElementaryDual(dim, index, tuple(rest), points, tuple(signs), math.prod(signs), volume)
-         for rest, points, signs, volume in pieces),
-        key=lambda piece: piece.chain,
-    )
+    pieces = zip(chain[:, 1:].tolist(), vertices, steps.tolist(), volumes.tolist())
+    return [
+        ElementaryDual(dim, index, tuple(rest), points, tuple(signs), math.prod(signs), volume)
+        for rest, points, signs, volume in pieces
+    ]
 
 
 def signed_dual_volume(complex_, dim, index, tol=None):

@@ -41,8 +41,9 @@ def skew_mesh_path(tmp_path_factory):
     return root / "skew.node"
 
 
-# Run in a fresh interpreter: the mesh commands and the grid fixtures must
-# not import scipy; the Qhull fixtures and poisson import it on first call.
+# Run in a fresh interpreter: the mesh commands, the grid fixtures and the
+# per-simplex queries must not import scipy; the Qhull fixtures and poisson
+# import it on first call.
 _SCIPY_FREE_COMMANDS = """
 import contextlib, io, json, sys
 import signeddec, signeddec.cli
@@ -56,6 +57,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert main(["duals", "square.node", "-p", str(p), "-o", f"duals{p}.csv"]) == 0
         for mode in ([], ["--unsigned"]):
             assert main(["hodge", "square.node", "-p", str(p), *mode, "-o", "star.csv"]) == 0
+mesh = signeddec.load_complex("square.node")
+assert len(mesh.cofaces) == 2
+for p in range(3):
+    assert signeddec.elementary_duals(mesh, p, 0)
+    assert signeddec.signed_dual_volume(mesh, p, 0).unsigned_volume > 0
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not scipy, f"{len(scipy)} scipy modules loaded, first {scipy[:3]}"
 with contextlib.redirect_stdout(io.StringIO()):

@@ -155,6 +155,33 @@ def test_geometry_cache_does_not_read_the_tolerance(name, monkeypatch):
         ]
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_coface_index_inverts_the_face_table(name):
+    # the coface index is the face table read backwards; cofaces are its
+    # rows with signs, which boundary_operator computes independently
+    mesh = generate_fixture(name)
+    for dim in range(1, mesh.n + 1):
+        faces = mesh.face_table(dim)
+        offsets, cofaces, columns = mesh.coface_index(dim)
+        size = mesh.num_simplices(dim) * (dim + 1)
+        assert offsets[0] == 0 and offsets[-1] == size == len(cofaces) == len(columns)
+        assert len(offsets) == mesh.num_simplices(dim - 1) + 1
+        holder = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        assert (faces[cofaces, columns] == holder).all()
+        assert (np.diff(cofaces)[np.diff(holder) == 0] > 0).all()
+        op = boundary_operator(mesh, dim)
+        op.sort_indices()
+        rows = [
+            list(zip(op.indices[a:b].tolist(), map(int, op.data[a:b].tolist())))
+            for a, b in zip(op.indptr[:-1], op.indptr[1:])
+        ]
+        assert mesh.cofaces[dim - 1] == rows
+        assert all(type(sign) is int for row in mesh.cofaces[dim - 1] for _, sign in row)
+    for dim in (0, -1, mesh.n + 1):
+        with pytest.raises(ValueError, match=f"1 <= dim <= {mesh.n}"):
+            mesh.coface_index(dim)
+
+
 def test_boundary_and_internal_faces():
     complex_ = _square()
     boundary = {complex_.simplex_vertices(1, f) for f, _ in complex_.boundary_faces()}
@@ -335,9 +362,10 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (TRIANGLE, [[0, 1, 2], [0.5, 1]], "top simplex 1 has 2 vertices, expected 3"),
     (TRIANGLE, [[[0], [1], [2]]], "rows of 3 vertex indices"),
     ([[0, 0], [1, 0], [0]], [[0, 1, 2]], "got ragged rows"),
+    ([[0, 0], ["a", "b"], [0, 1]], [[0, 1, 2]], "must be real numbers, got <U21 values"),
 ], ids=["fractional", "nan", "strings", "bool-among-ints", "bools", "complex", "inf",
         "huge", "dtype-first", "earlier-fault-first", "ragged-cells", "nested",
-        "ragged-points"])
+        "ragged-points", "text-points"])
 def test_rejects_cells_that_are_not_vertex_indices(points, cells, message):
     # a cell is built from what it says, never from a truncated or
     # coerced copy of it; integral floats are indices

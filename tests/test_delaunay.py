@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
-from conftest import incircle_sign, random_rotation
+from conftest import exact_barycentric, incircle_sign, random_rotation
 from signeddec import complexes
 from signeddec.complexes import build_complex
 from signeddec.delaunay import (
@@ -190,6 +190,34 @@ def test_one_sided_cases():
     # hypotenuse of a right triangle: circumcenter on the facet
     hyp = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert one_sided_status_points(hyp, np.array([0.0, 0.0])) == SIDE_MARGINAL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_sided_points_classify_every_buildable_facet(n):
+    # apexes from 1e-7 to 1 over standard-normal facets: the point route
+    # classifies every facet that builds, as is_one_sided does. The two
+    # share batched_circumcenters, so the exact apex coordinate is the
+    # independent check wherever it clears the tolerance
+    rng = np.random.default_rng(24 + n)
+    eps, statuses = 1e-10, []
+    for height in np.geomspace(1e-7, 1.0, 8):
+        for _ in range(25):
+            facet = rng.standard_normal((n, n))
+            normal = np.linalg.svd(facet[1:] - facet[0])[2][-1]
+            offset = rng.standard_normal(n)
+            offset -= (offset @ normal) * normal
+            points = np.vstack([facet, facet.mean(axis=0) + offset + height * normal])
+            try:
+                mesh = build_complex(points, [list(range(n + 1))])
+            except DegeneracyError:
+                continue
+            status = one_sided_status_points(facet, points[-1], tol=eps)
+            assert status == is_one_sided(mesh, 0, mesh.simplex_index(n - 1, range(n)), tol=eps)
+            exact = exact_barycentric(points)[-1]
+            if abs(exact) > eps:
+                assert status == (SIDE_YES if exact > 0 else SIDE_NO)
+            statuses.append(status)
+    assert len(statuses) > 150 and {SIDE_YES, SIDE_NO} <= set(statuses)
 
 
 @settings(max_examples=100, deadline=None)

@@ -199,10 +199,11 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     (TRIANGLE, [[True, 1, 2]], "integers, got bool"),
     (TRIANGLE, [[0, 1, 2], [0, 1]], "2-d arrays"),
     ([[0, 0], [1, 0], [0]], [[0, 1, 2]], "2-d arrays"),
+    ([[0, 0], ["a", "b"], [0, 1]], [[0, 1, 2]], "real numbers, got <U21"),
 ], ids=["no-points", "no-cells", "off-no-points", "off-no-cells",
         "negative", "past-end", "off-negative", "off-past-end",
         "fractional", "nan", "strings", "bools", "complex", "inf",
-        "bool-among-ints", "ragged-cells", "ragged-points"])
+        "bool-among-ints", "ragged-cells", "ragged-points", "text-points"])
 def test_write_rejects_what_no_reader_accepts(tmp_path, points, cells, message):
     # empty meshes and out-of-range cell indices are refused before any
     # file is written; so are cell indices that are not integers, which
