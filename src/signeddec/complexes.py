@@ -11,9 +11,10 @@ its inverse, the coface index, lists each (d-1)-simplex's cofaces. The
 signed incidences ``cofaces`` are its rows, and ``facet_cofaces`` its d = n
 case. Both tables are built on first use; volumes, circumcenters and
 barycentric coordinates are cached per dimension. Instances are immutable
-after build; all queries are read-only. scipy is imported by the one
-function that calls it, boundary_operator, so building and querying a
-complex loads numpy alone.
+after build; all queries are read-only. Build makes one sort per face
+dimension p >= 1, the top one giving the top order and the duplicate tops.
+scipy is imported by boundary_operator alone, the one function that calls
+it, so building and querying a complex loads numpy alone.
 """
 
 import itertools
@@ -135,12 +136,12 @@ class SimplicialComplex:
             geometry = volumes, *circumdata
             for arr in geometry:
                 arr.setflags(write=False)
-            self._geometry[dim] = geometry
-        return self._geometry[dim]
+            self._geometry[dim] = geometry, np.flatnonzero(geometry[3])[:1]
+        return self._geometry[dim][0]
 
     def _checked_geometry(self, dim):
         geometry = self.geometry(dim)
-        for i in np.flatnonzero(geometry[3])[:1]:
+        for i in self._geometry[dim][1]:  # its first degenerate simplex, if any
             raise DegeneracyError(f"{dim}-simplex {self.simplex_vertices(dim, i)} is degenerate")
         return geometry
 
@@ -222,12 +223,12 @@ def _non_index_dtype(values, array):
 
 
 def _top_array(top_simplices, n, num_points):
-    """The validated top cells as a (T, n + 1) int array in input order, and
-    the permutation sorting them by their sorted rows. The first invalid cell
-    raises ComplexError naming its first fault: vertex count, repeated
-    vertex, vertex out of range, or duplicate of an earlier cell. Entries
-    that are not integers (float arrays of integral values pass) raise it
-    first, naming their dtype."""
+    """The top cells as a (T, n + 1) array in input order, the same as ints
+    with each row sorted, and the ComplexError of the first cell whose vertex
+    count is wrong, that repeats a vertex or that holds one out of range;
+    the arrays then stop before that cell. Entries that are not integers
+    (float arrays of integral values pass) raise ComplexError at once,
+    naming their dtype."""
     try:
         cells = np.asarray(top_simplices)
     except ValueError:  # ragged cells
@@ -235,8 +236,8 @@ def _top_array(top_simplices, n, num_points):
     if cells is None or cells.shape != (len(top_simplices), n + 1):
         for cell_num, cell in enumerate(top_simplices):
             if len(cell) != n + 1:
-                _top_array(top_simplices[:cell_num], n, num_points)  # earlier faults first
-                raise ComplexError(
+                cells, rows, fault = _top_array(top_simplices[:cell_num], n, num_points)
+                return cells, rows, fault or ComplexError(
                     f"top simplex {cell_num} has {len(cell)} vertices, expected {n + 1}"
                 )
         raise ComplexError(f"top simplices must be rows of {n + 1} vertex indices")
@@ -245,21 +246,17 @@ def _top_array(top_simplices, n, num_points):
         raise ComplexError(f"top simplex vertex indices must be integers, got {bad} values")
     # checked in the input's dtype, so a float too large for an int is out of range
     ordered = np.sort(cells, axis=1)
-    repeats = (np.diff(ordered, axis=1) == 0).any(axis=1)
-    outside = (cells < 0) | (cells >= num_points)
-    # lexsort is stable: equal cells keep their input order
-    order = np.lexsort(ordered.T[::-1])
-    faulty = repeats | outside.any(axis=1)
-    faulty[order[1:][(ordered[order[1:]] == ordered[order[:-1]]).all(axis=1)]] = True
-    for i in np.flatnonzero(faulty)[:1]:
+    repeats = np.any([ordered[:, j] == ordered[:, j + 1] for j in range(n)], axis=0)
+    outside = (ordered[:, 0] < 0) | (ordered[:, n] >= num_points)
+    for i in np.flatnonzero(repeats | outside)[:1]:
         cell = tuple(cells[i].tolist())
         if repeats[i]:
-            raise ComplexError(f"top simplex {i} repeats a vertex: {cell}")
-        if outside[i].any():
-            vertex = cell[outside[i].argmax()]
-            raise ComplexError(f"vertex {vertex} out of range in top simplex {i}")
-        raise ComplexError(f"duplicate top simplex {tuple(ordered[i].tolist())}")
-    return cells.astype(np.intp), order
+            fault = ComplexError(f"top simplex {i} repeats a vertex: {cell}")
+        else:
+            vertex = next(v for v in cell if not 0 <= v < num_points)
+            fault = ComplexError(f"vertex {vertex} out of range in top simplex {i}")
+        return cells[:i], ordered[:i].astype(np.intp), fault
+    return cells, ordered.astype(np.intp, copy=False), None
 
 
 def build_complex(points, top_simplices: Sequence[Sequence[int]]):
@@ -289,29 +286,34 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
         raise ComplexError("top simplices need at least 2 vertices")
     if n > ambient:
         raise ComplexError(f"{n}-simplices cannot embed in R^{ambient}")
-    cells, order = _top_array(top_simplices, n, num_points)
+    cells, rows, fault = _top_array(top_simplices, n, num_points)
     column_pairs = itertools.combinations(range(n + 1), 2)
     inversions = sum(cells[:, a] > cells[:, b] for a, b in column_pairs)
-    tops = np.sort(cells[order], axis=1)
 
-    # A p-face's code, its leading (p-1)-face's index times the number of
-    # points plus its last vertex, ascends in lexicographic order: unique
-    # codes list the p-simplices, and their inverse is face_of_top[p]. The
-    # empty face, index 0, leads every vertex.
-    simplices, codes = [np.empty((1, 0), dtype=np.intp)], []
-    face_of_top = [np.zeros((len(tops), 1), dtype=np.intp)]
-    for p in range(n + 1):
+    # Vertices are ranked by presence. A p-face's code, its leading (p-1)-face's
+    # index times the number of points plus its last vertex, ascends in
+    # lexicographic order: unique codes list the p-simplices, and their inverse,
+    # tops in input order, is face_of_top[p].
+    present = np.bincount(rows.ravel(), minlength=num_points) > 0
+    codes, face_of_top = [np.flatnonzero(present)], [(np.cumsum(present) - 1)[rows]]
+    simplices = [codes[0][:, None]]
+    for p in range(1, n + 1):
         local = list(itertools.combinations(range(n + 1), p + 1))
         leading = {c: k for k, c in enumerate(itertools.combinations(range(n + 1), p))}
         lead = face_of_top[-1][:, [leading[c[:-1]] for c in local]]
-        face_code = lead * num_points + tops[:, [c[-1] for c in local]]
-        code, inverse = np.unique(face_code, return_inverse=True)
+        face_code = lead * num_points + rows[:, [c[-1] for c in local]]
+        code, *first, inverse = np.unique(face_code, return_index=p == n, return_inverse=True)
         lead, last = np.divmod(code, num_points)
-        simplices.append(np.hstack([simplices[-1][lead], last[:, None]]))
+        simplices.append(np.hstack([np.take(simplices[-1], lead, axis=0), last[:, None]]))
         face_of_top.append(inverse.reshape(face_code.shape))
         codes.append(code)
-    simplices, face_of_top = simplices[1:], face_of_top[1:]
-    orientations = [np.ones(len(rows), dtype=np.int8) for rows in simplices[:-1]]
+    order = first[0]  # each top code's first top; a top left out repeats one
+    for i in np.flatnonzero(np.bincount(order, minlength=len(rows)) == 0)[:1]:
+        raise ComplexError(f"duplicate top simplex {tuple(np.sort(cells[i]).tolist())}")
+    if fault is not None:
+        raise fault
+    face_of_top = [np.take(table, order, axis=0) for table in face_of_top]
+    orientations = [np.ones(len(level), dtype=np.int8) for level in simplices[:-1]]
     orientations.append(np.where(inversions[order] % 2, -1, 1).astype(np.int8))
 
     # The coface index of dimension n, read from face_of_top[n - 1] so that no

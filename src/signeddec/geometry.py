@@ -64,7 +64,9 @@ def _real_floats(points, error=ValueError):
     array = np.asarray(points)
     if np.iscomplexobj(array):
         raise error("points must be real, got complex values")
-    try:
+    try:  # numpy would read numeric text, in objects too, as numbers
+        if (np.asarray(array.tolist()) if array.dtype == object else array).dtype.kind in "SU":
+            raise TypeError("text")
         return np.asarray(array, dtype=float)
     except (TypeError, ValueError):  # text, say
         raise error(f"points must be real numbers, got {array.dtype} values") from None

@@ -5,16 +5,16 @@ tetrahedral meshes (3D nodes, 4 per cell); OFF carries triangle surfaces
 embedded in 3D. Vertex numbering in .node/.ele may start at 0 or 1; the
 base is detected from the first data row and normalized to 0 on read.
 Writes are 1-based with 17 significant digits, so coordinates round-trip
-exactly. Readers convert each block of rows with one C call (``np.loadtxt``)
-and validate by masks over the rows, reporting the first faulty row in file
-order. Only when that call refuses a block are its rows split and converted
-token by token with Python's ``int``/``float``, which finds the faulty rows
-and accepts what only Python reads (``1_0``, non-ASCII digits); the values
-are the same either way. Writers format each row with one %-format string
-and write once.
+exactly. Readers convert each block of rows with one C call (``np.loadtxt``;
+a .node block's ids and coordinates together) and validate by masks over
+the rows, reporting the first faulty row in file order; line numbers are
+counted only for that message. Only when that call refuses a block are its
+rows split and converted token by token with Python's ``int``/``float``,
+which finds the faulty rows and accepts what only Python reads (``1_0``,
+non-ASCII digits); the values are the same either way. Writers format each
+row with one %-format string and write once.
 """
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +42,8 @@ class MeshFile:
 
 
 def _data_rows(path, what):
-    """(line number, text) of every line that holds data once its ``#``
-    comment is dropped."""
+    """The data rows of a file (lines cut at ``#`` and stripped, blank ones
+    dropped) and ``at``, which names data row k ``path:line`` for a message."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -52,24 +52,28 @@ def _data_rows(path, what):
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
     lines = list(map(str.strip, lines))
-    rows = list(zip(itertools.compress(itertools.count(1), lines), filter(None, lines)))
+    rows = list(filter(None, lines))
     if not rows:
         raise MeshFormatError(f"{path}: empty {what} file")
-    return rows
+
+    def at(row):  # lines are numbered only here
+        return f"{path}:{[k for k, line in enumerate(lines, 1) if line][row]}"
+
+    return rows, at
 
 
-def _parse_ints(tokens, count, path, lineno, what):
+def _parse_ints(tokens, count, at, row, what):
     if len(tokens) < count:
-        raise MeshFormatError(f"{path}:{lineno}: expected {count} fields for {what}")
+        raise MeshFormatError(f"{at(row)}: expected {count} fields for {what}")
     try:
         return [int(t) for t in tokens[:count]]
     except ValueError as exc:
-        raise MeshFormatError(f"{path}:{lineno}: bad integer in {what}") from exc
+        raise MeshFormatError(f"{at(row)}: bad integer in {what}") from exc
 
 
 def _field(rows, row, column):
     """The integer in field ``column`` of ``rows[row]``, for a message."""
-    return int(rows[row][1].split()[column])
+    return int(rows[row].split()[column])
 
 
 def _number(kind, token):
@@ -81,74 +85,77 @@ def _number(kind, token):
     return min(max(value, -_INT_CLIP), _INT_CLIP) if kind is int else value
 
 
-def _table(rows, kind, stop, start=0):
-    """Fields start..stop-1 of each row as an array of ``kind`` (int or
-    float), a mask of the rows with fewer than ``stop`` fields and a mask of
-    the rows holding a field in that range that ``kind`` rejects.
+def _table(rows, *fields):
+    """The leading fields of each row as one array per (kind, width) in
+    ``fields`` (kind int or float; consecutive ranges from the first field),
+    a mask of the rows with fewer fields than the widths sum to and, per
+    range, a mask of the rows holding a field in it that ``kind`` rejects.
 
-    One ``np.loadtxt`` call converts the block. It splits fields as
-    ``str.split`` does, and its parsers accept a subset of what ``int`` and
-    ``float`` accept and read it the same way. Only when it refuses are the
-    rows split and converted token by token (short rows padded with "0"),
-    which finds the faulty rows.
+    One ``np.loadtxt`` call converts the block into a structured array, one
+    field per range. It splits fields as ``str.split`` does, and its parsers
+    accept a subset of what ``int`` and ``float`` accept and read it the same
+    way. Only when it refuses are the rows split and converted token by
+    token (short rows padded with "0"), which finds the faulty rows.
     """
-    dtype = np.intp if kind is int else np.float64
+    columns = [(f"f{k}", np.intp if kind is int else np.float64, (width,))
+               for k, (kind, width) in enumerate(fields)]
+    stop = sum(width for _, width in fields)
     if rows:  # np.loadtxt warns on no rows; the token path gives empty arrays
         try:
-            values = np.loadtxt([line for _, line in rows], dtype,
-                                usecols=range(start, stop), ndmin=2, comments=None)
+            table = np.loadtxt(rows, columns, usecols=range(stop), ndmin=1, comments=None)
         except ValueError:
             pass
         else:
-            return values, np.zeros(len(rows), bool), np.zeros(len(rows), bool)
-    fields = [line.split() for _, line in rows]
+            clean = np.zeros(len(rows), bool)
+            return [table[name] for name, *_ in columns], clean, [clean] * len(fields)
+    split = [line.split() for line in rows]
     pad = ["0"] * stop
-    numbers = [_number(kind, t) for tokens in fields for t in (tokens + pad)[start:stop]]
-    shape = (len(rows), stop - start)
-    values = np.array([0 if v is None else v for v in numbers], dtype=dtype).reshape(shape)
-    bad = np.array([v is None for v in numbers], dtype=bool).reshape(shape).any(axis=1)
-    short = np.array([len(tokens) < stop for tokens in fields], dtype=bool)
-    return values, short, bad
+    arrays, bads, start = [], [], 0
+    for (kind, width), (_, dtype, _) in zip(fields, columns):
+        numbers = [_number(kind, t) for row in split for t in (row + pad)[start:start + width]]
+        arrays.append(np.array([0 if v is None else v for v in numbers], dtype).reshape(-1, width))
+        bads.append(np.reshape([v is None for v in numbers], (-1, width)).any(axis=1))
+        start += width
+    return arrays, np.array([len(row) < stop for row in split], dtype=bool), bads
 
 
-def _raise_first(path, rows, checks):
+def _raise_first(at, start, checks):
     """Raise for the first row, in file order, that fails a check.
 
-    ``checks`` lists (mask over the rows, message) in the order one row is
-    checked; a message may be a callable of the row's position. Only the
-    first failing check of that row is formatted.
+    ``checks`` lists (mask over data rows ``start`` on, message) in the order
+    one row is checked; a message may be a callable of the row's position in
+    the masks. Only the first failing check of that row is formatted.
     """
     failed = np.array([mask for mask, _ in checks])
     for row in np.flatnonzero(failed.any(axis=0))[:1]:
         message = checks[failed[:, row].argmax()][1]
         text = message(row) if callable(message) else message
-        raise MeshFormatError(f"{path}:{rows[row][0]}: {text}")
+        raise MeshFormatError(f"{at(start + row)}: {text}")
 
 
-def _check_count(path, rows, count, what):
-    """Raise unless there are exactly ``count`` data rows."""
-    if len(rows) > count:
-        raise MeshFormatError(f"{path}:{rows[count][0]}: more {what} rows than declared ({count})")
-    if len(rows) < count:
-        raise MeshFormatError(f"{path}: declared {count} {what}s, found {len(rows)}")
+def _check_count(path, at, rows, count, what):
+    """Raise unless exactly ``count`` data rows follow the header row."""
+    if len(rows) > count + 1:
+        raise MeshFormatError(f"{at(count + 1)}: more {what} rows than declared ({count})")
+    if len(rows) < count + 1:
+        raise MeshFormatError(f"{path}: declared {count} {what}s, found {len(rows) - 1}")
 
 
 def _read_node(path):
-    (lineno, header), *rows = _data_rows(path, "node")
-    count, dim = _parse_ints(header.split(), 2, path, lineno, "node header")
+    rows, at = _data_rows(path, "node")
+    count, dim = _parse_ints(rows[0].split(), 2, at, 0, "node header")
     if dim not in (2, 3):
-        raise MeshFormatError(f"{path}:{lineno}: node dimension must be 2 or 3, got {dim}")
+        raise MeshFormatError(f"{at(0)}: node dimension must be 2 or 3, got {dim}")
     if count < 1:
-        raise MeshFormatError(f"{path}:{lineno}: node count must be positive")
+        raise MeshFormatError(f"{at(0)}: node count must be positive")
 
-    data = rows[:count]
-    ids, _, bad_ids = _table(data, int, 1)
-    coords, short, bad_coords = _table(data, float, 1 + dim, start=1)
+    data = rows[1:1 + count]
+    (ids, coords), short, (bad_ids, bad_coords) = _table(data, (int, 1), (float, dim))
     base = int(ids[0, 0]) if data else 0
     index = ids[:, 0] - base
     first_seen = np.zeros(len(data), dtype=bool)
     first_seen[np.unique(index, return_index=True)[1]] = True
-    _raise_first(path, data, [
+    _raise_first(at, 1, [
         (bad_ids, "bad integer in node index"),
         ((np.arange(len(data)) == 0) & (base not in (0, 1)),
          lambda row: f"first node index must be 0 or 1, got {_field(data, row, 0)}"),
@@ -158,7 +165,7 @@ def _read_node(path):
         (short, f"expected {dim} coordinates"),
         (bad_coords, "bad coordinate"),
     ])
-    _check_count(path, rows, count, "node")
+    _check_count(path, at, rows, count, "node")
     points = np.empty((count, dim))
     points[index] = coords
     if not np.isfinite(points).all():
@@ -167,58 +174,57 @@ def _read_node(path):
 
 
 def _read_ele(path, num_points, node_base, dim):
-    (lineno, header), *rows = _data_rows(path, "element")
-    count, per_cell = _parse_ints(header.split(), 2, path, lineno, "element header")
+    rows, at = _data_rows(path, "element")
+    count, per_cell = _parse_ints(rows[0].split(), 2, at, 0, "element header")
     if per_cell != dim + 1:
         raise MeshFormatError(
-            f"{path}:{lineno}: expected {dim + 1} vertices per cell for "
+            f"{at(0)}: expected {dim + 1} vertices per cell for "
             f"{dim}-d nodes, got {per_cell}"
         )
     if count < 1:
-        raise MeshFormatError(f"{path}:{lineno}: element count must be positive")
+        raise MeshFormatError(f"{at(0)}: element count must be positive")
 
-    data = rows[:count]
-    values, short, bad = _table(data, int, 1 + per_cell)
+    data = rows[1:1 + count]
+    (values,), short, (bad,) = _table(data, (int, 1 + per_cell))
     cells = values[:, 1:] - node_base
     outside = (cells < 0) | (cells >= num_points)
-    _raise_first(path, data, [
+    _raise_first(at, 1, [
         (short, f"expected {1 + per_cell} fields for element row"),
         (bad, "bad integer in element row"),
         (outside.any(axis=1), lambda row: "vertex reference "
          f"{_field(data, row, 1 + outside[row].argmax())} out of range"),
     ])
-    _check_count(path, rows, count, "element")
+    _check_count(path, at, rows, count, "element")
     return cells
 
 
 def _read_off(path):
-    (lineno, header), *rows = _data_rows(path, "OFF")
-    tokens = header.split()
+    rows, at = _data_rows(path, "OFF")
+    head, tokens = 0, rows[0].split()
     if tokens[0].upper() == "OFF":
         tokens = tokens[1:]
         if not tokens:
-            if not rows:
+            if len(rows) == 1:
                 raise MeshFormatError(f"{path}: missing OFF counts")
-            (lineno, header), *rows = rows
-            tokens = header.split()
-    num_vertices, num_faces = _parse_ints(tokens, 2, path, lineno, "OFF counts")
+            head, tokens = 1, rows[1].split()
+    num_vertices, num_faces = _parse_ints(tokens, 2, at, head, "OFF counts")
     if num_vertices < 1 or num_faces < 1:
-        raise MeshFormatError(f"{path}:{lineno}: OFF needs positive vertex/face counts")
+        raise MeshFormatError(f"{at(head)}: OFF needs positive vertex/face counts")
 
-    vertex_rows = rows[:num_vertices]
-    points, short, bad = _table(vertex_rows, float, 3)
-    _raise_first(path, vertex_rows, [
+    vertex_rows = rows[head + 1:][:num_vertices]
+    (points,), short, (bad,) = _table(vertex_rows, (float, 3))
+    _raise_first(at, head + 1, [
         (short, "expected 3 coordinates"), (bad, "bad coordinate"),
     ])
     if len(vertex_rows) < num_vertices:
         raise MeshFormatError(f"{path}: truncated vertex list")
 
-    face_rows = rows[num_vertices:num_vertices + num_faces]
+    face_rows = rows[head + 1 + num_vertices:][:num_faces]
     # the count and three indices; fields after them (a colour) are not read
-    values, short, bad = _table(face_rows, int, 4)
+    (values,), short, (bad,) = _table(face_rows, (int, 4))
     cells = values[:, 1:].copy()
     outside = (cells < 0) | (cells >= num_vertices)
-    _raise_first(path, face_rows, [
+    _raise_first(at, head + 1 + num_vertices, [
         (bad, "bad integer in face row"),
         (values[:, 0] != 3, lambda row: "only triangle faces supported, got "
          f"{_field(face_rows, row, 0)} vertices"),

@@ -128,16 +128,20 @@ def brute_face_count(tops, dim):
     return len(faces)
 
 
-def brute_incidence(top_cells):
-    """Topology of the complex spanned by ``top_cells`` (user vertex order),
-    rebuilt with itertools, sets and dicts only.
+def brute_closure(top_cells):
+    """The complex spanned by ``top_cells`` (user vertex order), closed under
+    faces with tuples, sets and dicts only, in the package's conventions.
 
-    Returns (simplices, top_orientations, cofaces, internal, boundary) in
-    the package's conventions: per dimension the sorted vertex tuples in
-    lexicographic order; per sorted top the parity of its user ordering;
-    per face of dimension p < n its (coface, sign) pairs in ascending
-    coface order, sign (-1)^pos times the coface's orientation; and the
-    codim-1 faces with two cofaces or one.
+    Returns a dict of plain lists, per dimension p unless said otherwise:
+    - ``simplices``: the sorted vertex tuples in lexicographic order;
+    - ``index``: a dict from each of those tuples to its position;
+    - ``face_of_top``: per top, in ``simplices[n]`` order, the positions of
+      its (p+1)-vertex subsets in ``itertools.combinations`` order;
+    - ``orientations``: 1 below the top dimension, and per top the parity of
+      its user ordering;
+    - ``facet_cofaces`` (one pair, not per dimension): per codim-1 face its
+      cofaces in ascending order and the position, in each coface's vertex
+      tuple, of the vertex it omits; -1 pads a face with one coface.
     """
     n = len(top_cells[0]) - 1
     parity = {}
@@ -149,16 +153,48 @@ def brute_incidence(top_cells):
         for p in range(n + 1)
     ]
     index = [{cell: i for i, cell in enumerate(level)} for level in simplices]
+    face_of_top = [
+        [[index[p][face] for face in itertools.combinations(top, p + 1)] for top in simplices[n]]
+        for p in range(n + 1)
+    ]
+    orientations = [[1] * len(level) for level in simplices[:-1]]
+    orientations.append([parity[top] for top in simplices[n]])
+    tops, columns = [[] for _ in simplices[n - 1]], [[] for _ in simplices[n - 1]]
+    for t, top in enumerate(simplices[n]):
+        for j in range(n + 1):
+            facet = index[n - 1][top[:j] + top[j + 1:]]
+            tops[facet].append(t)
+            columns[facet].append(j)
+    facet_cofaces = tuple([row + [-1] * (2 - len(row)) for row in rows] for rows in (tops, columns))
+    return {"simplices": simplices, "index": index, "face_of_top": face_of_top,
+            "orientations": orientations, "facet_cofaces": facet_cofaces}
+
+
+def brute_incidence(top_cells):
+    """Topology of the complex spanned by ``top_cells`` (user vertex order),
+    rebuilt with itertools, sets and dicts only (see :func:`brute_closure`).
+
+    Returns (simplices, top_orientations, cofaces, internal, boundary) in
+    the package's conventions: per dimension the sorted vertex tuples in
+    lexicographic order; per sorted top the parity of its user ordering;
+    per face of dimension p < n its (coface, sign) pairs in ascending
+    coface order, sign (-1)^pos times the coface's orientation; and the
+    codim-1 faces with two cofaces or one.
+    """
+    closure = brute_closure(top_cells)
+    simplices, index = closure["simplices"], closure["index"]
+    top_orientations = closure["orientations"][-1]
+    n = len(simplices) - 1
     cofaces = [[[] for _ in level] for level in simplices[:-1]]
     for p in range(1, n + 1):
         for j, cell in enumerate(simplices[p]):
-            orient = parity[cell] if p == n else 1
+            orient = top_orientations[j] if p == n else 1
             for pos in range(p + 1):
                 face = cell[:pos] + cell[pos + 1:]
                 cofaces[p - 1][index[p - 1][face]].append((j, orient * (-1) ** pos))
     internal = [(f, (c[0][0], c[1][0])) for f, c in enumerate(cofaces[n - 1]) if len(c) == 2]
     boundary = [(f, c[0][0]) for f, c in enumerate(cofaces[n - 1]) if len(c) == 1]
-    return simplices, [parity[top] for top in simplices[n]], cofaces, internal, boundary
+    return simplices, top_orientations, cofaces, internal, boundary
 
 
 def sparse_algebra_poisson(mesh, source, flux, gauge, hodge_mode, form):

@@ -346,6 +346,9 @@ def test_rejects_bad_vertex_references():
 
 
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+SIX = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, -1.0]]
+LINE = [[0.0], [1.0], [2.0], [3.0]]
+NUMERIC_TEXT = [["0", "0"], ["1", "0"], ["0", "1"]]
 
 
 @pytest.mark.parametrize("points, cells, message", [
@@ -363,9 +366,47 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (TRIANGLE, [[[0], [1], [2]]], "rows of 3 vertex indices"),
     ([[0, 0], [1, 0], [0]], [[0, 1, 2]], "got ragged rows"),
     ([[0, 0], ["a", "b"], [0, 1]], [[0, 1, 2]], "must be real numbers, got <U21 values"),
+    # numeric text is refused as points too, as it is as cells
+    (NUMERIC_TEXT, [[0, 1, 2]], "^points must be real numbers, got <U1 values$"),
+    (np.array(NUMERIC_TEXT, dtype=bytes), [[0, 1, 2]],
+     r"^points must be real numbers, got \|S1 values$"),
+    ([[0, 0], [1, "0"], [0, 1]], [[0, 1, 2]], "^points must be real numbers, got <U21 values$"),
+    (np.array([[0, 0], ["1", 0], [0, 1]], dtype=object), [[0, 1, 2]],
+     "^points must be real numbers, got object values$"),
+    (np.array([[0, 0], [b"1", 0], [0, 1]], dtype=object), [[0, 1, 2]],
+     "^points must be real numbers, got object values$"),
+    # a duplicate before a later range fault is the earlier fault
+    (SIX, [(0, 1, 2), (2, 1, 0), (0, 1, 9)], r"^duplicate top simplex \(0, 1, 2\)$"),
+    (SIX, [(0, 1, 2), (1, 2, 3), (2, 1, 0), (0, 1, 1)], r"^duplicate top simplex \(0, 1, 2\)$"),
+    # a range fault or a repeated vertex before a later duplicate wins
+    (SIX, [(0, 1, 9), (0, 1, 2), (2, 1, 0)], "^vertex 9 out of range in top simplex 0$"),
+    (SIX, [(0, 1, 2), (1, 2, 3), (0, 0, 1), (2, 1, 0)],
+     r"^top simplex 2 repeats a vertex: \(0, 0, 1\)$"),
+    # a cell that duplicates an earlier one and is out of range: the earlier
+    # copy is out of range too, and it is the first fault
+    (SIX, [(0, 1, 2), (0, 1, 9), (9, 1, 0)], "^vertex 9 out of range in top simplex 1$"),
+    (SIX, [(0, 1, 9), (9, 1, 0)], "^vertex 9 out of range in top simplex 0$"),
+    # of several duplicates, the first in input order
+    (SIX, [(1, 2, 3), (0, 1, 2), (3, 2, 1), (2, 1, 0)], r"^duplicate top simplex \(1, 2, 3\)$"),
+    # a duplicate and a ragged cell after it
+    (SIX, [(0, 1, 2), (2, 1, 0), (0, 1)], r"^duplicate top simplex \(0, 1, 2\)$"),
+    (SIX, [(0, 1, 2), (1, 2, 3), (0, 1)], "^top simplex 2 has 2 vertices, expected 3$"),
+    # per-cell faults come before a facet with three cofaces
+    (SIX, [(0, 1, 2), (0, 1, 3), (0, 1, 5), (2, 0, 1)], r"^duplicate top simplex \(0, 1, 2\)$"),
+    (SIX, [(0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 1, 9)],
+     "^vertex 9 out of range in top simplex 3$"),
+    (LINE, [(0, 1), (1, 2), (2, 1)], r"^duplicate top simplex \(1, 2\)$"),
+    # integral floats are named in their own dtype
+    (SIX, [[0.0, 1, 2], [2.0, 1, 0]], r"^duplicate top simplex \(0\.0, 1\.0, 2\.0\)$"),
 ], ids=["fractional", "nan", "strings", "bool-among-ints", "bools", "complex", "inf",
         "huge", "dtype-first", "earlier-fault-first", "ragged-cells", "nested",
-        "ragged-points", "text-points"])
+        "ragged-points", "text-points", "numeric-text-points", "bytes-points",
+        "mixed-text-points", "object-text-points", "object-bytes-points",
+        "duplicate-before-range", "duplicate-before-repeat", "range-before-duplicate",
+        "repeat-before-duplicate", "out-of-range-duplicate", "out-of-range-first",
+        "first-duplicate", "duplicate-before-ragged", "ragged-after-cells",
+        "duplicate-before-non-manifold", "range-before-non-manifold", "line-duplicate",
+        "float-duplicate"])
 def test_rejects_cells_that_are_not_vertex_indices(points, cells, message):
     # a cell is built from what it says, never from a truncated or
     # coerced copy of it; integral floats are indices

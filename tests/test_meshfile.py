@@ -200,10 +200,19 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     (TRIANGLE, [[0, 1, 2], [0, 1]], "2-d arrays"),
     ([[0, 0], [1, 0], [0]], [[0, 1, 2]], "2-d arrays"),
     ([[0, 0], ["a", "b"], [0, 1]], [[0, 1, 2]], "real numbers, got <U21"),
+    ([["0", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]], "real numbers, got <U1"),
+    (np.array([["0", "0"], ["1", "0"], ["0", "1"]], dtype=bytes), [[0, 1, 2]],
+     r"real numbers, got \|S1"),
+    ([[0, 0], [1, "0"], [0, 1]], [[0, 1, 2]], "real numbers, got <U21"),
+    (np.array([[0, 0], ["1", 0], [0, 1]], dtype=object), [[0, 1, 2]], "real numbers, got object"),
+    (np.array([[0, 0], [b"1", 0], [0, 1]], dtype=object), [[0, 1, 2]],
+     "real numbers, got object"),
 ], ids=["no-points", "no-cells", "off-no-points", "off-no-cells",
         "negative", "past-end", "off-negative", "off-past-end",
         "fractional", "nan", "strings", "bools", "complex", "inf",
-        "bool-among-ints", "ragged-cells", "ragged-points", "text-points"])
+        "bool-among-ints", "ragged-cells", "ragged-points", "text-points",
+        "numeric-text-points", "bytes-points", "mixed-text-points", "object-text-points",
+        "object-bytes-points"])
 def test_write_rejects_what_no_reader_accepts(tmp_path, points, cells, message):
     # empty meshes and out-of-range cell indices are refused before any
     # file is written; so are cell indices that are not integers, which
@@ -346,15 +355,15 @@ def test_off_face_colours(tmp_path, faces, message):
 
 
 def test_valid_files_are_converted_by_loadtxt(tmp_path):
-    # one call per converted column range: node ids, node coordinates and
+    # one call per block: node rows (ids and coordinates together) and
     # element rows; OFF vertices and OFF faces
     paths = write_mesh(tmp_path / "t", TRIANGLE, [(0, 1, 2)]) + write_mesh(
         tmp_path / "o", OCTAHEDRON_POINTS, OCTAHEDRON_FACES)
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
         read_mesh(paths[0])
-        assert spy.call_count == 3
+        assert spy.call_count == 2
         read_mesh(paths[2])
-        assert spy.call_count == 5
+        assert spy.call_count == 4
 
 
 NUMBER_TOKENS = ["0", "-0", "+2", "1e3", ".5", "5.", "1E-2", "007", "-1.25e+2"]
