@@ -146,7 +146,7 @@ _COLUMN_KEYS = {"family": "good", "hodge_mode": "signed"}
 
 def _cmd_poisson(args):
     try:
-        config = json.loads(Path(args.config).read_text())
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise SignedDecError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read

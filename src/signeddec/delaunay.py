@@ -1,18 +1,18 @@
 """Pairwise-Delaunay and one-sided-boundary predicates, mesh classification.
 
-A pair of top simplices sharing a facet is tested after unfolding the two
-simplices isometrically into R^n: the pair is Delaunay when each apex lies
-strictly outside the other simplex's circumsphere. ``classify_complex``
-tests every internal pair, in any ambient dimension N >= n, with one power
-test: each apex b's power is 2 h_b (s_T + s_T'), its height times the
-facet's signed dual length, read from cached barycentric coordinates and
-volumes (see ``_pair_signs``); ``pair_status_points`` flattens one pair
-explicitly and is the reference route. A boundary facet is one-sided when
-its coface's circumcenter lies strictly on the apex side of the facet's
-hyperplane: its step sign in the link table, which
-``one_sided_status_points`` reads from raw coordinates. A mesh whose internal
-pairs are all strict and whose boundary facets are all one-sided is
-"qualifying": its signed dual volumes are positive in every dimension.
+A pair of tops sharing a facet F is Delaunay when, unfolded isometrically
+into R^n about F, each apex lies strictly outside the other top's
+circumsphere. Every pair route runs one power test (``_pair_margins``), in
+any ambient dimension N >= n: apex b's power is 2 h_b (s_T + s_T'), its
+height times F's signed dual length, from barycentric coordinates and
+volumes that ``classify_complex`` reads from the complex's cache and the
+point routes from one producer call on F and one on its tops
+(``_apex_data``). No predicate lays a pair out: ``geometry.flatten_pair`` is
+a layout helper. A boundary facet is one-sided when its coface's
+circumcenter lies strictly on the apex side of the facet's hyperplane: its
+step sign in the link table. A mesh whose internal pairs are all strict and
+whose boundary facets are all one-sided is "qualifying": its signed dual
+volumes are positive in every dimension.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import DegeneracyError
-from .geometry import _as_points, batched_circumcenters, circumcenter, flatten_pair
+from .geometry import _as_points, batched_circumcenters
 from .signed_dual import _boundary_step_signs, dual_volumes, step_sign
 
 __all__ = [
@@ -53,15 +53,14 @@ SIDE_NO = "no"
 # marginal, -1 violated or not one-sided (index -1 is the last entry).
 _PAIR_STATUS = np.array([PAIR_DEGENERATE, PAIR_STRICT, PAIR_VIOLATED])
 _SIDE_STATUS = np.array([SIDE_MARGINAL, SIDE_YES, SIDE_NO])
+_NO_FACET_CENTER = "facet vertices are (nearly) affinely dependent, no circumcenter"
 
 
 @dataclass(frozen=True)
 class CircumcenterOrder:
-    """Positions along the facet-normal axis for a flattened pair.
-
-    All offsets are coordinates along the line through the shared facet's
-    circumcenter, perpendicular to the facet within the flattening plane,
-    positive toward the right apex.
+    """Positions along the axis of a pair unfolded about its shared facet:
+    the line through the facet's circumcenter normal to the facet, with
+    offsets from the facet, positive toward the right apex.
     center_offset_left/right locate the two simplices' circumcenters,
     apex_offset locates the right apex, apex_radial_distance is that apex's
     distance to the axis, facet_radius is the facet's circumradius.
@@ -83,30 +82,49 @@ def _status_signs(margins, eps):
     ).astype(np.int8)
 
 
-def _flat_circumdata(facet_points, apex_left, apex_right, facet=False):
-    """The pair flattened into R^n, then the circumdata of its facet (if
-    ``facet``), left and right simplex, computed in that order."""
-    flat = flatten_pair(facet_points, apex_left, apex_right)
-    tails = [[]] * facet + [[flat.apex_left], [flat.apex_right]]
-    return flat, *(circumcenter(np.vstack([flat.facet, *tail])) for tail in tails)
+def _pair_margins(radii, heights, offsets):
+    """(P, 2) relative margins of pairs unfolded about their shared facet F,
+    column k from top k's radius r, apex height h over F and center offset
+    s = lambda_apex h from F toward that apex. The far apex b has power
+    2 h_b (s_T + s_T') with respect to T's circumsphere, and relative margin
+    (sqrt(r_T^2 + power) - r_T) / r_T."""
+    power = 2.0 * heights[:, ::-1] * offsets.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # placeholder radii
+        return np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
+
+
+def _apex_data(facet_points, *apexes):
+    """The stack of tops facet+apex, the facet's center, radius and
+    degenerate flag, then per top its radius, the apex's height
+    h = n vol(top) / vol(facet) and its barycentric coordinate of the top's
+    center, from one producer call on the facet and one on the stack of
+    tops. DegeneracyError if a top has no circumcenter."""
+    tops = _as_points(np.stack([np.vstack([facet_points, apex]) for apex in apexes]), 3)
+    facet = tops[0, :-1]
+    (center,), (radius,), (flag,), _, (volume,) = batched_circumcenters(facet[None])
+    _, radii, flags, barycentric, volumes = batched_circumcenters(tops)
+    if flags.any():
+        simplex = tops[flags][0].tolist()
+        raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {simplex}")
+    heights = len(facet) * volumes / volume
+    return tops, center, radius, flag, radii, heights, barycentric[:, -1]
 
 
 def pair_status_points(facet_points, apex_left, apex_right, tol=None):
     """Delaunay status of a shared-facet pair given raw coordinates.
 
-    Flattens the pair into R^n and compares each apex against the other
-    simplex's circumsphere: "strict" if outside beyond relative tolerance,
-    "violated" if inside beyond tolerance, "degenerate" near the sphere.
-    The tolerance decides only the status; the flattening's degeneracy
-    guards are fixed (see :func:`flatten_pair`).
+    Runs the power test of :func:`classify_complex` on the pair unfolded
+    about its facet: "strict" if each apex is outside the other simplex's
+    circumsphere beyond relative tolerance, "violated" if inside beyond
+    tolerance, "degenerate" near the sphere. The tolerance decides only the
+    status: DegeneracyError where the facet or a top has no circumcenter.
     """
     eps = tolerance(tol)
-    flat, left, right = _flat_circumdata(facet_points, apex_left, apex_right)
-    margins = [
-        (float(np.linalg.norm(apex - circ.center)) - circ.radius) / circ.radius
-        for apex, circ in ((flat.apex_right, left), (flat.apex_left, right))
-    ]
-    return _PAIR_STATUS[_status_signs(np.array([margins]), eps)[0]].item()
+    *_, facet_flag, radii, heights, coordinates = _apex_data(facet_points, apex_left, apex_right)
+    if facet_flag:
+        raise DegeneracyError(_NO_FACET_CENTER)
+    margins = _pair_margins(radii[None], heights[None], (coordinates * heights)[None])
+    return _PAIR_STATUS[_status_signs(margins, eps)[0]].item()
 
 
 def one_sided_status_points(facet_points, apex, tol=None):
@@ -116,34 +134,34 @@ def one_sided_status_points(facet_points, apex, tol=None):
     non-finite coordinates raise ValueError.
     """
     eps = max(tolerance(tol), 1e-14)
-    simplex = _as_points(np.vstack([facet_points, apex]))
-    _, _, degenerate, barycentric, _ = batched_circumcenters(simplex[None])
-    if degenerate[0]:
-        raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {simplex.tolist()}")
-    coordinate = barycentric[0, -1]  # the apex's
-    if abs(coordinate) <= eps or batched_circumcenters(simplex[None, :-1])[2][0]:
+    *_, facet_flag, _, _, (coordinate,) = _apex_data(facet_points, apex)
+    if abs(coordinate) <= eps or facet_flag:
         return SIDE_MARGINAL
     return SIDE_YES if coordinate > 0 else SIDE_NO
 
 
 def circumcenter_order_points(facet_points, apex_left, apex_right):
-    """Axis offsets of the two circumcenters for a flattened pair, plus
-    whether they are correctly ordered (each center strictly toward its
-    own simplex's side of the other).
+    """Axis offsets of the two circumcenters for the pair unfolded about its
+    facet, plus whether they are correctly ordered (each center strictly
+    toward its own simplex's side of the other).
 
     Returns (CircumcenterOrder, order_correct). The axis points toward the
     right apex, and correct order means the right simplex's center offset
-    exceeds the left one's. Like :func:`flatten_pair`, it takes no
-    tolerance.
+    exceeds the left one's. It takes no tolerance; it raises as
+    :func:`pair_status_points` does.
     """
-    flat, facet, left, right = _flat_circumdata(facet_points, apex_left, apex_right, True)
-    # the flattened facet spans {x_n = 0}, so the axis is the last coordinate
-    rises = (p[-1] - facet.center[-1] for p in (left.center, right.center, flat.apex_right))
-    data = CircumcenterOrder(
-        *map(float, rises),
-        apex_radial_distance=float(np.linalg.norm((flat.apex_right - facet.center)[:-1])),
-        facet_radius=facet.radius,
+    tops, center, facet_radius, facet_flag, _, heights, coordinates = _apex_data(
+        facet_points, apex_left, apex_right
     )
+    if facet_flag:
+        raise DegeneracyError(_NO_FACET_CENTER)
+    # the axis distance: the right apex's offset from the facet's center,
+    # projected onto the span of the facet's edges (none for one point)
+    edges = (tops[1, 1:-1] - tops[1, 0]).T
+    along = edges @ np.linalg.lstsq(edges, tops[1, -1] - center, rcond=None)[0]
+    left, right = coordinates * heights
+    fields = -left, right, heights[1], np.linalg.norm(along), facet_radius
+    data = CircumcenterOrder(*map(float, fields))
     return data, data.center_offset_right > data.center_offset_left
 
 
@@ -152,24 +170,13 @@ def _pair_signs(complex_, facets, tops, columns, eps):
     pairs in any ambient dimension N >= n, from cached volumes, radii and
     barycentric coordinates; row i holds a facet, its two tops and the
     column of each top's vertex row that the facet omits (its apex).
-
-    The pair is unfolded about facet F into R^n. Top T's center lies at
-    signed offset s_T = lambda_a(T) h_a from F toward its apex a, where
-    h_a = n vol(T) / vol(F) is a's height over F. The other apex b has
-    power 2 h_b (s_T + s_T') with respect to T's circumsphere, and
-    relative margin (sqrt(r_T^2 + power) - r_T) / r_T. Column k of each
-    array below belongs to top k; the far apex is the other column's.
     ``eps`` is the resolved tolerance.
     """
     n = complex_.n
     facet_volumes, _, _, facet_flags, _ = complex_.geometry(n - 1)
     volumes, _, radii, flags, barycentric = complex_.geometry(n)
-    radii = radii[tops]
-    heights = n * volumes[tops] / facet_volumes[facets][:, None]
-    dual_lengths = (barycentric[tops, columns] * heights).sum(axis=1, keepdims=True)
-    power = 2.0 * heights[:, ::-1] * dual_lengths
-    with np.errstate(divide="ignore", invalid="ignore"):  # placeholder radii
-        margins = np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
+    heights = n * volumes[tops] / facet_volumes[facets][:, None]  # apex heights over F
+    margins = _pair_margins(radii[tops], heights, barycentric[tops, columns] * heights)
     # a pair touching a simplex with a degenerate circumcenter is degenerate
     margins[facet_flags[facets] | flags[tops].any(axis=1)] = np.nan
     return _status_signs(margins, eps)

@@ -6,8 +6,8 @@ complexes. Points within a call are rows of float arrays; a k-simplex is a
 the one producer of simplex geometry: volume, circumcenter, radius and the
 center's barycentric coordinates, from one QR factorisation of the scaled
 edges. A circumcenter's barycentric coordinate j times vertex j's height is
-its signed distance from the face opposite vertex j; ``halfspace_sign``
-finds that side by an explicit frame.
+its signed distance from the face opposite vertex j. ``halfspace_sign`` and
+the layout helper ``flatten_pair`` (no predicate uses it) use a facet frame.
 """
 
 import math

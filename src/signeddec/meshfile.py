@@ -45,7 +45,7 @@ def _data_rows(path, what):
     """The data rows of a file (lines cut at ``#`` and stripped, blank ones
     dropped) and ``at``, which names data row k ``path:line`` for a message."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()

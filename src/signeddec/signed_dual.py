@@ -277,23 +277,6 @@ def signed_dual_volume(complex_, dim, index, tol=None):
     )
 
 
-def _edge_frame(points):
-    pts = np.asarray(points, dtype=float)
-    return pts[1:] - pts[0]
-
-
-def _chain_frame(base_points, centers):
-    """A chain's n-frame: the base simplex's edges, then its circumcenter steps."""
-    return np.vstack([_edge_frame(base_points), np.diff(centers, axis=0)])
-
-
-def _sign_of_det(matrix):
-    det = np.linalg.det(matrix)
-    if det == 0.0:
-        return 0
-    return 1 if det > 0 else -1
-
-
 def orientation_sign_via_determinant(complex_, piece):
     """Recompute an elementary dual's sign by determinant comparison.
 
@@ -319,7 +302,10 @@ def orientation_sign_via_determinant(complex_, piece):
     order = list(cells[0])
     for cell in cells[1:]:
         order += set(cell).difference(order)
-    det_top = _sign_of_det(_edge_frame(complex_.points[order]))
-    if det_top == 0:
+    top = complex_.points[order]
+    edges = top[1:] - top[0]  # the base's edges come first
+    chain = np.vstack([edges[:piece.base_dim], np.diff(piece.vertices, axis=0)])
+    chain_sign, top_sign = np.sign(np.linalg.det(np.stack([chain, edges])))
+    if top_sign == 0:
         raise DegeneracyError("top simplex of the piece is degenerate")
-    return _sign_of_det(_chain_frame(complex_.points[list(cells[0])], piece.vertices)) * det_top
+    return int(chain_sign * top_sign)

@@ -64,6 +64,30 @@ def exact_barycentric(points):
     return [1 - sum(coeff), *coeff]
 
 
+def exact_pair_powers(facet, left, right):
+    """Exact (power, squared radius) pairs, as Fractions, of each far apex
+    with respect to the other top's circumsphere: first the right apex
+    against facet+left, then the left apex against facet+right. With
+    exact_barycentric's coordinates lambda_i of the center c of vertices
+    p_0..p_n and edges e_i = p_i - p_0, c - p_0 = sum_i lambda_i e_i and
+    e_i . (c - p_0) = |e_i|^2 / 2, so r^2 = sum_i lambda_i |e_i|^2 / 2 and
+    far apex b has power |b - p_0|^2 - 2 (b - p_0) . (c - p_0). For pairs in
+    R^n (N = n) whose apexes lie on opposite sides of the facet, which are
+    already unfolded."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    powers = []
+    for near, far in ((left, right), (right, left)):
+        rows = [[Fraction(x) for x in row] for row in np.vstack([facet, near, far]).tolist()]
+        *edges, reach = ([a - b for a, b in zip(row, rows[0])] for row in rows[1:])
+        weights = exact_barycentric(np.vstack([facet, near]))[1:]
+        radius2 = sum(w * dot(e, e) for w, e in zip(weights, edges)) / 2
+        power = dot(reach, reach) - 2 * sum(w * dot(reach, e) for w, e in zip(weights, edges))
+        powers.append((power, radius2))
+    return powers
+
+
 def incircle_sign(a, b, c, d):
     """Classic in-circle determinant, +1 if d is inside the circle
     through a, b, c taken counterclockwise, -1 outside, 0 on it."""

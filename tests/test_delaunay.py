@@ -1,12 +1,14 @@
 """Pair Delaunay predicates, one-sidedness, circumcenter ordering,
 whole-mesh classification."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
-from conftest import exact_barycentric, incircle_sign, random_rotation
+from conftest import exact_barycentric, exact_pair_powers, incircle_sign, random_rotation
 from signeddec import complexes
 from signeddec.complexes import build_complex
 from signeddec.delaunay import (
@@ -97,13 +99,15 @@ def _flat_pairs(rng, n, count):
 @pytest.mark.parametrize("n", [2, 3])
 def test_pair_routes_agree_on_flat_pairs(n):
     # the tolerance decides only the status: no flat pair that the complex
-    # route classifies makes the point routes raise, at the default or at 1e-3
+    # route classifies makes the point routes raise, at the default or at 1e-3,
+    # and the centers are in order exactly on the strict ones
     for mesh, facet, left, right in _flat_pairs(np.random.default_rng(20 + n), n, 150):
         index = mesh.simplex_index(n - 1, range(n))
+        _, order_correct = circumcenter_order_points(facet, left, right)
         for tol in (None, 1e-3):
             expected = is_delaunay_pair(mesh, 0, 1, index, tol=tol)
             assert pair_status_points(facet, left, right, tol=tol) == expected
-        circumcenter_order_points(facet, left, right)
+            assert expected == PAIR_DEGENERATE or order_correct == (expected == PAIR_STRICT)
 
 
 @st.composite
@@ -485,17 +489,13 @@ def test_rotations_keep_statuses_and_negative_pieces(name):
                 np.testing.assert_array_equal(dual_table(turned, p).num_negative_pieces, counts[p])
 
 
-def test_near_tie_grids_match_point_route_and_stay_positive():
-    # Jittered structured grids, with their grid diagonals or Qhull's, put
-    # every diagonal pair within 1e-13 to 1e-9 (relative) of cocircular,
-    # across the tolerance band: the batched statuses must match the
-    # flattening route, also after a random rotation into R^3,
-    # and no qualifying mesh may have a nonpositive signed dual.
+def _near_tie_grids():
+    """(points, cells) of jittered structured grids, with their grid
+    diagonals and with Qhull's: every diagonal pair lies within 1e-13 to
+    1e-9 (relative) of cocircular, across the tolerance band."""
     from scipy.spatial import Delaunay
-    from signeddec.fixtures import generate_fixture
 
-    rng, turns = np.random.default_rng(7), np.random.default_rng(8)
-    seen, qualifying = set(), 0
+    rng = np.random.default_rng(7)
     for k, jitter in enumerate(np.logspace(-13, -9, 60)):
         divisions = (2, 3, 4)[k % 3]
         grid = generate_fixture("structured_square", divisions=divisions)
@@ -503,21 +503,72 @@ def test_near_tie_grids_match_point_route_and_stay_positive():
         shift = inner * (jitter / divisions) * rng.uniform(-1.0, 1.0, grid.points.shape)
         points = grid.points + shift
         for cells in (grid.simplices[2], Delaunay(points).simplices):
-            mesh = build_complex(points, cells)
-            report = classify_complex(mesh)
-            for facet, (left, right), status in report.pair_statuses:
-                apexes = [_apex(mesh, facet, top) for top in (left, right)]
-                flat = pair_status_points(mesh.simplex_points(1, facet), *mesh.points[apexes])
-                assert status == flat
-                seen.add(status)
-            lifted = np.hstack([points, np.zeros((len(points), 1))]) @ random_rotation(turns, 3).T
-            lifted_report = classify_complex(build_complex(lifted, cells), check_duals=False)
-            assert lifted_report.pair_statuses == report.pair_statuses
-            if report.is_qualifying:
-                qualifying += 1
-                assert report.nonpositive_duals == []
+            yield points, cells
+
+
+def test_near_tie_grids_match_point_route_and_stay_positive():
+    # Near-tie grids put their diagonal pairs across the tolerance band: the
+    # batched statuses must match the point route, also after a random
+    # rotation into R^3, and no qualifying mesh may have a nonpositive
+    # signed dual.
+    turns = np.random.default_rng(8)
+    seen, qualifying = set(), 0
+    for points, cells in _near_tie_grids():
+        mesh = build_complex(points, cells)
+        report = classify_complex(mesh)
+        for facet, (left, right), status in report.pair_statuses:
+            apexes = [_apex(mesh, facet, top) for top in (left, right)]
+            assert status == pair_status_points(mesh.simplex_points(1, facet), *mesh.points[apexes])
+            seen.add(status)
+        lifted = np.hstack([points, np.zeros((len(points), 1))]) @ random_rotation(turns, 3).T
+        lifted_report = classify_complex(build_complex(lifted, cells), check_duals=False)
+        assert lifted_report.pair_statuses == report.pair_statuses
+        if report.is_qualifying:
+            qualifying += 1
+            assert report.nonpositive_duals == []
     assert seen == {PAIR_STRICT, PAIR_DEGENERATE, PAIR_VIOLATED}
     assert qualifying > 0
+
+
+def _exact_status(facet, left, right, eps=1e-10):
+    """The status of an unfolded pair from its exact powers where both
+    relative margins sqrt(1 + power / r^2) - 1 clear the band [-eps, eps],
+    else None."""
+    eps = Fraction(eps)
+    relative = [power / radius2 for power, radius2 in exact_pair_powers(facet, left, right)]
+    if min(relative) > 2 * eps + eps**2:
+        return PAIR_STRICT
+    if max(relative) < eps**2 - 2 * eps:
+        return PAIR_VIOLATED
+    return None
+
+
+def test_pair_routes_match_exact_powers():
+    # the exact stage of a robust in-sphere predicate, the one check of pair
+    # statuses that shares no floating-point step with either route: where
+    # both exact margins clear the band, both routes give the exact status.
+    # On the grids it takes the near ties, the pairs across a cell diagonal
+    # (an edge neither horizontal nor vertical); the others are far from it
+    pairs = [
+        (mesh, (0, 1), mesh.simplex_index(n - 1, range(n)), facet, left, right)
+        for n in (2, 3)
+        for mesh, facet, left, right in _flat_pairs(np.random.default_rng(20 + n), n, 150)
+    ]
+    for points, cells in _near_tie_grids():
+        mesh = build_complex(points, cells)
+        for facet, tops in mesh.internal_faces():
+            facet_points = mesh.simplex_points(1, facet)
+            if np.abs(facet_points[1] - facet_points[0]).min() > 1e-6:
+                apexes = [mesh.points[_apex(mesh, facet, top)] for top in tops]
+                pairs.append((mesh, tops, facet, facet_points, *apexes))
+    seen = []
+    for mesh, tops, index, facet, left, right in pairs:
+        exact = _exact_status(facet, left, right)
+        if exact is not None:
+            assert pair_status_points(facet, left, right) == exact
+            assert is_delaunay_pair(mesh, *tops, index) == exact
+        seen.append(exact)
+    assert {PAIR_STRICT, PAIR_VIOLATED, None} <= set(seen)
 
 
 def test_pair_rejects_non_neighbors():

@@ -1,5 +1,8 @@
 """Reading and writing .node/.ele pairs and OFF files."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -154,6 +157,24 @@ def test_non_utf8_file_is_format_error(tmp_path):
     node.write_bytes(b"3 2 0 0\n1 0 0\n2 1 0\n3 0 \xff\n")
     with pytest.raises(MeshFormatError, match="m.node"):
         read_mesh(node)
+
+
+@pytest.mark.parametrize("locale", [
+    {"LC_ALL": "C.UTF-8"},
+    {"LC_ALL": "C", "PYTHONUTF8": "0"},  # an ASCII locale encoding
+], ids=["c-utf8", "c-ascii"])
+def test_mesh_files_read_as_utf8_in_every_locale(tmp_path, locale):
+    # a coordinate in Arabic-Indic digits (U+0663) reads as 3.0 whatever
+    # encoding the locale names
+    (tmp_path / "enc.node").write_bytes("3 2 0 0\n1 0 0\n2 1 0\n3 0 \u0663\n".encode("utf-8"))
+    (tmp_path / "enc.ele").write_text("1 3 0\n1 1 2 3\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), **locale}
+    script = "import signeddec; print(signeddec.read_mesh('enc.node').points.tolist())"
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]"
 
 
 def test_off_rejects_non_triangles(tmp_path):
