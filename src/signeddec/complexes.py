@@ -47,9 +47,9 @@ class SimplicialComplex:
         self._face_tables = [None] * (self.n + 1)  # see face_table()
         self._coface_indices = [None] * (self.n + 1)  # see coface_index()
         self._cofaces = None
-        # signed_dual's link-table and DualTable memos, keyed by (dim, tolerance)
-        self._link_cache = {}
-        self._dual_volume_cache = {}
+        # signed_dual's link-table and DualTable memos, keyed by (dim, tolerance),
+        # and classify_complex's pair and boundary signs, keyed by tolerance
+        self._link_cache, self._dual_volume_cache, self._sign_cache = {}, {}, {}
 
     # -- basic queries -------------------------------------------------
 

@@ -308,22 +308,27 @@ def classify_complex(complex_, tol=None, check_duals=True):
     The verdict is "qualifying" exactly when all internal pairs are strict
     and all boundary facets one-sided; positive dual volumes in every
     dimension are then a theorem, and any nonpositive ones found are
-    reported for diagnosis.
+    reported for diagnosis. The pair and boundary signs are memoized on the
+    complex per resolved tolerance, as read-only arrays.
     """
     tol = tolerance(tol)  # resolved once, for every predicate below
-    tops, columns = complex_.facet_cofaces
-    pairs = np.flatnonzero(tops[:, 1] >= 0)
-    boundary, sides = _boundary_step_signs(complex_, tol)
+    if tol not in complex_._sign_cache:
+        tops, columns = complex_.facet_cofaces
+        pairs = np.flatnonzero(tops[:, 1] >= 0)
+        boundary, sides = _boundary_step_signs(complex_, tol)
+        signs = dict(
+            pair_facets=pairs, pair_tops=tops[pairs], boundary_facets=boundary,
+            pair_signs=_pair_signs(complex_, pairs, tops[pairs], columns[pairs], tol),
+            boundary_tops=tops[boundary, 0], boundary_signs=sides,
+        )
+        for column in signs.values():
+            column.setflags(write=False)
+        complex_._sign_cache[tol] = signs
     dims = range(complex_.n + 1) if check_duals else ()
     signed = [dual_volumes(complex_, dim, tol=tol)[0] for dim in dims]
     found = [np.flatnonzero(volumes <= 0.0) for volumes in signed]
     return MeshReport(
-        pair_facets=pairs,
-        pair_tops=tops[pairs],
-        pair_signs=_pair_signs(complex_, pairs, tops[pairs], columns[pairs], tol),
-        boundary_facets=boundary,
-        boundary_tops=tops[boundary, 0],
-        boundary_signs=sides,
+        **complex_._sign_cache[tol],
         dual_dims=np.repeat(np.arange(len(found)), [len(index) for index in found]),
         dual_indices=np.concatenate([np.empty(0, np.intp), *found]),
         dual_values=np.concatenate([np.empty(0), *map(np.take, signed, found)]),

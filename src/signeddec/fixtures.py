@@ -12,10 +12,10 @@ returned mesh always has the property and the same seed always gives the
 same mesh. Qhull does the raw triangulations; all property checks go
 through this package's own predicates, and the cheap geometric gates
 before them are array passes over all cells. The grid families share one
-checked axis (``divisions`` >= 1), one box-grid builder and one array of
-grid cells. scipy is imported by the one function that calls it,
-``_triangulate``, so structured_square, non_delaunay_square and
-fan_around_edge never load it.
+checked axis (``divisions`` >= 1), one box-grid builder, run once per
+call (an attempt only draws its jitter), and one array of grid cells.
+scipy is imported by the one function that calls it, ``_triangulate``, so
+structured_square, non_delaunay_square and fan_around_edge never load it.
 """
 
 import logging
@@ -67,26 +67,32 @@ def _lines(divisions, length, name):
     return np.linspace(0.0, length, divisions + 1)
 
 
-def _box_grid(divisions, sides, jitter=0.0, rng=None, locked_columns=()):
+def _box_grid(divisions, sides):
     """(divisions+1)^k points of the box with the given k side lengths, x
-    fastest. Given an rng, every coordinate strictly inside its side gets
-    jitter * side / divisions * U(-1, 1), drawn in one call in row-major
-    order (per point, x before y before z), so the box stays exact;
-    columns in ``locked_columns`` keep their exact x (used to reserve a
-    straight fold line)."""
+    fastest."""
     names = ("width", "height", "depth")
     axes = [_lines(divisions, side, name) for side, name in zip(sides, names)]
-    grid = np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, len(sides))
-    if rng is None:
-        return grid
+    return np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, len(sides))
+
+
+def _jittered_grid(divisions, sides, jitter, locked_columns=()):
+    """draw(rng): the box grid, built once, with every coordinate strictly
+    inside its side moved by jitter * side / divisions * U(-1, 1), one draw
+    in row-major order (per point, x before y before z), so the box stays
+    exact; columns in ``locked_columns`` keep their exact x (a fold line)."""
+    grid = _box_grid(divisions, sides)
     if not np.isfinite(jitter):
         raise FixtureError(f"jitter must be finite, got {jitter}")
     free = (grid > 0.0) & (grid < np.array(sides))
-    free[:, 0] &= ~np.isin(grid[:, 0], axes[0][list(locked_columns)])
-    shift = np.zeros_like(grid)
-    draws = rng.uniform(-1.0, 1.0, size=int(free.sum()))
-    shift[free] = np.broadcast_to(jitter * (np.array(sides) / divisions), grid.shape)[free] * draws
-    return grid + shift
+    free[:, 0] &= ~np.isin(grid[:, 0], grid[list(locked_columns), 0])  # row 0 holds the x axis
+    amplitudes = np.broadcast_to(jitter * (np.array(sides) / divisions), grid.shape)[free]
+
+    def draw(rng):
+        points = grid.copy()
+        points[free] += amplitudes * rng.uniform(-1.0, 1.0, size=len(amplitudes))
+        return points
+
+    return draw
 
 
 def _grid_cells(divisions):
@@ -160,12 +166,9 @@ def perturbed_delaunay_square(
 ):
     """Jittered-grid Delaunay triangulation of the rectangle, verified
     strict pairwise-Delaunay with fully one-sided boundary."""
-
-    def attempt(rng):
-        return _qualifying(_box_grid(divisions, (width, height), jitter, rng))
-
+    grid = _jittered_grid(divisions, (width, height), jitter)
     failure = f"no qualifying perturbed square in {max_tries} attempts (seed {seed})"
-    return _first_accepted(attempt, seed, max_tries, failure)
+    return _first_accepted(lambda rng: _qualifying(grid(rng)), seed, max_tries, failure)
 
 
 def obtuse_delaunay_square(
@@ -174,8 +177,10 @@ def obtuse_delaunay_square(
     """Qualifying jittered square guaranteed to contain at least one
     obtuse triangle (so signed and unsigned duals genuinely differ)."""
 
+    grid = _jittered_grid(divisions, (width, height), jitter)
+
     def attempt(rng):
-        complex_ = _qualifying(_box_grid(divisions, (width, height), jitter, rng))
+        complex_ = _qualifying(grid(rng))
         return complex_ if complex_ is not None and _has_obtuse_triangle(complex_) else None
 
     failure = f"no qualifying obtuse square in {max_tries} attempts (seed {seed})"
@@ -189,8 +194,10 @@ def bad_boundary_square(
     boundary edge with a nearby apex: exactly one boundary facet fails the
     one-sidedness test, everything else is clean."""
 
+    grid = _jittered_grid(divisions, (width, height), jitter)
+
     def attempt(rng):
-        points = _box_grid(divisions, (width, height), jitter, rng)
+        points = grid(rng)
         ys = points[:, 1]
         points = points[~((points[:, 0] == 0.0) & (ys > 0.0) & (ys < height))]
         complex_ = build_complex(points, _triangulate(points))
@@ -223,9 +230,10 @@ def non_delaunay_square(
     lo = np.concatenate([left, left + divisions])
     hi = lo + divisions + 1
     apex = np.concatenate([left + divisions + 2, left + divisions - 1])
+    grid = _jittered_grid(divisions, (width, height), jitter)
 
     def attempt(rng):
-        points = _box_grid(divisions, (width, height), jitter, rng)
+        points = grid(rng)
         mid = (points[lo] + points[hi]) / 2.0
         with np.errstate(over="ignore", invalid="ignore"):  # a huge jitter overflows here
             if not (_dots(points[apex] - mid) < _dots(points[hi] - mid)).any():
@@ -261,9 +269,10 @@ def surface_pairwise_delaunay(
         raise FixtureError("surface fixture needs an even number of divisions")
     mid_column = divisions // 2
     mid_x = _lines(divisions, width, "width")[mid_column]
+    grid = _jittered_grid(divisions, (width, height), jitter, (mid_column,))
 
     def attempt(rng):
-        points = _box_grid(divisions, (width, height), jitter, rng, (mid_column,))
+        points = grid(rng)
         cells = _triangulate(points)
         xs = points[cells, 0]
         if ((xs.min(axis=1) < mid_x - 1e-12) & (xs.max(axis=1) > mid_x + 1e-12)).any():
@@ -285,12 +294,9 @@ def surface_pairwise_delaunay(
 def delaunay_tet_cube(divisions=3, jitter=0.2, seed=0, max_tries=400):
     """Jittered-grid Delaunay tetrahedralization of the unit cube,
     verified strict pairwise-Delaunay with one-sided boundary."""
-
-    def attempt(rng):
-        return _qualifying(_box_grid(divisions, (1.0, 1.0, 1.0), jitter, rng))
-
+    grid = _jittered_grid(divisions, (1.0, 1.0, 1.0), jitter)
     failure = f"no qualifying tet cube in {max_tries} attempts (seed {seed})"
-    return _first_accepted(attempt, seed, max_tries, failure)
+    return _first_accepted(lambda rng: _qualifying(grid(rng)), seed, max_tries, failure)
 
 
 def _point_in_polygon(point, polygon, tol=1e-9):

@@ -2,12 +2,15 @@
 
 Everything here works on raw point arrays in R^N and knows nothing about
 complexes. Points within a call are rows of float arrays; a k-simplex is a
-(k+1, N) array of affinely independent rows. ``batched_circumcenters`` is
-the one producer of simplex geometry: volume, circumcenter, radius and the
-center's barycentric coordinates, from one QR factorisation of the scaled
-edges. A circumcenter's barycentric coordinate j times vertex j's height is
-its signed distance from the face opposite vertex j. ``halfspace_sign`` and
-the layout helper ``flatten_pair`` (no predicate uses it) use a facet frame.
+(k+1, N) array of affinely independent rows. ``_factor`` is the one
+factorisation: a modified Gram-Schmidt QR of each simplex's scaled edges,
+whose R gives the volumes. ``batched_circumcenters``, the one producer of
+simplex geometry, adds the circumcenter, radius and the center's
+barycentric coordinates. A circumcenter's barycentric coordinate j times
+vertex j's height is its signed distance from the face opposite vertex j.
+``halfspace_sign`` reads a query's offset and residual from the R of
+[facet, apex, query], and the layout helper ``flatten_pair`` (no predicate
+uses it) a pair's layout from the R of its two tops.
 """
 
 import math
@@ -95,20 +98,41 @@ def simplex_volume(points):
 
 
 def batched_volumes(pts):
-    """Unsigned volumes of a (M, k+1, N) stack of simplices: the last
-    column of :func:`batched_circumcenters`."""
-    return batched_circumcenters(pts)[4]
+    """Unsigned volumes of a (M, k+1, N) stack of simplices; no centers."""
+    return _factor(pts)[3]
+
+
+def _factor(pts):
+    """The one factorisation of a (M, k+1, N) stack of simplices: (rows,
+    scale, r, volumes). ``rows`` (k+1, N, M) holds each simplex's offsets to
+    vertex 0, one row per coordinate, divided by ``scale``, the power of two
+    at most their largest component (exact). ``r`` (k, k, M) is R, with a
+    nonnegative diagonal, of the scaled edges' modified Gram-Schmidt
+    factorisation E^T = QR: vertex j + 1 is column j of R in the frame Q.
+    The volume is prod diag R * scale^k / k!."""
+    m, k = len(pts), pts.shape[1] - 1
+    rows = np.ascontiguousarray((pts - pts[:, :1]).transpose(1, 2, 0))  # (k+1, N, M)
+    # 0.5 for coincident vertices, whose R is zero and whose row is degenerate
+    scale = np.ldexp(0.5, np.frexp(np.abs(rows).max(axis=(0, 1)))[1])
+    rows /= scale
+    q, r = list(rows[1:]), np.zeros((k, k, m))
+    for i in range(k):
+        r[i, i] = np.sqrt(np.einsum("nm,nm->m", q[i], q[i]))
+        # a zero column stays zero, so later diagonals and the volume stay finite
+        q[i] = q[i] / np.maximum(r[i, i], _TINY)
+        for j in range(i + 1, k):
+            r[i, j] = np.einsum("nm,nm->m", q[i], q[j])
+            q[j] = q[j] - r[i, j] * q[i]
+    volumes = math.prod((r[i, i] * scale for i in range(k)), start=np.ones(m))
+    return rows, scale, r, volumes / math.factorial(k)
 
 
 def batched_circumcenters(pts):
     """Circumcenters, radii and volumes of a (M, k+1, N) stack of simplices.
 
-    Each simplex's edges from vertex 0 are divided by the power of two at
-    most their largest component (exact), and the scaled edge matrix is
-    factorised once, E^T = QR, by modified Gram-Schmidt. The volume is
-    prod diag R * scale^k / k!. The center is p_0 + E^T coeff, where
-    R^T y = |e|^2 / 2 and R coeff = y: the Gram system E E^T coeff = |e|^2 / 2
-    without forming E E^T.
+    From the factorisation E^T = QR of :func:`_factor`, the center is
+    p_0 + E^T coeff, where R^T y = |e|^2 / 2 and R coeff = y: the Gram system
+    E E^T coeff = |e|^2 / 2 without forming E E^T.
 
     Returns (centers, radii, degenerate, barycentric, volumes).
     ``degenerate`` flags the rows whose vertices are (nearly) affinely
@@ -123,21 +147,8 @@ def batched_circumcenters(pts):
     if k == 0:
         centers = pts[:, 0, :].copy()
         return centers, np.zeros(m), np.zeros(m, dtype=bool), np.ones((m, 1)), np.ones(m)
-    coords = np.ascontiguousarray(pts.transpose(1, 2, 0))  # (k+1, N, M): one row per coordinate
-    spokes = coords - coords[0]  # vertex offsets to vertex 0
-    # 0.5 for coincident vertices, whose R is zero and whose row is degenerate
-    scale = np.ldexp(0.5, np.frexp(np.abs(spokes).max(axis=(0, 1)))[1])
-    spokes /= scale
+    spokes, scale, r, volumes = _factor(pts)
     edges = spokes[1:]
-    q, r = list(edges), {}
-    for i in range(k):
-        r[i, i] = np.sqrt(np.einsum("nm,nm->m", q[i], q[i]))
-        # a zero column stays zero, so later diagonals and the volume stay finite
-        q[i] = q[i] / np.maximum(r[i, i], _TINY)
-        for j in range(i + 1, k):
-            r[i, j] = np.einsum("nm,nm->m", q[i], q[j])
-            q[j] = q[j] - r[i, j] * q[i]
-    volumes = math.prod(r[i, i] * scale for i in range(k)) / math.factorial(k)
     # in the frame Q vertex i is column i of R, and the center y is as far
     # from it as from vertex 0: R_i . (y - R_i / 2) = 0, one row of R^T y = |e|^2 / 2
     y, coeff = [], [0.0] * k
@@ -156,7 +167,7 @@ def batched_circumcenters(pts):
         degenerate = ~(radii > 0.0) | ~(spread <= 1e-9 * radii)
     coeff[:, degenerate] = offset[:, degenerate] = radii[degenerate] = 0.0
     barycentric = np.concatenate([1.0 - coeff.sum(axis=0, keepdims=True), coeff]).T.copy()
-    return (coords[0] + scale * offset).T.copy(), radii * scale, degenerate, barycentric, volumes
+    return (pts[:, 0].T + scale * offset).T.copy(), radii * scale, degenerate, barycentric, volumes
 
 
 def circumcenter(points):
@@ -173,57 +184,37 @@ def circumcenter(points):
     return Circumdata(centers[0], float(radii[0]))
 
 
-def _facet_frame(facet_points, eps):
-    """(facet, origin, basis) of k facet points in R^N: the points, the first
-    of them, and an orthonormal (N, k-1) column basis of the edges from it (no
-    columns for one point). DegeneracyError if the edges are (nearly) dependent.
-    """
-    facet = _as_points(facet_points)
-    origin = facet[0]
-    edges = (facet[1:] - origin).T
-    basis, r = np.linalg.qr(edges)
-    scale = np.linalg.norm(edges, axis=0).max(initial=0.0)
-    if (np.abs(np.diag(r)) <= eps * scale).any():
-        raise DegeneracyError("facet vertices are (nearly) affinely dependent")
-    return facet, origin, basis
-
-
 def halfspace_sign(facet_points, apex, query, tol=None):
     """Side of ``query`` relative to the hyperplane of ``facet_points``,
-    within the affine hull of facet + apex. +1 means the apex side, -1 the
+    within the affine hull of facet + apex: +1 the apex side, -1 the
     opposite side, 0 on the hyperplane within tolerance.
 
-    ``facet_points`` spans a (k-1)-dimensional hull (k rows); apex must be
-    affinely independent of it (else DegeneracyError), and query must lie
-    in the combined affine hull within tolerance (else AffineHullError).
-    Complex or non-finite coordinates raise ValueError.
+    ``facet_points`` spans a (k-1)-dimensional hull (k rows). One
+    :func:`_factor` call on the stack [facet, apex, query] gives the query's
+    offset toward the apex (R's apex row) and its residual off the hull
+    (the entry below); a residual beyond max(tol, 1e-9) times the longest
+    edge raises AffineHullError. No tolerance moves the DegeneracyError
+    raised where the R diagonal of a facet edge or of the apex is at most
+    1e-10 times the longest edge (of the facet, resp. of all). Complex or
+    non-finite coordinates raise ValueError.
     """
     eps = tolerance(tol)
-    facet, origin, basis = _facet_frame(facet_points, eps)
-    apex_vec = _as_points(apex, 1) - origin
-    query_vec = _as_points(query, 1) - origin
-    scale = max(
-        float(np.linalg.norm(apex_vec)),
-        float(np.linalg.norm(query_vec)),
-        float(np.linalg.norm(facet[1:] - origin, axis=1).max(initial=0.0)),
-    )
-    if scale == 0.0:
-        raise DegeneracyError("all points coincide")
-    apex_perp = apex_vec - basis @ (basis.T @ apex_vec)
-    height = float(np.linalg.norm(apex_perp))
-    if height <= eps * scale:
+    stack = np.vstack([_as_points(facet_points), _as_points(apex, 1), _as_points(query, 1)])
+    rows, (unit,), r, _ = _factor(stack[np.newaxis])
+    lengths = np.sqrt(np.einsum("knm,knm->k", rows, rows))  # scaled edges, 0 at facet point 0
+    scale, diagonal = lengths.max(), r[..., 0].diagonal()
+    if (diagonal[:-2] <= 1e-10 * lengths[:-2].max()).any():
+        raise DegeneracyError("facet vertices are (nearly) affinely dependent")
+    if diagonal[-2] <= 1e-10 * scale:
         raise DegeneracyError("apex is affinely dependent on the facet")
-    normal = apex_perp / height
-    query_perp = query_vec - basis @ (basis.T @ query_vec)
-    offset = float(query_perp @ normal)
-    residual = float(np.linalg.norm(query_perp - offset * normal))
-    if residual > max(eps, 1e-9) * scale:
+    offset, residual = r[-2:, -1, 0]
+    # where facet+apex spans R^N every query is in its hull, and the residual is rounding
+    if len(stack) - 2 < stack.shape[1] and residual > max(eps, 1e-9) * scale:
         raise AffineHullError(
-            f"query off the facet+apex affine hull by {residual:.3e} (scale {scale:.3e})"
+            f"query off the facet+apex affine hull by {residual * unit:.3e} "
+            f"(scale {scale * unit:.3e})"
         )
-    if abs(offset) <= eps * scale:
-        return 0
-    return 1 if offset > 0 else -1
+    return 0 if abs(offset) <= eps * scale else int(np.sign(offset))
 
 
 def flatten_pair(facet_points, apex_left, apex_right):
@@ -231,28 +222,24 @@ def flatten_pair(facet_points, apex_left, apex_right):
 
     The facet (n rows in R^N) maps into {x_n = 0}; each apex keeps its
     tangential coordinates and moves to signed height -h (left) or +h
-    (right), where h is its distance to the facet's affine hull. Each
-    simplex is mapped isometrically, so volumes, circumcenters and
-    circumradii are preserved; the two apexes end up in opposite open
-    half-spaces. It takes no tolerance: a facet whose edges, or an apex
-    whose height, fall below a fixed 1e-10 relative raise DegeneracyError,
-    and complex or non-finite coordinates raise ValueError.
+    (right), where h is its distance to the facet's affine hull, so volumes,
+    circumcenters and circumradii are preserved. The layout is R of one
+    :func:`_factor` call on [facet+left, facet+right]: the facet's from its
+    leading columns, each apex's from its last. It takes no tolerance: a
+    facet whose edges, or an apex whose height, fall below a fixed 1e-10
+    relative raise DegeneracyError, and complex or non-finite coordinates
+    raise ValueError.
     """
-    eps = 1e-10
-    facet, origin, basis = _facet_frame(facet_points, eps)
+    facet = _as_points(facet_points)
+    tops = np.stack([np.vstack([facet, _as_points(apex, 1)]) for apex in (apex_left, apex_right)])
+    rows, scale, r, _ = _factor(tops)
+    lengths, diagonal = np.sqrt(np.einsum("knm,knm->mk", rows, rows)), r.diagonal()  # per top
+    if (diagonal[0, :-1] <= 1e-10 * lengths[0, :-1].max()).any():
+        raise DegeneracyError("facet vertices are (nearly) affinely dependent")
+    if (diagonal[:, -1] <= 1e-10 * lengths[:, -1]).any():
+        raise DegeneracyError("apex lies in the facet's affine hull")
+    left, right = (r[:, -1] * scale).T.copy()  # the apex's tangential coordinates, its height
+    left[-1] = -left[-1]
     flat_facet = np.zeros((len(facet), len(facet)))
-    flat_facet[1:, :-1] = (facet[1:] - origin) @ basis
-
-    def place(apex, side):
-        vec = _as_points(apex, 1) - origin
-        tang = basis.T @ vec
-        height = float(np.linalg.norm(vec - basis @ tang))
-        if height <= eps * max(float(np.linalg.norm(vec)), 1.0e-300):
-            raise DegeneracyError("apex lies in the facet's affine hull")
-        return np.append(tang, side * height)
-
-    return FlattenedPair(
-        facet=flat_facet,
-        apex_left=place(apex_left, -1.0),
-        apex_right=place(apex_right, +1.0),
-    )
+    flat_facet[1:, :-1] = r[:-1, :-1, 0].T * scale[0]
+    return FlattenedPair(facet=flat_facet, apex_left=left, apex_right=right)

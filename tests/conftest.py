@@ -88,6 +88,30 @@ def exact_pair_powers(facet, left, right):
     return powers
 
 
+def exact_side(facet, apex, query):
+    """Exact (coordinate, residual^2, height^2), as Fractions, of query
+    against the hull of facet+apex: its apex coordinate c (the apex edge's
+    coefficient in the query's projection onto the span of the facet+apex
+    edges from facet point 0), its squared distance off that hull, and the
+    apex's squared height over the facet's hull. The signed offset of the
+    query from the facet's hyperplane, toward the apex, is c times the
+    height. Symmetric elimination, L D L^T, of the exact Gram system of the
+    facet, apex and query edges: pivot i is edge i's squared distance from
+    the span of the edges before it, and the multiplier of the apex pivot in
+    the query's row is c. For a nondegenerate facet+apex."""
+    rows = [[Fraction(x) for x in row] for row in np.vstack([facet, apex, query]).tolist()]
+    edges = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
+    k = len(edges)
+    for i in range(k - 1):
+        for j in range(i + 1, k):
+            factor = gram[j][i] / gram[i][i]
+            gram[j] = [a - factor * b if col > i else a for col, (a, b) in
+                       enumerate(zip(gram[j], gram[i]))]
+            gram[j][i] = factor
+    return gram[k - 1][k - 2], gram[k - 1][k - 1], gram[k - 2][k - 2]
+
+
 def incircle_sign(a, b, c, d):
     """Classic in-circle determinant, +1 if d is inside the circle
     through a, b, c taken counterclockwise, -1 outside, 0 on it."""

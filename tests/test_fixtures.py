@@ -293,18 +293,18 @@ def test_grids_match_scalar_draws_bitwise():
     # one batched uniform draw per grid gives the very points, and leaves
     # the generator in the very state, of one scalar draw per coordinate
     from conftest import scalar_grid_2d, scalar_grid_3d
-    from signeddec.fixtures import _box_grid, _rng
+    from signeddec.fixtures import _jittered_grid, _rng
 
     for seed in range(4):
         for divisions in (1, 2, 3, 5, 8):
             for jitter in (0.0, 0.15, 0.4):
                 for locked in ((), (divisions // 2,), (1, divisions - 1)):
                     rng_a, rng_b = _rng(seed, divisions), _rng(seed, divisions)
-                    a = _box_grid(divisions, (2.0, 1.5), jitter, rng_a, locked)
+                    a = _jittered_grid(divisions, (2.0, 1.5), jitter, locked)(rng_a)
                     b = scalar_grid_2d(divisions, 2.0, 1.5, jitter, rng_b, locked_columns=locked)
                     assert a.tobytes() == b.tobytes()
                     assert rng_a.random() == rng_b.random()
                 rng_a, rng_b = _rng(seed, divisions), _rng(seed, divisions)
-                a = _box_grid(divisions, (1.0, 1.0, 1.0), jitter, rng_a)
+                a = _jittered_grid(divisions, (1.0, 1.0, 1.0), jitter)(rng_a)
                 assert a.tobytes() == scalar_grid_3d(divisions, rng_b, jitter).tobytes()
                 assert rng_a.random() == rng_b.random()

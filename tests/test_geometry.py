@@ -1,13 +1,16 @@
 """Coordinate-level primitives: circumcenters, volumes, side tests,
 pair flattening."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
-from conftest import cayley_menger_volume, exact_barycentric, random_rotation
+from conftest import cayley_menger_volume, exact_barycentric, exact_side, random_rotation
 from signeddec.complexes import build_complex
+from signeddec.config import tolerance
 from signeddec.delaunay import one_sided_status_points
 from signeddec.errors import AffineHullError, DegeneracyError, MeshFormatError
 from signeddec.geometry import (
@@ -183,9 +186,51 @@ def test_halfspace_sign_square_cases():
 
 
 def test_halfspace_sign_degenerate_apex():
+    # the tolerance decides only the status: a collinear apex raises at every
+    # tolerance, and an apex 1e-5 over the facet at none
     facet = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DegeneracyError):
-        halfspace_sign(facet, np.array([2.0, 0.0]), np.array([0.5, 1.0]))
+    for tol in (None, 1e-3):
+        with pytest.raises(DegeneracyError):
+            halfspace_sign(facet, np.array([2.0, 0.0]), np.array([0.5, 1.0]), tol=tol)
+        assert halfspace_sign(facet, np.array([0.5, 1e-5]), np.array([0.5, 1.0]), tol=tol) == 1
+
+
+def _side_inputs(rng, n, ambient, count):
+    """(facet, apex, query) in R^ambient: a standard-normal facet of n points,
+    an apex at 1e-6 to 1 times the longest facet edge over a random point of
+    the facet's hull, and a query in the facet+apex hull on, near or off the
+    facet's hyperplane."""
+    for _ in range(count):
+        facet = rng.standard_normal((n, ambient))
+        edges = (facet[1:] - facet[0]).T
+        normal = rng.standard_normal(ambient)
+        normal -= edges @ np.linalg.lstsq(edges, normal, rcond=None)[0]
+        normal /= np.linalg.norm(normal)
+        longest = np.linalg.norm(edges, axis=0).max()
+        weights = rng.dirichlet(np.ones(n), 2) + 0.3 * rng.standard_normal((2, n))
+        feet = (weights / weights.sum(axis=1, keepdims=True)) @ facet
+        apex = feet[0] + 10.0 ** rng.uniform(-6, 0) * longest * normal
+        along = rng.choice([0.0, 1e-12, 1e-10, 1e-8, 1.0]) * rng.choice([-1.0, 1.0])
+        yield facet, apex, feet[1] + along * rng.uniform(0.5, 2.0) * longest * normal
+
+
+def test_halfspace_sign_matches_exact_side():
+    # wherever the exact offset and the apex's height clear the tolerance
+    # band by a factor of 2, the sign is the exact one; the band is the
+    # tolerance times the longest of the facet's, the apex's and the query's
+    # edges from facet point 0
+    clear = 0
+    for n, ambient in ((2, 2), (2, 3), (3, 3)):
+        for facet, apex, query in _side_inputs(np.random.default_rng([n, ambient]), n, ambient, 80):
+            coordinate, _, height2 = exact_side(facet, apex, query)
+            rows = [[Fraction(x) for x in row] for row in np.vstack([facet, apex, query]).tolist()]
+            scale2 = max(sum((a - b) ** 2 for a, b in zip(row, rows[0])) for row in rows[1:])
+            for tol in (None, 1e-3):
+                band2 = 4 * Fraction(tolerance(tol)) ** 2 * scale2
+                if height2 > band2 and coordinate**2 * height2 > band2:
+                    assert halfspace_sign(facet, apex, query, tol=tol) == np.sign(coordinate)
+                    clear += 1
+    assert clear > 100
 
 
 def test_halfspace_sign_query_off_hull():

@@ -579,6 +579,37 @@ def test_columns_share_each_family_mesh():
         assert alone.solution.u.tobytes() == result.solution.u.tobytes()
 
 
+def test_columns_classify_each_mesh_once(monkeypatch):
+    # the fixture gates classify each mesh, and the columns reuse that work:
+    # pair signs are computed only while a generator runs
+    from signeddec import delaunay, fixtures
+
+    running, calls = [], []  # per _pair_signs call: whether a generator ran
+    pair_signs, generate = delaunay._pair_signs, fixtures.generate_fixture
+
+    def counted(*args):
+        calls.append(bool(running))
+        return pair_signs(*args)
+
+    def generating(*args, **kwargs):
+        running.append(True)
+        try:
+            return generate(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(delaunay, "_pair_signs", counted)
+    monkeypatch.setattr(fixtures, "generate_fixture", generating)
+    results = figure1_columns(divisions=6)
+    assert calls and all(calls)
+    for result in results:
+        mesh = result.mesh
+        fresh = classify_complex(build_complex(mesh.points, mesh.simplices[2]))
+        for name, column in vars(result.report).items():
+            expected = getattr(fresh, name)
+            assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
 def test_experiment_rejects_unknown_family():
     with pytest.raises(ProblemDefinitionError):
         figure1_experiment(family="great")
