@@ -316,16 +316,16 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
     orientations = [np.ones(len(level), dtype=np.int8) for level in simplices[:-1]]
     orientations.append(np.where(inversions[order] % 2, -1, 1).astype(np.int8))
 
-    # The coface index of dimension n, read from face_of_top[n - 1] so that no
-    # face table is kept: local facet k of a top omits its vertex n - k.
-    offsets, holders, local = _invert(face_of_top[n - 1])
+    # The coface index of dimension n, kept, is face_of_top[n - 1] inverted with
+    # its columns reversed, as local facet k of a top omits its vertex n - k.
+    top_index = offsets, holders, columns = _invert(face_of_top[n - 1][:, ::-1])
     counts = np.diff(offsets)
     for i in np.flatnonzero(counts > 2)[:1]:
         raise NonManifoldError(
             f"codim-1 simplex {tuple(simplices[n - 1][i].tolist())} has {counts[i]} cofaces"
         )
     ends = np.stack([offsets[:-1], offsets[1:] - 1], axis=1)
-    facet_tops, facet_columns = holders[ends], n - local[ends]
+    facet_tops, facet_columns = holders[ends], columns[ends]
     facet_tops[counts == 1, 1] = facet_columns[counts == 1, 1] = -1
     for arr in (*simplices, *face_of_top, *codes, *orientations, facet_tops, facet_columns):
         arr.setflags(write=False)
@@ -335,6 +335,7 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
         face_of_top=face_of_top, facet_cofaces=(facet_tops, facet_columns), codes=codes,
     )
     complex_.points.setflags(write=False)
+    complex_._coface_indices[n] = top_index
 
     # Reject (near-)zero-volume top cells: threshold far below predicate
     # tolerance, scaled by the longest cached edge to stay unit-free. A top

@@ -2,17 +2,17 @@
 
 A pair of tops sharing a facet F is Delaunay when, unfolded isometrically
 into R^n about F, each apex lies strictly outside the other top's
-circumsphere. Every pair route runs one power test (``_pair_margins``), in
-any ambient dimension N >= n: apex b's power is 2 h_b (s_T + s_T'), its
-height times F's signed dual length, from barycentric coordinates and
-volumes that ``classify_complex`` reads from the complex's cache and the
-point routes from one producer call on F and one on its tops
-(``_apex_data``). No predicate lays a pair out: ``geometry.flatten_pair`` is
-a layout helper. A boundary facet is one-sided when its coface's
-circumcenter lies strictly on the apex side of the facet's hyperplane: its
-step sign in the link table. A mesh whose internal pairs are all strict and
-whose boundary facets are all one-sided is "qualifying": its signed dual
-volumes are positive in every dimension.
+circumsphere. Every pair route runs one power test (``_pair_signs``) on the
+rows of one gather (``_pair_gather``), in any ambient dimension N >= n:
+apex b's power is 2 h_b (s_T + s_T'), its height times F's signed dual
+length, from producer records that ``classify_complex`` reads from the
+complex's cache and the point routes from one producer call on F and one
+on its tops (``_apex_data``). No predicate lays a pair out. A boundary
+facet is one-sided when its coface's circumcenter lies strictly on the
+apex side of the facet's hyperplane: its step sign, by the link table's
+side rule (``signed_dual._side_signs``). A mesh whose internal pairs are
+all strict and whose boundary facets are all one-sided is "qualifying":
+its signed dual volumes are positive in every dimension.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ import numpy as np
 from .config import tolerance
 from .errors import DegeneracyError
 from .geometry import _as_points, batched_circumcenters
-from .signed_dual import _boundary_step_signs, dual_volumes, step_sign
+from .signed_dual import _boundary_step_signs, _side_signs, dual_volumes, step_sign
 
 __all__ = [
     "PAIR_STRICT",
@@ -73,41 +73,47 @@ class CircumcenterOrder:
     facet_radius: float
 
 
-def _status_signs(margins, eps):
-    """Status signs of pairs from their (P, 2) relative margins (apex
-    distance outside the other circumsphere over its radius): +1 strict if
-    both exceed eps, -1 violated if both are below -eps, else 0 (NaN too)."""
-    return np.where(
-        margins.min(1) > eps, 1, np.where(margins.max(1) < -eps, -1, 0)
-    ).astype(np.int8)
-
-
-def _pair_margins(radii, heights, offsets):
-    """(P, 2) relative margins of pairs unfolded about their shared facet F,
-    column k from top k's radius r, apex height h over F and center offset
-    s = lambda_apex h from F toward that apex. The far apex b has power
-    2 h_b (s_T + s_T') with respect to T's circumsphere, and relative margin
-    (sqrt(r_T^2 + power) - r_T) / r_T."""
-    power = 2.0 * heights[:, ::-1] * offsets.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):  # placeholder radii
-        return np.sqrt(np.maximum(radii**2 + power, 0.0)) / radii - 1.0
-
-
 def _apex_data(facet_points, *apexes):
-    """The stack of tops facet+apex, the facet's center, radius and
-    degenerate flag, then per top its radius, the apex's height
-    h = n vol(top) / vol(facet) and its barycentric coordinate of the top's
-    center, from one producer call on the facet and one on the stack of
-    tops. DegeneracyError if a top has no circumcenter."""
-    tops = _as_points(np.stack([np.vstack([facet_points, apex]) for apex in apexes]), 3)
-    facet = tops[0, :-1]
-    (center,), (radius,), (flag,), _, (volume,) = batched_circumcenters(facet[None])
-    _, radii, flags, barycentric, volumes = batched_circumcenters(tops)
-    if flags.any():
-        simplex = tops[flags][0].tolist()
+    """The stack of tops facet+apex, then the facet's and the tops'
+    producer records (volumes, centers, radii, degenerate, barycentric: the
+    cache's order), from one producer call on each; as a pair row, facet 0,
+    tops 0 and 1, each apex last. DegeneracyError if a top has no
+    circumcenter."""
+    points = _as_points(np.stack([np.vstack([facet_points, apex]) for apex in apexes]), 3)
+    calls = map(batched_circumcenters, (points[:1, :-1], points))
+    facet, tops = [(volumes, *data) for *data, volumes in calls]
+    if tops[3].any():
+        simplex = points[tops[3]][0].tolist()
         raise DegeneracyError(f"affinely dependent vertices, no circumcenter: {simplex}")
-    heights = len(facet) * volumes / volume
-    return tops, center, radius, flag, radii, heights, barycentric[:, -1]
+    return points, facet, tops
+
+
+def _pair_gather(top_records, facet_records, facets, tops, columns):
+    """Per pair row i (facets[i], its two tops tops[i] and the columns[i] of
+    their vertex rows that it omits), from producer records in the cache's
+    order: the tops' radii r, apex heights h = n vol(top) / vol(facet) and
+    center offsets s = lambda_apex h, each (P, 2), and whether a simplex is flagged."""
+    facet_volumes, _, _, facet_flags, _ = facet_records
+    volumes, _, radii, flags, barycentric = top_records
+    heights = (barycentric.shape[1] - 1) * volumes[tops] / facet_volumes[facets][:, None]
+    flagged = facet_flags[facets] | flags[tops].any(axis=1)
+    return radii[tops], heights, barycentric[tops, columns] * heights, flagged
+
+
+def _pair_signs(top_records, facet_records, facets, tops, columns, eps):
+    """Status signs (+1 strict, 0 degenerate, -1 violated) of the rows of
+    :func:`_pair_gather`, in any ambient dimension N >= n. The far apex b
+    has power 2 h_b (s_T + s_T') with respect to top T's circumsphere, and
+    relative margin (sqrt(r_T^2 + power) - r_T) / r_T: strict if both
+    exceed ``eps`` (the resolved tolerance), violated if both are below
+    -eps, else degenerate, as is every pair touching a flagged simplex."""
+    r, h, s, flagged = _pair_gather(top_records, facet_records, facets, tops, columns)
+    power = 2.0 * h[:, ::-1] * s.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # placeholder radii
+        margins = np.sqrt(np.maximum(r**2 + power, 0.0)) / r - 1.0
+    margins[flagged] = np.nan
+    signs = np.where(margins.min(1) > eps, 1, np.where(margins.max(1) < -eps, -1, 0))
+    return signs.astype(np.int8)
 
 
 def pair_status_points(facet_points, apex_left, apex_right, tol=None):
@@ -120,11 +126,10 @@ def pair_status_points(facet_points, apex_left, apex_right, tol=None):
     status: DegeneracyError where the facet or a top has no circumcenter.
     """
     eps = tolerance(tol)
-    *_, facet_flag, radii, heights, coordinates = _apex_data(facet_points, apex_left, apex_right)
-    if facet_flag:
+    _, facet, tops = _apex_data(facet_points, apex_left, apex_right)
+    if facet[3][0]:
         raise DegeneracyError(_NO_FACET_CENTER)
-    margins = _pair_margins(radii[None], heights[None], (coordinates * heights)[None])
-    return _PAIR_STATUS[_status_signs(margins, eps)[0]].item()
+    return _PAIR_STATUS[_pair_signs(tops, facet, [0], [[0, 1]], -1, eps)[0]].item()
 
 
 def one_sided_status_points(facet_points, apex, tol=None):
@@ -133,11 +138,9 @@ def one_sided_status_points(facet_points, apex, tol=None):
     circumcenter of facet+apex (DegeneracyError if it has none). Complex or
     non-finite coordinates raise ValueError.
     """
-    eps = max(tolerance(tol), 1e-14)
-    *_, facet_flag, _, _, (coordinate,) = _apex_data(facet_points, apex)
-    if abs(coordinate) <= eps or facet_flag:
-        return SIDE_MARGINAL
-    return SIDE_YES if coordinate > 0 else SIDE_NO
+    eps = tolerance(tol)
+    _, facet, (*_, barycentric) = _apex_data(facet_points, apex)
+    return _SIDE_STATUS[_side_signs(barycentric[:, -1], facet[3], eps)[0]].item()
 
 
 def circumcenter_order_points(facet_points, apex_left, apex_right):
@@ -150,36 +153,17 @@ def circumcenter_order_points(facet_points, apex_left, apex_right):
     exceeds the left one's. It takes no tolerance; it raises as
     :func:`pair_status_points` does.
     """
-    tops, center, facet_radius, facet_flag, _, heights, coordinates = _apex_data(
-        facet_points, apex_left, apex_right
-    )
-    if facet_flag:
+    points, facet, tops = _apex_data(facet_points, apex_left, apex_right)
+    if facet[3][0]:
         raise DegeneracyError(_NO_FACET_CENTER)
+    _, (heights,), (offsets,), _ = _pair_gather(tops, facet, [0], [[0, 1]], -1)
     # the axis distance: the right apex's offset from the facet's center,
     # projected onto the span of the facet's edges (none for one point)
-    edges = (tops[1, 1:-1] - tops[1, 0]).T
-    along = edges @ np.linalg.lstsq(edges, tops[1, -1] - center, rcond=None)[0]
-    left, right = coordinates * heights
-    fields = -left, right, heights[1], np.linalg.norm(along), facet_radius
+    edges = (points[1, 1:-1] - points[1, 0]).T
+    along = edges @ np.linalg.lstsq(edges, points[1, -1] - facet[1][0], rcond=None)[0]
+    fields = -offsets[0], offsets[1], heights[1], np.linalg.norm(along), facet[2][0]
     data = CircumcenterOrder(*map(float, fields))
     return data, data.center_offset_right > data.center_offset_left
-
-
-def _pair_signs(complex_, facets, tops, columns, eps):
-    """Status signs (+1 strict, 0 degenerate, -1 violated) of internal
-    pairs in any ambient dimension N >= n, from cached volumes, radii and
-    barycentric coordinates; row i holds a facet, its two tops and the
-    column of each top's vertex row that the facet omits (its apex).
-    ``eps`` is the resolved tolerance.
-    """
-    n = complex_.n
-    facet_volumes, _, _, facet_flags, _ = complex_.geometry(n - 1)
-    volumes, _, radii, flags, barycentric = complex_.geometry(n)
-    heights = n * volumes[tops] / facet_volumes[facets][:, None]  # apex heights over F
-    margins = _pair_margins(radii[tops], heights, barycentric[tops, columns] * heights)
-    # a pair touching a simplex with a degenerate circumcenter is degenerate
-    margins[facet_flags[facets] | flags[tops].any(axis=1)] = np.nan
-    return _status_signs(margins, eps)
 
 
 def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
@@ -189,10 +173,9 @@ def is_delaunay_pair(complex_, left_top, right_top, facet_index, tol=None):
     if sorted((left_top, right_top)) != row:
         raise ValueError(f"simplices {left_top}, {right_top} do not share facet {facet_index}")
     # the columns of the two tops' vertex rows that their shared facet omits
-    columns = omitted[facet_index][[row.index(left_top), row.index(right_top)]]
-    signs = _pair_signs(
-        complex_, [facet_index], [[left_top, right_top]], columns[None], tolerance(tol)
-    )
+    columns = omitted[facet_index][[row.index(left_top), row.index(right_top)]][None]
+    records = complex_.geometry(complex_.n), complex_.geometry(complex_.n - 1)
+    signs = _pair_signs(*records, [facet_index], [[left_top, right_top]], columns, tolerance(tol))
     return _PAIR_STATUS[signs[0]].item()
 
 
@@ -316,9 +299,10 @@ def classify_complex(complex_, tol=None, check_duals=True):
         tops, columns = complex_.facet_cofaces
         pairs = np.flatnonzero(tops[:, 1] >= 0)
         boundary, sides = _boundary_step_signs(complex_, tol)
+        records = complex_.geometry(complex_.n), complex_.geometry(complex_.n - 1)
         signs = dict(
             pair_facets=pairs, pair_tops=tops[pairs], boundary_facets=boundary,
-            pair_signs=_pair_signs(complex_, pairs, tops[pairs], columns[pairs], tol),
+            pair_signs=_pair_signs(*records, pairs, tops[pairs], columns[pairs], tol),
             boundary_tops=tops[boundary, 0], boundary_signs=sides,
         )
         for column in signs.values():

@@ -261,10 +261,10 @@ def surface_pairwise_delaunay(
     max_tries=120,
 ):
     """Non-flat triangle surface in R^3 that is strictly pairwise Delaunay
-    with one-sided boundary: a qualifying planar mesh with a straight
-    vertex column at mid-width, folded isometrically about that line.
-    Flattening any hinge pair undoes the fold, so the planar statuses
-    carry over exactly."""
+    with one-sided boundary: a planar mesh with a straight vertex column at
+    mid-width, folded isometrically about that line, kept when the surface
+    classifies as qualifying. Flattening any hinge pair undoes the fold, so
+    the surface's statuses are the planar mesh's."""
     if divisions % 2:
         raise FixtureError("surface fixture needs an even number of divisions")
     mid_column = divisions // 2
@@ -276,8 +276,6 @@ def surface_pairwise_delaunay(
         cells = _triangulate(points)
         xs = points[cells, 0]
         if ((xs.min(axis=1) < mid_x - 1e-12) & (xs.max(axis=1) > mid_x + 1e-12)).any():
-            return None
-        if not _clean_report(build_complex(points, cells)):
             return None
         folded = np.zeros((len(points), 3))
         folded[:, :2] = points

@@ -57,7 +57,7 @@ class FlattenedPair:
     apex_right: np.ndarray
 
 
-_TINY = np.finfo(float).tiny
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 def _real_floats(points, error=ValueError):
@@ -191,25 +191,28 @@ def halfspace_sign(facet_points, apex, query, tol=None):
 
     ``facet_points`` spans a (k-1)-dimensional hull (k rows). One
     :func:`_factor` call on the stack [facet, apex, query] gives the query's
-    offset toward the apex (R's apex row) and its residual off the hull
-    (the entry below); a residual beyond max(tol, 1e-9) times the longest
-    edge raises AffineHullError. No tolerance moves the DegeneracyError
-    raised where the R diagonal of a facet edge or of the apex is at most
-    1e-10 times the longest edge (of the facet, resp. of all). Complex or
-    non-finite coordinates raise ValueError.
+    offset toward the apex (R's apex row), 0 within tol times the longest
+    edge L, and its residual off the hull (the entry below). A residual
+    beyond max(tol, 1e-9) L plus the rounding of the facet+apex frame,
+    4 eps |query edge| L' / d (L' the longest facet+apex edge, d their least
+    R diagonal), raises AffineHullError. No tolerance moves the
+    DegeneracyError raised where the R diagonal of a facet edge or of the
+    apex is at most 1e-10 times the longest edge of the facet, resp. of
+    facet+apex. Complex or non-finite coordinates raise ValueError.
     """
     eps = tolerance(tol)
     stack = np.vstack([_as_points(facet_points), _as_points(apex, 1), _as_points(query, 1)])
     rows, (unit,), r, _ = _factor(stack[np.newaxis])
     lengths = np.sqrt(np.einsum("knm,knm->k", rows, rows))  # scaled edges, 0 at facet point 0
-    scale, diagonal = lengths.max(), r[..., 0].diagonal()
+    scale, frame, diagonal = lengths.max(), lengths[:-1].max(), r[..., 0].diagonal()
     if (diagonal[:-2] <= 1e-10 * lengths[:-2].max()).any():
         raise DegeneracyError("facet vertices are (nearly) affinely dependent")
-    if diagonal[-2] <= 1e-10 * scale:
+    if diagonal[-2] <= 1e-10 * frame:
         raise DegeneracyError("apex is affinely dependent on the facet")
     offset, residual = r[-2:, -1, 0]
+    bound = max(eps, 1e-9) * scale + 4 * _EPS * lengths[-1] * frame / diagonal[:-1].min()
     # where facet+apex spans R^N every query is in its hull, and the residual is rounding
-    if len(stack) - 2 < stack.shape[1] and residual > max(eps, 1e-9) * scale:
+    if len(stack) - 2 < stack.shape[1] and residual > bound:
         raise AffineHullError(
             f"query off the facet+apex affine hull by {residual * unit:.3e} "
             f"(scale {scale * unit:.3e})"

@@ -156,21 +156,27 @@ def _link_table(complex_, dim, tol):
     shape (num_simplices(dim), dim + 1): entry (t, j) is the link from the
     face of simplex t that omits its vertex j. With lambda the barycentric
     coordinates of t's circumcenter and h_j = dim vol(t) / vol(face), the
-    sign is sign(lambda_j), 0 when |lambda_j| <= eps (the resolved
-    tolerance, floored at 1e-14) or either circumcenter is degenerate, and
-    the length is |lambda_j| h_j. Memoized per (dim, eps)."""
-    cache, eps = complex_._link_cache, max(tol, 1e-14)
-    if (dim, eps) not in cache:
+    sign is sign(lambda_j) by :func:`_side_signs`, 0 within the resolved
+    tolerance ``tol`` or where either circumcenter is degenerate, and the
+    length is |lambda_j| h_j. Memoized per (dim, tol)."""
+    cache = complex_._link_cache
+    if (dim, tol) not in cache:
         faces = complex_.face_table(dim)
         face_volumes, _, _, face_flags, _ = complex_.geometry(dim - 1)
         volumes, _, _, flags, barycentric = complex_.geometry(dim)
-        marginal = (np.abs(barycentric) <= eps) | face_flags[faces] | flags[:, None]
-        signs = np.where(marginal, 0, np.sign(barycentric)).astype(np.int8)
+        signs = _side_signs(barycentric, face_flags[faces] | flags[:, None], tol)
         lengths = np.abs(barycentric) * (dim * volumes[:, None] / face_volumes[faces])
         for column in (signs, lengths):
             column.setflags(write=False)
-        cache[dim, eps] = signs, lengths
-    return cache[dim, eps]
+        cache[dim, tol] = signs, lengths
+    return cache[dim, tol]
+
+
+def _side_signs(barycentric, flagged, tol):
+    """Step signs from circumcenters' barycentric coordinates lambda: sign(lambda),
+    0 where |lambda| <= max(tol, 1e-14) (tol resolved) or where ``flagged``."""
+    marginal = (np.abs(barycentric) <= max(tol, 1e-14)) | flagged
+    return np.where(marginal, 0, np.sign(barycentric)).astype(np.int8)
 
 
 def _sweep(complex_, top, totals, tol):

@@ -169,6 +169,12 @@ def test_coface_index_inverts_the_face_table(name):
         holder = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         assert (faces[cofaces, columns] == holder).all()
         assert (np.diff(cofaces)[np.diff(holder) == 0] > 0).all()
+        # each index, the one build keeps for the top dimension too, is a fresh
+        # inversion of the face table, bit for bit
+        fresh = complexes._invert(faces)
+        assert [(a.dtype, a.tobytes(), a.flags.writeable) for a in (offsets, cofaces, columns)] == [
+            (a.dtype, a.tobytes(), a.flags.writeable) for a in fresh
+        ]
         op = boundary_operator(mesh, dim)
         op.sort_indices()
         rows = [

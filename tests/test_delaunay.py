@@ -1,6 +1,7 @@
 """Pair Delaunay predicates, one-sidedness, circumcenter ordering,
 whole-mesh classification."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -569,6 +570,56 @@ def test_pair_routes_match_exact_powers():
             assert is_delaunay_pair(mesh, *tops, index) == exact
         seen.append(exact)
     assert {PAIR_STRICT, PAIR_VIOLATED, None} <= set(seen)
+
+
+# A triangle facet in R^3 whose third point lies about 1e-16 of its edges
+# off the line of the other two: the producer finds no circumcenter for it,
+# but finds one for each of its two tets (a seeded search's find).
+FLAGGED_FACET = np.array([
+    [0.8991518811741108, 0.7697431103444464, 0.5336387743442011],
+    [-0.9389645788485715, -1.5673511441236778, 1.196791577270832],
+    [-0.9984579274031216, -1.6429946444730479, 1.2182554952039504],
+])
+FLAGGED_FACET_APEXES = (
+    np.array([-1.409059315179388, -0.16418225424347688, -0.2984733715808574]),
+    np.array([1.360242838645337, -0.027275498266704546, -0.21497991633930544]),
+)
+
+
+def test_point_routes_on_a_facet_without_circumcenter():
+    # the pair routes raise, whatever the tolerance; the side route reads
+    # the facet as marginal, as the link table does
+    assert batched_circumcenters(FLAGGED_FACET[None])[2].all()
+    tops = np.stack([np.vstack([FLAGGED_FACET, apex]) for apex in FLAGGED_FACET_APEXES])
+    assert not batched_circumcenters(tops)[2].any()
+    message = re.escape("facet vertices are (nearly) affinely dependent, no circumcenter")
+    for tol in (None, 1e-3, 0.0):
+        with pytest.raises(DegeneracyError, match=message):
+            pair_status_points(FLAGGED_FACET, *FLAGGED_FACET_APEXES, tol=tol)
+        for apex in FLAGGED_FACET_APEXES:
+            assert one_sided_status_points(FLAGGED_FACET, apex, tol=tol) == SIDE_MARGINAL
+    with pytest.raises(DegeneracyError, match=message):
+        circumcenter_order_points(FLAGGED_FACET, *FLAGGED_FACET_APEXES)
+
+
+@pytest.mark.parametrize("apexes", [
+    ([2.0, 0.0], [0.5, -1.0]),
+    ([0.5, 1.0], [-3.0, 0.0]),
+    ([0.5, 1.0], [0.5, 1e-300]),
+], ids=["left-collinear", "right-collinear", "right-underflow"])
+def test_point_routes_on_a_top_without_circumcenter(apexes):
+    # the first top the producer flags is named, its rows as given
+    flagged = next(
+        apex for apex in apexes if batched_circumcenters(np.vstack([EDGE, apex])[None])[2][0]
+    )
+    message = re.escape(
+        f"affinely dependent vertices, no circumcenter: {np.vstack([EDGE, flagged]).tolist()}"
+    )
+    for route in (pair_status_points, circumcenter_order_points):
+        with pytest.raises(DegeneracyError, match=message):
+            route(EDGE, *apexes)
+    with pytest.raises(DegeneracyError, match=message):
+        one_sided_status_points(EDGE, flagged)
 
 
 def test_pair_rejects_non_neighbors():

@@ -1,6 +1,7 @@
 """Coordinate-level primitives: circumcenters, volumes, side tests,
 pair flattening."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,23 @@ def test_halfspace_sign_degenerate_apex():
         with pytest.raises(DegeneracyError):
             halfspace_sign(facet, np.array([2.0, 0.0]), np.array([0.5, 1.0]), tol=tol)
         assert halfspace_sign(facet, np.array([0.5, 1e-5]), np.array([0.5, 1.0]), tol=tol) == 1
+    # the apex guard is scaled by facet+apex alone, so a far query does not
+    # make an apex 1e-9 over the facet degenerate
+    for query, sign in (([0.5, 1.0], 1), ([0.5, 100.0], 1), ([50.0, 0.0], 0)):
+        assert halfspace_sign(facet, [0.5, 1e-9], query) == sign
+
+
+def test_collinear_facets_and_apexes_raise_whatever_the_tolerance():
+    line = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+    facet_message = "facet vertices are \\(nearly\\) affinely dependent$"
+    for tol in (None, 1e-3, 0.0):
+        with pytest.raises(DegeneracyError, match=facet_message):
+            halfspace_sign(line, [0.0, 1.0, 0.0], [0.5, 2.0, 0.0], tol=tol)
+    with pytest.raises(DegeneracyError, match=facet_message):
+        flatten_pair(line, [0.0, 1.0, 0.0], [0.0, -1.0, 0.0])
+    for apexes in (([2.0, 0.0], [0.5, -1.0]), ([0.5, 1.0], [-3.0, 0.0])):
+        with pytest.raises(DegeneracyError, match="apex lies in the facet's affine hull"):
+            flatten_pair([[0.0, 0.0], [1.0, 0.0]], *apexes)
 
 
 def _side_inputs(rng, n, ambient, count):
@@ -231,6 +249,41 @@ def test_halfspace_sign_matches_exact_side():
                     assert halfspace_sign(facet, apex, query, tol=tol) == np.sign(coordinate)
                     clear += 1
     assert clear > 100
+
+
+def test_halfspace_sign_hull_check_follows_the_frame():
+    # facet+apex spans less than R^N: a query whose exact residual is within
+    # max(tol, 1e-9) L (L the stack's longest edge) never raises, and one
+    # beyond twice that plus the frame's rounding 4 eps |query edge| L' / d
+    # (L' the longest facet+apex edge, d their least R diagonal) always does
+    rng = np.random.default_rng(29)
+    checked = {"inside": 0, "beyond": 0}
+    for n, ambient in ((1, 2), (1, 3), (2, 3)):
+        for _ in range(100):
+            facet = rng.standard_normal((n, ambient)) + rng.uniform(-3.0, 3.0, ambient)
+            basis = np.hstack([(facet[1:] - facet[0]).T, rng.standard_normal((ambient, 2))])
+            normal, off_hull = np.linalg.qr(basis)[0][:, n - 1:n + 1].T
+            weights = rng.uniform(-0.5, 1.5, (2, n))
+            weights[:, 0] = 1.0 - weights[:, 1:].sum(axis=1)
+            foot, end = weights @ facet
+            apex = foot + 10.0 ** rng.uniform(-9, 0) * normal
+            query = end + rng.choice([0.0, 1.0, 10.0]) * rng.standard_normal() * normal
+            query = query + rng.choice([0.0, 1.0]) * 10.0 ** rng.uniform(-15, 0) * off_hull
+            _, residual2, height2 = exact_side(facet, apex, query)
+            edges = np.vstack([facet, apex, query])[1:] - facet[0]
+            lengths = np.linalg.norm(edges, axis=1)
+            least = min([math.sqrt(height2), *lengths[:n - 1]])
+            band = 1e-9 * lengths.max()
+            rounding = 4 * np.finfo(float).eps * lengths[-1] * lengths[:-1].max() / least
+            residual = math.sqrt(residual2)
+            if residual <= band:
+                assert halfspace_sign(facet, apex, query) in (-1, 0, 1)
+                checked["inside"] += 1
+            elif residual > 2 * (band + rounding):
+                with pytest.raises(AffineHullError):
+                    halfspace_sign(facet, apex, query)
+                checked["beyond"] += 1
+    assert min(checked.values()) > 50, checked
 
 
 def test_halfspace_sign_query_off_hull():
