@@ -10,7 +10,9 @@ barycentric coordinates. A circumcenter's barycentric coordinate j times
 vertex j's height is its signed distance from the face opposite vertex j.
 ``halfspace_sign`` reads a query's offset and residual from the R of
 [facet, apex, query], and the layout helper ``flatten_pair`` (no predicate
-uses it) a pair's layout from the R of its two tops.
+uses it) a pair's layout from the R of its two tops. Every sum adds its
+terms in index order while it has under 8 (numpy sums 8 or more pairwise),
+so a simplex gets the same bits alone as in any stack: N <= 7, n <= 6.
 """
 
 import math
@@ -117,11 +119,11 @@ def _factor(pts):
     rows /= scale
     q, r = list(rows[1:]), np.zeros((k, k, m))
     for i in range(k):
-        r[i, i] = np.sqrt(np.einsum("nm,nm->m", q[i], q[i]))
+        r[i, i] = np.sqrt((q[i] * q[i]).sum(axis=0))
         # a zero column stays zero, so later diagonals and the volume stay finite
         q[i] = q[i] / np.maximum(r[i, i], _TINY)
         for j in range(i + 1, k):
-            r[i, j] = np.einsum("nm,nm->m", q[i], q[j])
+            r[i, j] = (q[i] * q[j]).sum(axis=0)
             q[j] = q[j] - r[i, j] * q[i]
     volumes = math.prod((r[i, i] * scale for i in range(k)), start=np.ones(m))
     return rows, scale, r, volumes / math.factorial(k)
@@ -158,10 +160,10 @@ def batched_circumcenters(pts):
         for i in reversed(range(k)):  # back substitution, R coeff = y
             coeff[i] = (y[i] - sum(r[i, j] * coeff[j] for j in range(i + 1, k))) / r[i, i]
         coeff = np.array(coeff)
-        offset = np.einsum("km,knm->nm", coeff, edges)
+        offset = (coeff[:, None] * edges).sum(axis=0)
         # measured from offsets, so the check does not depend on where the simplex sits
         spokes -= offset
-        dists = np.sqrt(np.einsum("knm,knm->km", spokes, spokes))
+        dists = np.sqrt((spokes * spokes).sum(axis=1))
         radii = dists.sum(axis=0) / kp1
         spread = dists.max(axis=0) - dists.min(axis=0)
         degenerate = ~(radii > 0.0) | ~(spread <= 1e-9 * radii)
@@ -203,7 +205,7 @@ def halfspace_sign(facet_points, apex, query, tol=None):
     eps = tolerance(tol)
     stack = np.vstack([_as_points(facet_points), _as_points(apex, 1), _as_points(query, 1)])
     rows, (unit,), r, _ = _factor(stack[np.newaxis])
-    lengths = np.sqrt(np.einsum("knm,knm->k", rows, rows))  # scaled edges, 0 at facet point 0
+    lengths = np.sqrt((rows * rows).sum(axis=(1, 2)))  # scaled edges, 0 at facet point 0
     scale, frame, diagonal = lengths.max(), lengths[:-1].max(), r[..., 0].diagonal()
     if (diagonal[:-2] <= 1e-10 * lengths[:-2].max()).any():
         raise DegeneracyError("facet vertices are (nearly) affinely dependent")
@@ -236,7 +238,7 @@ def flatten_pair(facet_points, apex_left, apex_right):
     facet = _as_points(facet_points)
     tops = np.stack([np.vstack([facet, _as_points(apex, 1)]) for apex in (apex_left, apex_right)])
     rows, scale, r, _ = _factor(tops)
-    lengths, diagonal = np.sqrt(np.einsum("knm,knm->mk", rows, rows)), r.diagonal()  # per top
+    lengths, diagonal = np.sqrt((rows * rows).sum(axis=1).T), r.diagonal()  # per top
     if (diagonal[0, :-1] <= 1e-10 * lengths[0, :-1].max()).any():
         raise DegeneracyError("facet vertices are (nearly) affinely dependent")
     if (diagonal[:, -1] <= 1e-10 * lengths[:, -1]).any():

@@ -402,6 +402,12 @@ NUMERIC_TEXT = [["0", "0"], ["1", "0"], ["0", "1"]]
     (SIX, [(0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 1, 9)],
      "^vertex 9 out of range in top simplex 3$"),
     (LINE, [(0, 1), (1, 2), (2, 1)], r"^duplicate top simplex \(1, 2\)$"),
+    # the points, then the top dimension, are checked before any cell
+    (np.zeros((0, 2)), [(0, 1, 2)], r"^points must be a nonempty \(P, N\) array, got \(0, 2\)$"),
+    ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], [(0, 1, 2)], "^points must be finite$"),
+    (TRIANGLE, [], "^at least one top simplex is required$"),
+    (TRIANGLE, [(0,)], "^top simplices need at least 2 vertices$"),
+    (SIX, [(0, 1, 2, 3)], r"^3-simplices cannot embed in R\^2$"),
     # integral floats are named in their own dtype
     (SIX, [[0.0, 1, 2], [2.0, 1, 0]], r"^duplicate top simplex \(0\.0, 1\.0, 2\.0\)$"),
 ], ids=["fractional", "nan", "strings", "bool-among-ints", "bools", "complex", "inf",
@@ -412,6 +418,7 @@ NUMERIC_TEXT = [["0", "0"], ["1", "0"], ["0", "1"]]
         "repeat-before-duplicate", "out-of-range-duplicate", "out-of-range-first",
         "first-duplicate", "duplicate-before-ragged", "ragged-after-cells",
         "duplicate-before-non-manifold", "range-before-non-manifold", "line-duplicate",
+        "no-points", "non-finite-points", "no-tops", "one-vertex-tops", "tops-above-ambient",
         "float-duplicate"])
 def test_rejects_cells_that_are_not_vertex_indices(points, cells, message):
     # a cell is built from what it says, never from a truncated or
@@ -431,3 +438,11 @@ def test_points_are_frozen():
     complex_ = _square()
     with pytest.raises(ValueError):
         complex_.points[0, 0] = 9.0
+
+
+def test_queries_name_their_fault():
+    square = _square()
+    with pytest.raises(ComplexError, match="^1-simplices have 2 vertices, got 3$"):
+        square.simplex_indices(1, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="^face tables need 1 <= dim <= 2, got 0$"):
+        square.face_table(0)

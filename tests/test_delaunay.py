@@ -572,17 +572,18 @@ def test_pair_routes_match_exact_powers():
     assert {PAIR_STRICT, PAIR_VIOLATED, None} <= set(seen)
 
 
-# A triangle facet in R^3 whose third point lies about 1e-16 of its edges
+# A triangle facet in R^3 whose third point lies about 1e-17 of its edges
 # off the line of the other two: the producer finds no circumcenter for it,
-# but finds one for each of its two tets (a seeded search's find).
+# alone or in any stack, but finds one for each of its two tets (a seeded
+# search's find).
 FLAGGED_FACET = np.array([
-    [0.8991518811741108, 0.7697431103444464, 0.5336387743442011],
-    [-0.9389645788485715, -1.5673511441236778, 1.196791577270832],
-    [-0.9984579274031216, -1.6429946444730479, 1.2182554952039504],
+    [-0.3505002809933333, -0.6220636988728692, 0.08915334364609695],
+    [-0.18921894732163347, 0.7437518504494558, 1.296576121715054],
+    [-0.17985815714739378, 0.8230239675807864, 1.3666551012211885],
 ])
 FLAGGED_FACET_APEXES = (
-    np.array([-1.409059315179388, -0.16418225424347688, -0.2984733715808574]),
-    np.array([1.360242838645337, -0.027275498266704546, -0.21497991633930544]),
+    np.array([-0.8626800916972157, -1.7092551910123994, 0.7615543010644514]),
+    np.array([1.9055055380320538, 1.836578328974194, -0.470980041630388]),
 )
 
 

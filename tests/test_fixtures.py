@@ -8,7 +8,7 @@ import pytest
 
 from signeddec.complexes import build_complex
 from signeddec.delaunay import PAIR_STRICT, SIDE_NO, SIDE_YES, classify_complex
-from signeddec.errors import FixtureError
+from signeddec.errors import DegeneracyError, FixtureError
 from signeddec.fixtures import FIXTURE_NAMES, _has_obtuse_triangle, generate_fixture
 from signeddec.hodge import hodge_star, validate_hodge
 
@@ -287,6 +287,16 @@ def test_generate_fixture_rejects_unknown():
         generate_fixture("spiral_galaxy")
     with pytest.raises(FixtureError, match="bad parameters"):
         generate_fixture("structured_square", jitter=0.5)
+
+
+def test_triangulate_refuses_a_repeated_point():
+    # Qhull keeps one copy of a repeated point and leaves the other out of
+    # every cell
+    from signeddec.fixtures import _triangulate
+
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DegeneracyError, match="^Qhull dropped a coincident or coplanar point$"):
+        _triangulate(points)
 
 
 def test_grids_match_scalar_draws_bitwise():

@@ -1,6 +1,7 @@
 """Coordinate-level primitives: circumcenters, volumes, side tests,
 pair flattening."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,8 +15,11 @@ from signeddec.complexes import build_complex
 from signeddec.config import tolerance
 from signeddec.delaunay import one_sided_status_points
 from signeddec.errors import AffineHullError, DegeneracyError, MeshFormatError
+from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
 from signeddec.geometry import (
+    _factor,
     batched_circumcenters,
+    batched_volumes,
     circumcenter,
     flatten_pair,
     halfspace_sign,
@@ -363,3 +367,78 @@ def test_flatten_pair_is_isometric_per_simplex(seed, n):
                     np.linalg.norm(original[i] - original[j]),
                     rtol=1e-9,
                 )
+
+
+# the tet of a triangle facet about 1e-16 off collinear in R^3 and an apex:
+# its second R diagonal is a few eps (3.1e-16, volume 7.3e-16, no flag), so
+# a sum whose order followed the stack size could round it to 0 alone
+_NEAR_COLLINEAR_TET = np.array([
+    [0.8209908137478626, -0.7813057228326946, -1.4822420054941339],
+    [-0.9761128065723194, 1.5056678521431621, -0.6274704979515173],
+    [-1.4283632154882067, 2.081196565550565, -0.41236283279255204],
+    [1.2402388831579207, 0.3461369218968523, 0.9919898852461907],
+])
+
+
+def _seeded_fixture(name, seed):
+    """A fixture family at a seed; structured_square takes none."""
+    return generate_fixture(name, **({} if name == "structured_square" else {"seed": seed}))
+
+
+def _batch_inputs():
+    """(label, stack) of every dimension of the 8 fixture families at seeds
+    0-2 and of Qhull 2D 300 and 3D 50 meshes, random stacks of k-simplices
+    in R^N, and the near-collinear tet beside a regular one."""
+    from scipy.spatial import Delaunay
+
+    meshes = {f"{name}/{seed}": _seeded_fixture(name, seed)
+              for name in FIXTURE_NAMES for seed in range(3)}
+    for dim, size, seed in ((2, 300, 7), (3, 50, 8)):
+        points = np.random.default_rng(seed).random((size, dim))
+        meshes[f"qhull_{dim}d_{size}"] = build_complex(points, Delaunay(points).simplices)
+    for label, mesh in meshes.items():
+        for dim in range(mesh.n + 1):
+            yield f"{label}/{dim}", mesh.points[mesh.simplices[dim]]
+    rng = np.random.default_rng(30)
+    for k, ambient in [*itertools.product((1, 2, 3), (2, 3, 4)), (2, 7)]:
+        yield f"random/{k}/{ambient}", rng.uniform(-2.0, 2.0, size=(40, k + 1, ambient))
+    regular = np.vstack([np.eye(3), np.zeros(3)])
+    yield "near-collinear tet", np.stack([_NEAR_COLLINEAR_TET, regular])
+
+
+def test_a_simplex_alone_gets_the_bits_it_gets_in_a_stack():
+    # the frames sum in index order whatever the stack size, so each output
+    # of a one-row call equals its row in the stack, bit for bit
+    for label, stack in _batch_inputs():
+        rows_first = (*batched_circumcenters(stack), batched_volumes(stack))
+        r = _factor(stack)[2]  # (k, k, M)
+        for i, row in enumerate(stack):
+            stacked = (*(out[i : i + 1] for out in rows_first), r[..., i : i + 1])
+            alone = (*batched_circumcenters(row[None]), batched_volumes(row[None]),
+                     _factor(row[None])[2])
+            for a, b in zip(alone, stacked):
+                assert a.tobytes() == b.tobytes(), f"{label} row {i}"
+    # the near-collinear tet is not flagged, alone or stacked
+    _, _, degenerate, _, volumes = batched_circumcenters(_NEAR_COLLINEAR_TET[None])
+    assert not degenerate[0] and volumes[0] > 0.0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_point_calls_match_the_complex_cache(name):
+    # circumcenter and simplex_volume of a simplex's rows are the complex's
+    # cached values, bit for bit, in every dimension
+    for seed in range(3):
+        mesh = _seeded_fixture(name, seed)
+        for dim in range(mesh.n + 1):
+            for index, rows in enumerate(mesh.points[mesh.simplices[dim]]):
+                alone, cached = circumcenter(rows), mesh.circumcenter_of(dim, index)
+                assert alone.center.tobytes() == cached.center.tobytes()
+                assert alone.radius.hex() == cached.radius.hex()
+                assert simplex_volume(rows).hex() == mesh.volume_of(dim, index).hex()
+
+
+def test_point_arrays_of_the_wrong_rank_are_refused():
+    with pytest.raises(ValueError, match=r"^expected a 2-d point array, got shape \(3,\)$"):
+        circumcenter([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^expected a 1-d point array, got shape \(1, 2\)$"):
+        halfspace_sign(EDGE, [[0.5, 1.0]], [0.5, -1.0])

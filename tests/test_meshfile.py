@@ -220,6 +220,8 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     (TRIANGLE, [[True, 1, 2]], "integers, got bool"),
     (TRIANGLE, [[0, 1, 2], [0, 1]], "2-d arrays"),
     ([[0, 0], [1, 0], [0]], [[0, 1, 2]], "2-d arrays"),
+    (np.zeros(3), [[0, 1, 2]], "^points and cells must be 2-d arrays$"),
+    (TRIANGLE, np.arange(3), "^points and cells must be 2-d arrays$"),
     ([[0, 0], ["a", "b"], [0, 1]], [[0, 1, 2]], "real numbers, got <U21"),
     ([["0", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]], "real numbers, got <U1"),
     (np.array([["0", "0"], ["1", "0"], ["0", "1"]], dtype=bytes), [[0, 1, 2]],
@@ -231,9 +233,9 @@ TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 ], ids=["no-points", "no-cells", "off-no-points", "off-no-cells",
         "negative", "past-end", "off-negative", "off-past-end",
         "fractional", "nan", "strings", "bools", "complex", "inf",
-        "bool-among-ints", "ragged-cells", "ragged-points", "text-points",
-        "numeric-text-points", "bytes-points", "mixed-text-points", "object-text-points",
-        "object-bytes-points"])
+        "bool-among-ints", "ragged-cells", "ragged-points", "flat-points", "flat-cells",
+        "text-points", "numeric-text-points", "bytes-points", "mixed-text-points",
+        "object-text-points", "object-bytes-points"])
 def test_write_rejects_what_no_reader_accepts(tmp_path, points, cells, message):
     # empty meshes and out-of-range cell indices are refused before any
     # file is written; so are cell indices that are not integers, which
@@ -286,6 +288,10 @@ GOOD_ELE = "2 3 0\n1 1 2 3\n2 2 4 3\n"
         (GOOD_NODE, "2 3 0\n1 1 2\n2 2 4 9\n", "ele:2", "expected 4 fields for element row"),
         # a header with no rows under it: the block is empty
         (GOOD_NODE, "2 3 0\n# none\n", "ele", "declared 2 elements, found 0"),
+        # no header at all, or a header that declares no rows
+        ("# nothing but a comment\n", GOOD_ELE, "node", "empty node file"),
+        ("0 2 0 0\n", GOOD_ELE, "node:1", "node count must be positive"),
+        (GOOD_NODE, "0 3 0\n", "ele:1", "element count must be positive"),
     ],
 )
 def test_malformed_rows_exact_message(tmp_path, node, ele, where, message):
@@ -471,3 +477,15 @@ def test_loadtxt_and_token_paths_agree(texts):
         fast = _outcome(path)
         with mock.patch.object(np, "loadtxt", side_effect=ValueError):
             assert _outcome(path) == fast
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OFF\n", "missing OFF counts"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n", "truncated vertex list"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "truncated face list"),
+], ids=["no-counts", "short-vertices", "short-faces"])
+def test_off_files_cut_short_exact_message(tmp_path, text, message):
+    (tmp_path / "m.off").write_text(text)
+    with pytest.raises(MeshFormatError) as info:
+        read_mesh(tmp_path / "m.off")
+    assert str(info.value) == f"{tmp_path / 'm.off'}: {message}"

@@ -380,6 +380,13 @@ def test_dual_table_rejects_dimensions_out_of_range():
                 query(mesh, dim, 0)
 
 
+def test_elementary_duals_rejects_indices_out_of_range():
+    mesh = generate_fixture("structured_square", divisions=2)
+    for index in (-1, mesh.num_simplices(1)):
+        with pytest.raises(IndexError, match=f"^no 1-simplex with index {index}$"):
+            elementary_duals(mesh, 1, index)
+
+
 def test_step_signs_batch_matches_single_links():
     mesh = generate_fixture("non_delaunay_square", divisions=6)
     seen = set()
