@@ -10,7 +10,9 @@ complex's cache and the point routes from one producer call on F and one
 on its tops (``_apex_data``). No predicate lays a pair out. A boundary
 facet is one-sided when its coface's circumcenter lies strictly on the
 apex side of the facet's hyperplane: its step sign, by the link table's
-side rule (``signed_dual._side_signs``). A mesh whose internal pairs are
+side rule (``signed_dual._side_signs``). ``circumcenter_order_points``
+reads the right apex's distance from the pair's axis from geometry's one
+least-squares solve (``_least_squares``). A mesh whose internal pairs are
 all strict and whose boundary facets are all one-sided is "qualifying":
 its signed dual volumes are positive in every dimension.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .config import tolerance
 from .errors import DegeneracyError
-from .geometry import _as_points, batched_circumcenters
+from .geometry import _as_points, _least_squares, batched_circumcenters
 from .signed_dual import _boundary_step_signs, _side_signs, dual_volumes, step_sign
 
 __all__ = [
@@ -159,8 +161,9 @@ def circumcenter_order_points(facet_points, apex_left, apex_right):
     _, (heights,), (offsets,), _ = _pair_gather(tops, facet, [0], [[0, 1]], -1)
     # the axis distance: the right apex's offset from the facet's center,
     # projected onto the span of the facet's edges (none for one point)
-    edges = (points[1, 1:-1] - points[1, 0]).T
-    along = edges @ np.linalg.lstsq(edges, points[1, -1] - facet[1][0], rcond=None)[0]
+    edges = points[1, 1:-1] - points[1, 0]
+    (coeff,) = _least_squares(edges[None], (points[1, -1] - facet[1][0])[None])
+    along = coeff @ edges
     fields = -offsets[0], offsets[1], heights[1], np.linalg.norm(along), facet[2][0]
     data = CircumcenterOrder(*map(float, fields))
     return data, data.center_offset_right > data.center_offset_left

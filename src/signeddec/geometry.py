@@ -10,9 +10,14 @@ barycentric coordinates. A circumcenter's barycentric coordinate j times
 vertex j's height is its signed distance from the face opposite vertex j.
 ``halfspace_sign`` reads a query's offset and residual from the R of
 [facet, apex, query], and the layout helper ``flatten_pair`` (no predicate
-uses it) a pair's layout from the R of its two tops. Every sum adds its
-terms in index order while it has under 8 (numpy sums 8 or more pairwise),
-so a simplex gets the same bits alone as in any stack: N <= 7, n <= 6.
+uses it) a pair's layout from the R of its two tops. ``_least_squares``,
+the one least-squares solve, factors each problem's columns and right-hand
+side together and back-substitutes R as the producer does; the flux
+vectors, the Figure-1 fit and the circumcenter-order axis call it. Every
+sum adds its terms in index order while it has under 8 (numpy sums 8 or
+more pairwise), so a simplex gets the same bits alone as in any stack of
+simplices with N <= 7, n <= 6; a least-squares problem sums over its rows
+and has no such promise.
 """
 
 import math
@@ -129,6 +134,30 @@ def _factor(pts):
     return rows, scale, r, volumes / math.factorial(k)
 
 
+def _back_substitute(r, y):
+    """The (k, M) solution x of R x = y for a (k, k, M) stack of upper
+    triangular R and k rows y of length M, from the last row up."""
+    k = len(r)
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        x[i] = (y[i] - sum(r[i, j] * x[j] for j in range(i + 1, k))) / r[i, i]
+    return np.array(x).reshape(k, r.shape[-1])
+
+
+def _least_squares(columns, values):
+    """Least-squares solutions x (M, n) of columns^T x = values for a stack
+    of M problems: ``columns`` (M, n, P) holds each problem's n columns of
+    length P, ``values`` (M, P) its right-hand side. :func:`_factor` of the
+    stack [0, column_1, ..., column_n, values] is the Gram-Schmidt of the
+    augmented matrix [A b] = QR: R's leading block is A's R, its last column
+    above the diagonal is Q^T b, and x solves R x = Q^T b. The common scale
+    cancels. Sums over the P rows are pairwise from 8 rows on, so a problem
+    gets no promise of the same bits alone as in a stack."""
+    zeros = np.zeros_like(values)[:, None]
+    _, _, r, _ = _factor(np.concatenate([zeros, columns, values[:, None]], axis=1))
+    return _back_substitute(r[:-1, :-1], r[:-1, -1]).T
+
+
 def batched_circumcenters(pts):
     """Circumcenters, radii and volumes of a (M, k+1, N) stack of simplices.
 
@@ -153,13 +182,11 @@ def batched_circumcenters(pts):
     edges = spokes[1:]
     # in the frame Q vertex i is column i of R, and the center y is as far
     # from it as from vertex 0: R_i . (y - R_i / 2) = 0, one row of R^T y = |e|^2 / 2
-    y, coeff = [], [0.0] * k
+    y = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular R: NaN
         for i in range(k):
             y.append(r[i, i] / 2 + sum(r[j, i] * (r[j, i] / 2 - y[j]) for j in range(i)) / r[i, i])
-        for i in reversed(range(k)):  # back substitution, R coeff = y
-            coeff[i] = (y[i] - sum(r[i, j] * coeff[j] for j in range(i + 1, k))) / r[i, i]
-        coeff = np.array(coeff)
+        coeff = _back_substitute(r, y)
         offset = (coeff[:, None] * edges).sum(axis=0)
         # measured from offsets, so the check does not depend on where the simplex sits
         spokes -= offset

@@ -19,6 +19,8 @@ table (tail, head, orientation) and the star entries, with no sparse
 products; the solve gathers the reduced form's sigma from the same table.
 figure1_columns runs the flux patch test (figure1_experiment) over
 a list of (family, hodge_mode) columns, generating one mesh per family.
+Its fits, the per-top flux vectors (sigma_vectors) and the affine u behind
+u_error, are calls of geometry's one least-squares solve (_least_squares).
 scipy.sparse is imported by the functions that call it, assemble and solve,
 so importing this module loads numpy alone.
 """
@@ -33,6 +35,7 @@ import numpy as np
 from .config import tolerance
 from .delaunay import classify_complex
 from .errors import ProblemDefinitionError, SolveError
+from .geometry import _least_squares
 from .hodge import MODES, hodge_star
 from .signed_dual import _boundary_step_signs, _sweep
 
@@ -272,14 +275,22 @@ def solve_mixed_poisson(system):
 def sigma_vectors(mesh, sigma):
     """Per-top constant vector field reproducing the edge cochain:
     least-squares fit of s with s . (head - tail) = sigma_e over the
-    n(n+1)/2 edges of each top simplex."""
+    n(n+1)/2 edges of each top simplex, all tops in one call of the
+    least-squares solve on geometry's factorisation. ``sigma`` must hold
+    one finite real value per edge; ValueError otherwise."""
+    count = mesh.num_simplices(1)
+    values = np.asarray(sigma)
+    fault = f"sigma must be one finite real value per edge ({count}), got"
+    if values.shape != (count,):
+        raise ValueError(f"{fault} shape {values.shape}")
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{fault} {values.dtype} values")
+    for i in np.flatnonzero(~np.isfinite(values))[:1]:
+        raise ValueError(f"{fault} {values[i]} at edge {i}")
     edges = mesh.face_of_top[1]
     tails, heads = mesh.simplices[1][edges].transpose(2, 0, 1)
-    rows = mesh.points[heads] - mesh.points[tails]
-    vals = np.asarray(sigma)[edges]
-    # all tops' least-squares problems at once, by Householder QR
-    q, r = np.linalg.qr(rows)
-    return np.linalg.solve(r, np.einsum("tij,ti->tj", q, vals)[..., None])[..., 0]
+    columns = (mesh.points[heads] - mesh.points[tails]).transpose(0, 2, 1)  # (T, N, edges)
+    return _least_squares(columns, values[edges].astype(float))
 
 
 @dataclass
@@ -367,9 +378,9 @@ def figure1_experiment(
 
     # Error metric: relative max deviation of u from its best-fit field
     # a*x + c, normalized by the exact range |influx| * width.
-    design = np.column_stack([mesh.points[:, 0], np.ones(len(mesh.points))])
-    fit, *_ = np.linalg.lstsq(design, solution.u, rcond=None)
-    deviation = solution.u - design @ fit
+    x = mesh.points[:, 0]
+    ((slope, intercept),) = _least_squares(np.stack([x, np.ones(len(x))])[None], solution.u[None])
+    deviation = solution.u - (slope * x + intercept)
     u_error = float(np.abs(deviation).max() / (abs(influx) * width))
     vectors = sigma_vectors(mesh, solution.sigma)
     sigma_error = float(

@@ -40,6 +40,20 @@ def cayley_menger_volume(points):
     return float(np.sqrt(max(vol2, 0.0)))
 
 
+def _exact_gauss_jordan(system):
+    """Solution, as Fractions, of a nonsingular k x (k+1) augmented system
+    of Fractions by Gauss-Jordan elimination; nothing is rounded."""
+    k = len(system)
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(k):
+            if r != col and system[r][col] != 0:
+                factor = system[r][col] / system[col][col]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
+    return [system[i][k] / system[i][i] for i in range(k)]
+
+
 def exact_barycentric(points):
     """Exact barycentric coordinates, as Fractions, of the circumcenter of
     the simplex with the given float vertices: Gauss-Jordan elimination on
@@ -48,20 +62,38 @@ def exact_barycentric(points):
     minus their sum. Every float is a rational, so nothing is rounded."""
     rows = [[Fraction(x) for x in row] for row in np.asarray(points, dtype=float).tolist()]
     edges = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
-    k = len(edges)
-    system = [
+    coeff = _exact_gauss_jordan([
         [sum(a * b for a, b in zip(ei, ej)) for ej in edges] + [sum(a * a for a in ei) / 2]
         for ei in edges
-    ]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if system[r][col] != 0)
-        system[col], system[pivot] = system[pivot], system[col]
-        for r in range(k):
-            if r != col and system[r][col] != 0:
-                factor = system[r][col] / system[col][col]
-                system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
-    coeff = [system[i][k] / system[i][i] for i in range(k)]
+    ])
     return [1 - sum(coeff), *coeff]
+
+
+def _as_integers(values):
+    """Integers m and a power of two d with values = m / d exactly (floats
+    are dyadic rationals), so that sums of products stay in exact ints."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(values, dtype=float).ravel().tolist()]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def exact_least_squares(rows, values):
+    """Exact least-squares solution x, as Fractions, of rows x = values for
+    float rows of full column rank: Gauss-Jordan elimination on the normal
+    equations A^T A x = A^T b, which have the least-squares solution and
+    no rounding here. A and b are scaled to integers first, a = d_A A and
+    b' = d_b b, so x = d_A x' / d_b for the solution x' of a, b'."""
+    rows = np.asarray(rows, dtype=float)
+    a, d_a = _as_integers(rows)
+    b, d_b = _as_integers(values)
+    k = rows.shape[1]
+    columns = [a[j::k] for j in range(k)]
+    scaled = _exact_gauss_jordan([
+        [Fraction(sum(p * q for p, q in zip(ci, cj))) for cj in columns]
+        + [Fraction(sum(p * q for p, q in zip(ci, b)))]
+        for ci in columns
+    ])
+    return [x * d_a / d_b for x in scaled]
 
 
 def exact_pair_powers(facet, left, right):

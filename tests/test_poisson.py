@@ -4,15 +4,21 @@ boundary handling."""
 import itertools
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from conftest import cotan_weights, sparse_algebra_poisson, voronoi_shares
+from conftest import (
+    cotan_weights,
+    exact_least_squares,
+    sparse_algebra_poisson,
+    voronoi_shares,
+)
 from signeddec.complexes import build_complex
 from signeddec.config import tolerance
-from signeddec.delaunay import classify_complex
+from signeddec.delaunay import circumcenter_order_points, classify_complex
 from signeddec.errors import ComplexError, ProblemDefinitionError, SolveError
 from signeddec.fixtures import generate_fixture
 from signeddec.geometry import circumcenter, simplex_volume
@@ -494,31 +500,90 @@ def test_sigma_vectors_reconstruct_linear_field(good_mesh):
     assert np.max(np.abs(vectors - np.array([-2.0, -3.0]))) < 1e-10
 
 
-def _lstsq_sigma_vectors(mesh, sigma):
-    """Reference fit: one np.linalg.lstsq per triangle."""
-    out = np.empty((mesh.num_simplices(2), 2))
-    for t in range(mesh.num_simplices(2)):
-        cell = mesh.simplex_vertices(2, t)
-        rows = [mesh.points[cell[b]] - mesh.points[cell[a]] for a, b in ((0, 1), (0, 2), (1, 2))]
-        vals = [sigma[mesh.simplex_index(1, (cell[a], cell[b]))] for a, b in ((0, 1), (0, 2), (1, 2))]
-        out[t] = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)[0]
+def _exact_sigma_vectors(mesh, sigma):
+    """Reference fit: each top's exact rational least-squares solution over
+    its n(n+1)/2 edges, rounded once."""
+    out = np.empty((mesh.num_simplices(mesh.n), mesh.N))
+    for t in range(mesh.num_simplices(mesh.n)):
+        pairs = list(itertools.combinations(mesh.simplex_vertices(mesh.n, t), 2))
+        rows = [mesh.points[b] - mesh.points[a] for a, b in pairs]
+        vals = [sigma[mesh.simplex_index(1, pair)] for pair in pairs]
+        out[t] = [float(x) for x in exact_least_squares(rows, vals)]
     return out
 
 
-@pytest.mark.parametrize("family", ["good", "bad_boundary", "non_delaunay"])
-def test_sigma_vectors_match_per_triangle_lstsq(family):
-    # Both fits are backward stable; on non-Delaunay meshes triangle
-    # condition numbers reach ~2e3, where the per-triangle lstsq itself is
-    # up to ~5e-14 off the exact least-squares solution, so the bound is
-    # 1e-13 of the largest vector rather than a few ulps.
-    for seed in range(6):
-        result = figure1_experiment(family=family, divisions=8, seed=seed)
-        mesh = result.mesh
+@pytest.mark.parametrize("family", ["good", "bad_boundary", "non_delaunay", "tet_cube"])
+def test_sigma_vectors_match_exact_least_squares(family):
+    # On non-Delaunay meshes triangle condition numbers reach ~2e3; the fit
+    # stays within 1e-13 of the largest vector of the exact solution (1.7e-14
+    # measured), where a per-triangle np.linalg.lstsq is 1.5e-13 off.
+    for seed in range(6 if family != "tet_cube" else 2):
+        if family == "tet_cube":
+            mesh = generate_fixture("delaunay_tet_cube", divisions=3, seed=seed)
+            solved = _solve(mesh).sigma
+        else:
+            result = figure1_experiment(family=family, divisions=8, seed=seed)
+            mesh, solved = result.mesh, result.solution.sigma
         random = np.random.default_rng(seed).standard_normal(mesh.num_simplices(1))
-        for sigma in (result.solution.sigma, random):
-            want = _lstsq_sigma_vectors(mesh, sigma)
+        for sigma in (solved, random):
+            want = _exact_sigma_vectors(mesh, sigma)
             got = sigma_vectors(mesh, sigma)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sigma_vectors_require_one_finite_real_value_per_edge(good_mesh):
+    # a longer cochain was truncated, a shorter one raised a bare IndexError,
+    # a complex one gave complex vectors and a 2-D one failed inside the fit
+    count = good_mesh.num_simplices(1)
+    nan, inf = np.zeros(count), np.zeros(count)
+    nan[3], inf[-1] = np.nan, -np.inf
+    for values, got in [
+        (np.zeros(count + 1), f"shape ({count + 1},)"),
+        (np.zeros(count - 1), f"shape ({count - 1},)"),
+        (np.zeros((count, 1)), f"shape ({count}, 1)"),
+        (np.zeros(count) + 0j, "complex128 values"),
+        (np.zeros(count, dtype=bool), "bool values"),
+        (np.full(count, "a"), "<U1 values"),
+        (nan, "nan at edge 3"),
+        (inf, f"-inf at edge {count - 1}"),
+    ]:
+        message = f"sigma must be one finite real value per edge ({count}), got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sigma_vectors(good_mesh, values)
+    # integers, in a list too, are real values
+    want = sigma_vectors(good_mesh, np.arange(count, dtype=float))
+    assert np.array_equal(sigma_vectors(good_mesh, list(range(count))), want)
+
+
+def test_fits_never_call_numpy_linalg_factorisations(monkeypatch):
+    # the flux vectors, the affine fit of u and the order axis are least
+    # squares on geometry's Gram-Schmidt R, not numpy's LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg factorisation was called")
+
+    for name in ("qr", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    results = figure1_columns(divisions=4)
+    assert [(r.family, r.hodge_mode) for r in results] == list(FIGURE1_COLUMNS)
+    data, correct = circumcenter_order_points([[0.0, 0.0], [1.0, 0.0]], [0.3, -0.5], [0.6, 0.8])
+    assert abs(data.apex_radial_distance - 0.1) <= 1e-15 and correct
+
+
+def _exact_u_error(result):
+    """u_error from the exact rational affine fit a x + c of u, rounded once."""
+    x, u = result.mesh.points[:, 0], result.solution.u
+    slope, intercept = exact_least_squares(np.column_stack([x, np.ones(len(x))]), u)
+    deviation = max(
+        abs(Fraction(ui) - slope * Fraction(xi) - intercept) for xi, ui in zip(x.tolist(), u.tolist())
+    )
+    return float(deviation / abs(Fraction(result.config["influx"]) * Fraction(result.config["width"])))
+
+
+@pytest.mark.parametrize("divisions", [4, 8, 12])
+def test_u_error_is_the_deviation_from_the_exact_affine_fit(divisions):
+    for seed in range(10):
+        for result in figure1_columns(divisions=divisions, seed=seed):
+            assert abs(result.u_error - _exact_u_error(result)) <= 1e-13
 
 
 def test_experiment_good_column(good_mesh):
