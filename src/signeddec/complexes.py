@@ -9,15 +9,18 @@ that face's index in ``simplices[p]``. The face table of dimension d >= 1
 holds in column j of row i the face of d-simplex i that omits its vertex j;
 its inverse, the coface index, lists each (d-1)-simplex's cofaces. The
 signed incidences ``cofaces`` are its rows, and ``facet_cofaces`` its d = n
-case. Both tables are built on first use; volumes, circumcenters and
-barycentric coordinates are cached per dimension. Instances are immutable
-after build; all queries are read-only. Build makes one sort per face
+case. Every derived table (these, the per-dimension volumes, circumcenters
+and barycentric coordinates, and those of ``signed_dual`` and ``delaunay``)
+is built on first use into one memo store, ``_memo``, keyed by validated
+integer dimensions and resolved tolerances. Instances are immutable after
+build; all queries are read-only. Build makes one sort per face
 dimension p >= 1, the top one giving the top order and the duplicate tops.
 scipy is imported by boundary_operator alone, the one function that calls
 it, so building and querying a complex loads numpy alone.
 """
 
 import itertools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +46,18 @@ class SimplicialComplex:
         self._codes = codes
         self.n = len(simplices) - 1
         self.N = points.shape[1]
-        self._geometry = [None] * (self.n + 1)  # see geometry()
-        self._face_tables = [None] * (self.n + 1)  # see face_table()
-        self._coface_indices = [None] * (self.n + 1)  # see coface_index()
-        self._cofaces = None
-        # signed_dual's link-table and DualTable memos, keyed by (dim, tolerance),
-        # and classify_complex's pair and boundary signs, keyed by tolerance
-        self._link_cache, self._dual_volume_cache, self._sign_cache = {}, {}, {}
+        self._store = {}  # see _memo()
+
+    def _memo(self, key, build):
+        """The value kept under ``key``, from ``build()`` the first time, with
+        every ndarray in it (alone or in a tuple) made read-only."""
+        if key not in self._store:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            self._store.setdefault(key, value)
+        return self._store[key]
 
     # -- basic queries -------------------------------------------------
 
@@ -97,28 +105,24 @@ class SimplicialComplex:
         """Read-only (num_simplices(dim), dim + 1) array: entry (i, j) is the
         index of the (dim-1)-face of dim-simplex i that omits its vertex j.
         Built on first use, for 1 <= dim <= n."""
-        if not 1 <= dim <= self.n:
-            raise ValueError(f"face tables need 1 <= dim <= {self.n}, got {dim}")
-        if self._face_tables[dim] is None:
-            # local face k of a top, less its vertex j, is local (dim-1)-face omit[k][j]
-            lower = list(itertools.combinations(range(self.n + 1), dim))
-            local = itertools.combinations(range(self.n + 1), dim + 1)
-            omit = [[lower.index(c[:j] + c[j + 1:]) for j in range(dim + 1)] for c in local]
-            table = np.empty((self.num_simplices(dim), dim + 1), dtype=np.intp)
-            table[self.face_of_top[dim]] = self.face_of_top[dim - 1][:, omit]
-            table.setflags(write=False)
-            self._face_tables[dim] = table
-        return self._face_tables[dim]
+        dim = _dimension(dim, 1, self.n, "face tables need")
+        return self._memo(("face_table", dim), lambda: self._face_table(dim))
+
+    def _face_table(self, dim):
+        # local face k of a top, less its vertex j, is local (dim-1)-face omit[k][j]
+        lower = list(itertools.combinations(range(self.n + 1), dim))
+        local = itertools.combinations(range(self.n + 1), dim + 1)
+        omit = [[lower.index(c[:j] + c[j + 1:]) for j in range(dim + 1)] for c in local]
+        table = np.empty((self.num_simplices(dim), dim + 1), dtype=np.intp)
+        table[self.face_of_top[dim]] = self.face_of_top[dim - 1][:, omit]
+        return table
 
     def coface_index(self, dim):
         """Read-only (offsets, cofaces, columns), the inverse of
         ``face_table(dim)``: (dim-1)-simplex i is entry (cofaces[k], columns[k])
         of the face table for k in offsets[i]:offsets[i + 1], cofaces ascending."""
-        if not 1 <= dim <= self.n:
-            raise ValueError(f"coface indices need 1 <= dim <= {self.n}, got {dim}")
-        if self._coface_indices[dim] is None:
-            self._coface_indices[dim] = _invert(self.face_table(dim))
-        return self._coface_indices[dim]
+        dim = _dimension(dim, 1, self.n, "coface indices need")
+        return self._memo(("coface_index", dim), lambda: _invert(self.face_table(dim)))
 
     # -- cached geometry -----------------------------------------------
 
@@ -128,20 +132,16 @@ class SimplicialComplex:
         raises no DegeneracyError. ``degenerate`` flags the simplices whose
         circumcenter failed its check; their other values are placeholders,
         and the accessors below raise for the whole dimension."""
-        if not 0 <= dim <= self.n:
-            raise ValueError(f"geometry needs 0 <= dim <= {self.n}, got {dim}")
-        if self._geometry[dim] is None:
-            stacked = self.points[self.simplices[dim]]
-            *circumdata, volumes = batched_circumcenters(stacked)
-            geometry = volumes, *circumdata
-            for arr in geometry:
-                arr.setflags(write=False)
-            self._geometry[dim] = geometry, np.flatnonzero(geometry[3])[:1]
-        return self._geometry[dim][0]
+        dim = _dimension(dim, 0, self.n, "geometry needs")
+        return self._memo(("geometry", dim), lambda: self._geometry(dim))
+
+    def _geometry(self, dim):
+        *circumdata, volumes = batched_circumcenters(self.points[self.simplices[dim]])
+        return volumes, *circumdata
 
     def _checked_geometry(self, dim):
         geometry = self.geometry(dim)
-        for i in self._geometry[dim][1]:  # its first degenerate simplex, if any
+        for i in self._memo(("first_degenerate", dim), lambda: np.flatnonzero(geometry[3])[:1]):
             raise DegeneracyError(f"{dim}-simplex {self.simplex_vertices(dim, i)} is degenerate")
         return geometry
 
@@ -173,14 +173,13 @@ class SimplicialComplex:
     def cofaces(self):
         """Per dimension p < n and p-simplex i, its (coface, sign) pairs in
         ascending coface order: row i of ``boundary_operator(self, p + 1)``."""
-        if self._cofaces is None:
-            self._cofaces = []
-            for dim in range(1, self.n + 1):
-                offsets, cofaces, columns = self.coface_index(dim)
-                signs = self.orientations[dim][cofaces] * (-1) ** columns
-                pairs = list(zip(cofaces.tolist(), signs.tolist()))
-                self._cofaces.append([pairs[a:b] for a, b in itertools.pairwise(offsets.tolist())])
-        return self._cofaces
+        return self._memo(("cofaces",), lambda: list(map(self._signed_rows, range(1, self.n + 1))))
+
+    def _signed_rows(self, dim):
+        offsets, cofaces, columns = self.coface_index(dim)
+        signs = self.orientations[dim][cofaces] * (-1) ** columns
+        pairs = list(zip(cofaces.tolist(), signs.tolist()))
+        return [pairs[a:b] for a, b in itertools.pairwise(offsets.tolist())]
 
     def boundary_faces(self):
         """Codim-1 simplices with exactly one coface, paired with it."""
@@ -193,6 +192,14 @@ class SimplicialComplex:
         tops, _ = self.facet_cofaces
         facets = np.flatnonzero(tops[:, 1] >= 0)
         return list(zip(facets.tolist(), map(tuple, tops[facets].tolist())))
+
+
+def _dimension(dim, low, high, needs):
+    """``dim`` as an int in low..high: TypeError if not an integer, else ValueError."""
+    dim = operator.index(dim)
+    if not low <= dim <= high:
+        raise ValueError(f"{needs} {low} <= dim <= {high}, got {dim}")
+    return dim
 
 
 def _invert(table):
@@ -335,7 +342,7 @@ def build_complex(points, top_simplices: Sequence[Sequence[int]]):
         face_of_top=face_of_top, facet_cofaces=(facet_tops, facet_columns), codes=codes,
     )
     complex_.points.setflags(write=False)
-    complex_._coface_indices[n] = top_index
+    complex_._memo(("coface_index", n), lambda: top_index)
 
     # Reject (near-)zero-volume top cells: threshold far below predicate
     # tolerance, scaled by the longest cached edge to stay unit-free. A top

@@ -3,10 +3,11 @@
 All geometric predicates classify relative to a dimensionless tolerance.
 The default (1e-10) can be overridden with the SIGNED_DEC_EPS environment
 variable, read at call time so tests can adjust it per-process. A
-tolerance must be finite and nonnegative.
+tolerance must be one real number (not a bool), finite and nonnegative.
 """
 
 import math
+import numbers
 import os
 
 from .errors import ToleranceError
@@ -22,6 +23,8 @@ _ENV_VAR = "SIGNED_DEC_EPS"
 
 
 def _checked(value, name):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy bools are not Real
+        raise ToleranceError(f"{name} must be a real number, got {type(value).__name__}")
     if not 0.0 <= value < math.inf:  # NaN fails too
         raise ToleranceError(f"{name} must be finite and nonnegative, got {value}")
     return float(value)
@@ -31,9 +34,9 @@ def tolerance(override=None):
     """Return the active relative tolerance.
 
     Explicit ``override`` wins, then the SIGNED_DEC_EPS environment
-    variable, then the default. A value that is negative, NaN or infinite,
-    or an environment value that is not a float, raises ToleranceError,
-    which is also a ValueError.
+    variable, then the default. A value that is a bool or not a real
+    number, negative, NaN or infinite, or an environment value that is not
+    a float, raises ToleranceError, which is also a ValueError.
     """
     if override is not None:
         return _checked(override, "tolerance")

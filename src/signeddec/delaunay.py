@@ -6,7 +6,7 @@ circumsphere. Every pair route runs one power test (``_pair_signs``) on the
 rows of one gather (``_pair_gather``), in any ambient dimension N >= n:
 apex b's power is 2 h_b (s_T + s_T'), its height times F's signed dual
 length, from producer records that ``classify_complex`` reads from the
-complex's cache and the point routes from one producer call on F and one
+complex's memo and the point routes from one producer call on F and one
 on its tops (``_apex_data``). No predicate lays a pair out. A boundary
 facet is one-sided when its coface's circumcenter lies strictly on the
 apex side of the facet's hyperplane: its step sign, by the link table's
@@ -14,7 +14,8 @@ side rule (``signed_dual._side_signs``). ``circumcenter_order_points``
 reads the right apex's distance from the pair's axis from geometry's one
 least-squares solve (``_least_squares``). A mesh whose internal pairs are
 all strict and whose boundary facets are all one-sided is "qualifying":
-its signed dual volumes are positive in every dimension.
+its signed dual volumes are positive in every dimension. The pair and
+boundary signs are kept in the complex's memo store per resolved tolerance.
 """
 
 from dataclasses import dataclass
@@ -294,29 +295,27 @@ def classify_complex(complex_, tol=None, check_duals=True):
     The verdict is "qualifying" exactly when all internal pairs are strict
     and all boundary facets one-sided; positive dual volumes in every
     dimension are then a theorem, and any nonpositive ones found are
-    reported for diagnosis. The pair and boundary signs are memoized on the
-    complex per resolved tolerance, as read-only arrays.
+    reported for diagnosis.
     """
     tol = tolerance(tol)  # resolved once, for every predicate below
-    if tol not in complex_._sign_cache:
-        tops, columns = complex_.facet_cofaces
-        pairs = np.flatnonzero(tops[:, 1] >= 0)
-        boundary, sides = _boundary_step_signs(complex_, tol)
-        records = complex_.geometry(complex_.n), complex_.geometry(complex_.n - 1)
-        signs = dict(
-            pair_facets=pairs, pair_tops=tops[pairs], boundary_facets=boundary,
-            pair_signs=_pair_signs(*records, pairs, tops[pairs], columns[pairs], tol),
-            boundary_tops=tops[boundary, 0], boundary_signs=sides,
-        )
-        for column in signs.values():
-            column.setflags(write=False)
-        complex_._sign_cache[tol] = signs
+    signs = complex_._memo(("signs", tol), lambda: _signs(complex_, tol))
     dims = range(complex_.n + 1) if check_duals else ()
     signed = [dual_volumes(complex_, dim, tol=tol)[0] for dim in dims]
     found = [np.flatnonzero(volumes <= 0.0) for volumes in signed]
     return MeshReport(
-        **complex_._sign_cache[tol],
+        *signs,
         dual_dims=np.repeat(np.arange(len(found)), [len(index) for index in found]),
         dual_indices=np.concatenate([np.empty(0, np.intp), *found]),
         dual_values=np.concatenate([np.empty(0), *map(np.take, signed, found)]),
     )
+
+
+def _signs(complex_, tol):
+    """The first six columns of a :class:`MeshReport` under the resolved
+    tolerance ``tol``: internal pairs, then boundary facets."""
+    tops, columns = complex_.facet_cofaces
+    pairs = np.flatnonzero(tops[:, 1] >= 0)
+    boundary, sides = _boundary_step_signs(complex_, tol)
+    records = complex_.geometry(complex_.n), complex_.geometry(complex_.n - 1)
+    pair_signs = _pair_signs(*records, pairs, tops[pairs], columns[pairs], tol)
+    return pairs, tops[pairs], pair_signs, boundary, tops[boundary, 0], sides

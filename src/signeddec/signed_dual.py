@@ -25,16 +25,18 @@ signed and nonzero chain counts, whose difference counts the negative
 pieces; run from n-1 on per-facet weights, it gives the Poisson load.
 Pieces are gathered per simplex on request, by growing its chains upward
 through the complex's coface index, so a call reads only the simplex's
-star. Link tables and DualTables are memoized on the complex per (dim,
-tolerance).
+star. Link tables and DualTables are kept in the complex's memo store
+(``SimplicialComplex._memo``) per (dim, resolved tolerance).
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .complexes import _dimension
 from .config import tolerance
 from .errors import ComplexError, DegeneracyError
 
@@ -101,8 +103,7 @@ class DualCell:
         return sum(1 for p in self.pieces if p.sign < 0)
 
 
-@dataclass(frozen=True)
-class DualTable:
+class DualTable(NamedTuple):
     """The duals of every p-simplex of one dimension, as read-only arrays:
     ``signed_volume``, ``unsigned_volume``, ``num_pieces`` and
     ``num_negative_pieces``."""
@@ -159,17 +160,15 @@ def _link_table(complex_, dim, tol):
     sign is sign(lambda_j) by :func:`_side_signs`, 0 within the resolved
     tolerance ``tol`` or where either circumcenter is degenerate, and the
     length is |lambda_j| h_j. Memoized per (dim, tol)."""
-    cache = complex_._link_cache
-    if (dim, tol) not in cache:
-        faces = complex_.face_table(dim)
-        face_volumes, _, _, face_flags, _ = complex_.geometry(dim - 1)
-        volumes, _, _, flags, barycentric = complex_.geometry(dim)
-        signs = _side_signs(barycentric, face_flags[faces] | flags[:, None], tol)
-        lengths = np.abs(barycentric) * (dim * volumes[:, None] / face_volumes[faces])
-        for column in (signs, lengths):
-            column.setflags(write=False)
-        cache[dim, tol] = signs, lengths
-    return cache[dim, tol]
+    return complex_._memo(("link_table", dim, tol), lambda: _links(complex_, dim, tol))
+
+
+def _links(complex_, dim, tol):
+    faces = complex_.face_table(dim)
+    face_volumes, _, _, face_flags, _ = complex_.geometry(dim - 1)
+    volumes, _, _, flags, barycentric = complex_.geometry(dim)
+    signs = _side_signs(barycentric, face_flags[faces] | flags[:, None], tol)
+    return signs, np.abs(barycentric) * (dim * volumes[:, None] / face_volumes[faces])
 
 
 def _side_signs(barycentric, flagged, tol):
@@ -201,18 +200,24 @@ def dual_table(complex_, dim, tol=None):
 
     For p = n every simplex has one piece of volume 1 (point measure).
     One sweep from n down to dim computes the tables of all dimensions in
-    between; each is memoized on the complex per (dim, resolved tolerance),
-    and the geometry is immutable so the memo never goes stale. Its keys
-    are resolved tolerances, so a hit needs no check.
+    between and memoizes each on the complex per (dim, resolved tolerance);
+    the geometry is immutable so the memo never goes stale. A valid Python
+    float is its own resolved value: it is looked up as given, checked to build.
     """
-    cache, n = complex_._dual_volume_cache, complex_.n
-    if (dim, tol) in cache:
-        return cache[dim, tol]
-    tol = tolerance(tol)
-    if not 0 <= dim <= n:
-        raise ValueError(f"dual tables need 0 <= dim <= {n}, got {dim}")
+    dim = _dimension(dim, 0, complex_.n, "dual tables need")
+    unchecked = type(tol) is float
+    tol = tol if unchecked else tolerance(tol)
+    return complex_._memo(
+        ("dual_table", dim, tol),
+        lambda: _dual_tables(complex_, dim, tolerance(tol) if unchecked else tol),
+    )
+
+
+def _dual_tables(complex_, dim, tol):
+    """The sweep of :func:`dual_table`: memoizes the tables of dims n..dim."""
+    n = complex_.n
     for d in range(dim, n + 1):
-        complex_.circumcenters(d)  # raises on the lowest degenerate dimension
+        complex_._checked_geometry(d)  # raises on the lowest degenerate dimension
     # per simplex: signed and unsigned dual volume, signed and nonzero chain count
     for p, totals in _sweep(complex_, n, np.ones((4, complex_.num_simplices(n))), tol):
         signed, unsigned, signed_count, nonzero_count = totals
@@ -220,11 +225,9 @@ def dual_table(complex_, dim, tol=None):
             signed, unsigned, np.bincount(complex_.face_of_top[p].ravel()) * math.factorial(n - p),
             ((nonzero_count - signed_count) / 2).astype(np.intp),
         )
-        for column in vars(table).values():
-            column.setflags(write=False)
-        cache.setdefault((p, tol), table)
+        table = complex_._memo(("dual_table", p, tol), lambda table=table: table)
         if p == dim:
-            return cache[dim, tol]
+            return table
 
 
 def dual_volumes(complex_, dim, tol=None):
@@ -247,8 +250,7 @@ def elementary_duals(complex_, dim, index, tol=None):
     index raises TypeError.
     """
     n, tol, index = complex_.n, tolerance(tol), operator.index(index)
-    if not 0 <= dim <= n:
-        raise ValueError(f"dual pieces need 0 <= dim <= {n}, got {dim}")
+    dim = _dimension(dim, 0, n, "dual pieces need")
     if not 0 <= index < complex_.num_simplices(dim):
         raise IndexError(f"no {dim}-simplex with index {index}")
     centers = [complex_.circumcenters(d) for d in range(dim, n + 1)]

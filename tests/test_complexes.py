@@ -8,8 +8,9 @@ import pytest
 from scipy.spatial import Delaunay
 
 from conftest import brute_face_count, brute_incidence
-from signeddec import complexes
+from signeddec import complexes, signed_dual
 from signeddec.complexes import boundary_operator, build_complex
+from signeddec.config import DEFAULT_EPS, tolerance
 from signeddec.delaunay import classify_complex
 from signeddec.errors import ComplexError, DegeneracyError, NonManifoldError, ToleranceError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
@@ -446,3 +447,110 @@ def test_queries_name_their_fault():
         square.simplex_indices(1, [[0, 1, 2]])
     with pytest.raises(ValueError, match="^face tables need 1 <= dim <= 2, got 0$"):
         square.face_table(0)
+
+
+STORE_MESHES = [*FIXTURE_NAMES, "qhull_2d_300", "qhull_3d_50"]
+SIGN_COLUMNS = (
+    "pair_facets", "pair_tops", "pair_signs", "boundary_facets", "boundary_tops", "boundary_signs",
+)
+
+
+def _store_mesh(name):
+    """A fixture family, or a Qhull triangulation of 300 random points in 2D
+    or of 50 in 3D."""
+    if name in FIXTURE_NAMES:
+        return generate_fixture(name)
+    dim, size, seed = {"qhull_2d_300": (2, 300, 7), "qhull_3d_50": (3, 50, 8)}[name]
+    points = np.random.default_rng(seed).random((size, dim))
+    return build_complex(points, Delaunay(points).simplices)
+
+
+def _memoized(mesh, tol):
+    """Every memoized table, by (accessor, dim), under the tolerance ``tol``;
+    the classification's sign columns under ("signs", None)."""
+    tables = {}
+    for d in range(mesh.n + 1):
+        tables["geometry", d] = mesh.geometry(d)
+        tables["dual_table", d] = dual_table(mesh, d, tol)
+    for d in range(1, mesh.n + 1):
+        tables["face_table", d] = mesh.face_table(d)
+        tables["coface_index", d] = mesh.coface_index(d)
+        tables["link_table", d] = signed_dual._link_table(mesh, d, tolerance(tol))
+    report = classify_complex(mesh, tol=tol)
+    tables["signs", None] = tuple(getattr(report, column) for column in SIGN_COLUMNS)
+    return tables
+
+
+def _arrays(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("name", STORE_MESHES)
+def test_memo_store_keeps_one_frozen_entry_per_key(name, monkeypatch):
+    # every table is built once per (dimension, resolved tolerance), frozen,
+    # and handed out as the same objects after that
+    monkeypatch.delenv("SIGNED_DEC_EPS", raising=False)
+    mesh = _store_mesh(name)
+    first = _memoized(mesh, None)
+    for value in first.values():
+        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in _arrays(value))
+    entries = len(mesh._store)
+    # tol=None under the default and tol=DEFAULT_EPS share every entry
+    for tol in (None, DEFAULT_EPS):
+        again = _memoized(mesh, tol)
+        for key, value in first.items():
+            assert all(a is b for a, b in zip(_arrays(again[key]), _arrays(value), strict=True))
+    assert len(mesh._store) == entries
+    # another tolerance gets entries of its own; the geometry and topology do not
+    other = _memoized(mesh, 1e-3)
+    for key, value in first.items():
+        same = [a is b for a, b in zip(_arrays(other[key]), _arrays(value), strict=True)]
+        assert same == [key[0] in ("geometry", "face_table", "coface_index")] * len(same)
+    assert len(mesh._store) == entries + 2 * mesh.n + 2
+
+
+@pytest.mark.parametrize("name", STORE_MESHES)
+def test_refused_inputs_leave_no_memo_entry(name):
+    mesh = _store_mesh(name)
+    n = mesh.n
+    refusals = [
+        (ValueError, mesh.geometry, (n + 1,)), (TypeError, mesh.geometry, (1.0,)),
+        (ValueError, mesh.face_table, (0,)), (TypeError, mesh.face_table, (1.0,)),
+        (ValueError, mesh.coface_index, (n + 1,)), (TypeError, mesh.coface_index, (1.0,)),
+        (ValueError, dual_table, (mesh, n + 1, 2e-3)), (TypeError, dual_table, (mesh, 1.0, 2e-3)),
+        (ToleranceError, dual_table, (mesh, 1, -2e-3)),
+        (ToleranceError, dual_table, (mesh, 1, True)),
+        (ToleranceError, classify_complex, (mesh, np.nan)),
+        (ToleranceError, classify_complex, (mesh, np.True_)),
+    ]
+    for warm in (False, True):
+        if warm:
+            _memoized(mesh, None)
+            _memoized(mesh, 1.0)
+        keys = set(mesh._store)
+        for error, query, args in refusals:
+            with pytest.raises(error):
+                query(*args)
+        assert set(mesh._store) == keys
+
+
+@pytest.mark.parametrize(
+    "name", ["structured_square", "surface_pairwise_delaunay", "delaunay_tet_cube"]
+)
+def test_keyed_accessors_refuse_non_integer_dimensions(name):
+    # 1.0 hashes as 1 does, so a memo looked up before the dimension is
+    # checked would answer it once the dim-1 entry exists
+    mesh = generate_fixture(name)
+    accessors = (mesh.geometry, mesh.face_table, mesh.coface_index, lambda d: dual_table(mesh, d))
+    for warm in (False, True):
+        for accessor in accessors:
+            if warm:
+                accessor(1)
+                accessor(np.int64(1))
+            for dim in (1.0, np.float64(1.0)):
+                with pytest.raises(TypeError):
+                    accessor(dim)
+        if warm:
+            dual_table(mesh, 1, DEFAULT_EPS)
+            with pytest.raises(TypeError):
+                dual_table(mesh, 1.0, DEFAULT_EPS)

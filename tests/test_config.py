@@ -71,3 +71,27 @@ def test_warm_dual_table_still_checks_the_tolerance(tol, raw, monkeypatch):
     for dim in range(3):
         with pytest.raises(ToleranceError):
             dual_table(mesh, dim, tol=tol)
+
+
+@pytest.mark.parametrize("value, name", [
+    (True, "bool"), (False, "bool"), (np.True_, "bool"), (np.False_, "bool"),
+    ("1e-3", "str"), (1e-3 + 0j, "complex"), ([1e-3], "list"), (np.array([1e-3]), "ndarray"),
+])
+def test_non_number_override_is_tolerance_error(value, name):
+    # a bool once read as 1.0 or 0.0, and a str, complex or list reached the
+    # comparison with a bare TypeError
+    with pytest.raises(ToleranceError, match=f"^tolerance must be a real number, got {name}$"):
+        tolerance(value)
+
+
+def test_warm_memo_refuses_a_bool_tolerance(monkeypatch):
+    # True hashes as 1.0 does, so no memo entry of tolerance 1.0 may answer it
+    monkeypatch.delenv("SIGNED_DEC_EPS", raising=False)
+    mesh = generate_fixture("perturbed_delaunay_square", divisions=4)
+    classify_complex(mesh, tol=1.0)
+    classify_complex(mesh, tol=0.0)
+    for tol in (True, np.False_):
+        with pytest.raises(ToleranceError, match="got bool$"):
+            classify_complex(mesh, tol=tol)
+        with pytest.raises(ToleranceError, match="got bool$"):
+            dual_table(mesh, 1, tol=tol)

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from conftest import exact_barycentric
+from conftest import _as_integers, exact_barycentric
+from signeddec import signed_dual
 from signeddec.complexes import build_complex
+from signeddec.config import DEFAULT_EPS
 from signeddec.delaunay import classify_complex
 from signeddec.errors import ComplexError
 from signeddec.fixtures import FIXTURE_NAMES, generate_fixture
@@ -368,6 +372,52 @@ def test_link_signs_match_exact_barycentric_signs(name, kwargs, num_zero):
         np.testing.assert_array_equal(signs[signs != 0], exact[signs != 0])
         zeros += (exact == 0).sum()
     assert zeros == num_zero
+
+
+def _gram_det(rows):
+    """det G of the Gram matrix G of the edge vectors r_i - r_0 of integer
+    rows (1 for one row), by Bareiss's fraction-free elimination: every
+    division is exact."""
+    edges = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
+    gram = [[sum(a * b for a, b in zip(ei, ej)) for ej in edges] for ei in edges]
+    previous = 1
+    for k in range(len(gram) - 1):  # G is positive definite: every pivot is positive
+        for i in range(k + 1, len(gram)):
+            gram[i] = [(gram[i][j] * gram[k][k] - gram[i][k] * gram[k][j]) // previous
+                       for j in range(len(gram))]
+        previous = gram[k][k]
+    return gram[-1][-1] if gram else 1
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "qhull_2d_300"])
+def test_link_lengths_match_exact_lengths(name):
+    # link (t, j) has length |lambda_j| h_j, with h_j^2 = det G(t) / det G(face)
+    # the squared height of vertex j over the face omitting it; in exact
+    # arithmetic on the float vertices it is sqrt(lambda_j^2 h_j^2). The
+    # error is bounded by 1e-13 of the larger of h_j and the length: the
+    # Qhull mesh's slivers reach |lambda_j| = 467, where a few ulps of the
+    # length are 2.9e-13 h_j (measured: at most 1.4e-14 of the larger)
+    if name == "qhull_2d_300":
+        points = np.random.default_rng(7).random((300, 2))
+        mesh = build_complex(points, Delaunay(points).simplices)
+    else:
+        mesh = generate_fixture(name)
+    # the points are integers over a common power of two d, so h_j^2 is the
+    # ratio of the integer rows' Gram determinants over d^2
+    integers, d = _as_integers(mesh.points)
+    rows = np.array(integers, dtype=object).reshape(mesh.points.shape)
+    face_dets = [1] * mesh.num_simplices(0)
+    for dim in range(1, mesh.n + 1):
+        lengths = signed_dual._link_table(mesh, dim, DEFAULT_EPS)[1]
+        dets = [_gram_det(rows[row].tolist()) for row in mesh.simplices[dim]]
+        for t, (row, faces) in enumerate(zip(mesh.simplices[dim], mesh.face_table(dim))):
+            exact = exact_barycentric(mesh.points[row])
+            for j, face in enumerate(faces.tolist()):
+                squared_height = Fraction(dets[t], face_dets[face] * d * d)
+                height = math.sqrt(squared_height)
+                length = math.sqrt(exact[j] ** 2 * squared_height)
+                assert abs(lengths[t, j] - length) <= 1e-13 * max(height, length)
+        face_dets = dets
 
 
 def test_dual_table_rejects_dimensions_out_of_range():
